@@ -50,8 +50,7 @@ def power_radius(matrix, tol: float = 1e-13, max_iter: int = 10000) -> float:
 
     The +I shift keeps the dominant eigenvalue simple-signed and removes
     periodicity, so the Rayleigh quotient converges for every nonnegative
-    input with a spectral gap; the caller falls back to a dense eigensolve
-    when the budget runs out.
+    input with a spectral gap. It cross-checks the dense eigensolve.
     """
     m = np.asarray(matrix, dtype=float)
     n = m.shape[0]
@@ -67,7 +66,7 @@ def power_radius(matrix, tol: float = 1e-13, max_iter: int = 10000) -> float:
 
 
 def spectral_radius(matrix, method: str = "auto") -> float:
-    """Largest eigenvalue modulus; dense solve for small matrices, power iteration above."""
+    """Largest eigenvalue modulus by dense eigensolve ("auto", "eig") or power iteration."""
     m = np.asarray(matrix, dtype=float)
     if method not in ("auto", "eig", "power"):
         raise ValueError(f"unknown method '{method}'")
@@ -75,14 +74,9 @@ def spectral_radius(matrix, method: str = "auto") -> float:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix must be finite")
-    if method == "eig" or (method == "auto" and m.shape[0] <= 4):
-        return float(np.max(np.abs(np.linalg.eigvals(m)))) if m.size else 0.0
     if method == "power":
         return power_radius(m)
-    try:
-        return power_radius(m)
-    except PowerIterationError:
-        return float(np.max(np.abs(np.linalg.eigvals(m))))
+    return float(np.max(np.abs(np.linalg.eigvals(m)))) if m.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -111,11 +105,7 @@ class As4Result:
 
 def check_as2(kmap: KolmogorovMap, tol: float = 1e-9) -> As2Result:
     """Each axis must carry its fixed point at the unit: f_i(e_i) = 1."""
-    devs = []
-    for i in range(kmap.dim):
-        e = np.zeros(kmap.dim)
-        e[i] = 1.0
-        devs.append(abs(float(eval_f(kmap, e)[i]) - 1.0))
+    devs = [float(v) for v in np.abs(np.diagonal(eval_f(kmap, np.eye(kmap.dim))) - 1.0)]
     worst = max(devs)
     return As2Result(worst < tol, worst, devs)
 
@@ -131,18 +121,14 @@ def check_as3(kmap: KolmogorovMap, rect_top: float, resolution: int) -> As3Resul
     strict: all entries negative; weak: all nonpositive with negative
     diagonal; fail otherwise, with the worst entry and its location.
     """
-    worst_value = -np.inf
-    worst_entry = (0, 0)
-    worst_point = None
-    worst_diag = -np.inf
-    for x in _box_points(rect_top, resolution, kmap.dim):
-        jac = eval_df(kmap, x)
-        i, j = np.unravel_index(np.argmax(jac), jac.shape)
-        if jac[i, j] > worst_value:
-            worst_value = float(jac[i, j])
-            worst_entry = (int(i), int(j))
-            worst_point = x.copy()
-        worst_diag = max(worst_diag, float(np.max(np.diag(jac))))
+    pts = _box_points(rect_top, resolution, kmap.dim)
+    jacs = eval_df(kmap, pts)
+    worst = int(np.argmax(jacs.max(axis=(1, 2))))  # first point attaining the largest entry
+    i, j = np.unravel_index(np.argmax(jacs[worst]), jacs.shape[1:])
+    worst_value = float(jacs[worst, i, j])
+    worst_entry = (int(i), int(j))
+    worst_point = pts[worst]
+    worst_diag = float(np.diagonal(jacs, axis1=1, axis2=2).max())
     if worst_value < 0.0:
         mode = "strict"
     elif worst_value <= 1e-12 and worst_diag < 0.0:
@@ -161,16 +147,12 @@ def check_as4(
     """Spectral radius of the feedback matrix below 1 - margin on the box grid."""
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
-    max_rho = -1.0
-    argmax = None
-    for x in _box_points(1.0 + kappa, resolution, kmap.dim):
-        if not x.any():
-            continue
-        rho = spectral_radius(eval_Z(kmap, x))
-        if rho > max_rho:
-            max_rho = rho
-            argmax = x.copy()
-    return As4Result(max_rho < 1.0 - margin, max(max_rho, 0.0), [float(v) for v in argmax], margin)
+    pts = _box_points(1.0 + kappa, resolution, kmap.dim)
+    pts = pts[pts.any(axis=1)]  # the origin carries no feedback
+    rho = np.abs(np.linalg.eigvals(eval_Z(kmap, pts))).max(axis=1)
+    worst = int(np.argmax(rho))
+    max_rho = float(rho[worst])
+    return As4Result(max_rho < 1.0 - margin, max_rho, [float(v) for v in pts[worst]], margin)
 
 
 def jury_condition_ricker2d(r: float, s: float, a: float, b: float) -> bool:
@@ -185,15 +167,17 @@ def find_kappa(
     kappa_max: float = 1.0,
     margin: float = SAFETY_MARGIN,
     levels: int = 10,
-) -> float:
+) -> tuple[float, As4Result]:
     """Largest margin in the geometric scan {kappa_max, kappa_max/2, ...} passing the spectral check.
 
-    Passing regions are nested in kappa, so scanning from above is sound.
+    Returns the margin with the spectral check that accepted it. Passing
+    regions are nested in kappa, so scanning from above is sound.
     """
     for j in range(levels + 1):
         kappa = kappa_max / 2.0**j
-        if check_as4(kmap, kappa, resolution, margin).ok:
-            return kappa
+        as4 = check_as4(kmap, kappa, resolution, margin)
+        if as4.ok:
+            return kappa, as4
     raise AssumptionError(
         f"spectral condition fails even at kappa = {kappa_max / 2.0 ** levels:g}"
     )
@@ -210,7 +194,7 @@ def find_epsilon(
     eps = 1.0
     for _ in range(max_halvings):
         eps *= 0.5
-        if all(float(eval_f(kmap, eps * u).min()) >= 1.0 + tol for u in dirs):
+        if eval_f(kmap, eps * dirs).min() >= 1.0 + tol:
             return eps
     raise AssumptionError(
         "per-capita growth never exceeds 1 near the origin; the origin is not a repeller"
@@ -279,8 +263,7 @@ def run_assumption_checks(
     as4 = base
     if base.ok:
         try:
-            kappa = find_kappa(kmap, resolution, kappa_max, margin)
-            as4 = check_as4(kmap, kappa, resolution, margin)
+            kappa, as4 = find_kappa(kmap, resolution, kappa_max, margin)
         except AssumptionError:
             kappa = None
     as3 = check_as3(kmap, 1.0 + (kappa or 0.0), resolution)

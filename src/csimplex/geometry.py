@@ -23,7 +23,6 @@ __all__ = [
     "RadialManifold",
     "make_grid",
     "simplex_lattice",
-    "support_of",
     "radial_project",
     "order_function",
     "symmetrized_order",
@@ -200,11 +199,6 @@ class RadialManifold:
             raise GridError("radii do not match the grid")
         if not np.all(np.isfinite(radii)) or np.any(radii <= 0.0):
             raise ValueError("radii must be strictly positive and finite")
-
-
-def support_of(x, tol: float = 0.0) -> np.ndarray:
-    """Boolean mask of the coordinates where x exceeds tol."""
-    return np.asarray(x) > tol
 
 
 def radial_project(x) -> np.ndarray:

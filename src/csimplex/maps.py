@@ -5,6 +5,14 @@ working box) together with an optional analytic Jacobian of f; a central
 finite-difference fallback with one-sided steps at the coordinate faces is
 used when the Jacobian is missing. Custom maps enter only through the
 registry so derivative correctness stays testable.
+
+Every evaluation is batched: f takes an array of points of shape (..., d) and
+returns (..., d), df returns (..., d, d), and a single point is the batch of
+shape (d,). A custom map indexes coordinates as x[..., i]:
+
+    def f(x):  # x has shape (..., 2)
+        return np.stack([np.exp(1.0 - x[..., 0]), 2.0 / (1.0 + x[..., 1])], axis=-1)
+    REGISTRY["decoupled"] = lambda: KolmogorovMap("decoupled", 2, {}, f)  # df by finite differences
 """
 from __future__ import annotations
 
@@ -40,6 +48,17 @@ class MapDomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class KolmogorovMap:
+    """Per-capita part f of a map of dimension d, with its optional Jacobian df.
+
+    f maps points of shape (..., d) to (..., d) and df maps them to
+    (..., d, d), row by row, for any leading batch shape. With arrays r of
+    shape (d,) and A of shape (d, d), Leslie-Gower competition reads:
+
+        def f(x):
+            return (1.0 + r) / (1.0 + (A @ x[..., None])[..., 0])
+        kmap = KolmogorovMap("lg", len(r), {}, f)
+    """
+
     name: str
     dim: int
     params: dict
@@ -56,80 +75,93 @@ class AxisMap:
     G: Callable[[float], float]
 
 
+def _at(x: np.ndarray, bad: np.ndarray) -> str:
+    """The first point of the batch x flagged in bad, with its row index in a batch."""
+    row = tuple(int(i) for i in np.argwhere(bad)[0])
+    return f"{x[row]}" + (f" (row {row[0] if len(row) == 1 else row})" if row else "")
+
+
 def _check_input(kmap: KolmogorovMap, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (kmap.dim,):
+    if x.ndim == 0 or x.shape[-1] != kmap.dim:
         raise ValueError(f"{kmap.name} expects points of dimension {kmap.dim}")
-    if not np.all(np.isfinite(x)):
-        raise MapDomainError(f"non-finite input {x}")
-    if np.any(x < 0.0):
-        raise MapDomainError(f"input {x} leaves the nonnegative cone")
+    bad = ~(np.isfinite(x) & (x >= 0.0)).all(axis=-1)
+    if bad.any():
+        raise MapDomainError(f"input {_at(x, bad)} is not finite and nonnegative")
     return x
+
+
+def _f(kmap: KolmogorovMap, x: np.ndarray) -> np.ndarray:
+    y = np.asarray(kmap.f(x), dtype=float)
+    if y.shape != x.shape:
+        raise ValueError(f"{kmap.name}: f returned shape {y.shape} for points {x.shape}")
+    bad = ~(np.isfinite(y) & (y > 0.0)).all(axis=-1)
+    if bad.any():
+        raise MapDomainError(f"{kmap.name}: f is not strictly positive at {_at(x, bad)}")
+    return y
+
+
+def _df(kmap: KolmogorovMap, x: np.ndarray) -> np.ndarray:
+    if kmap.df is not None:
+        jac = np.asarray(kmap.df(x), dtype=float)
+    else:
+        jac = fd_jacobian(kmap.f, x, kmap.dim)
+    if jac.shape != x.shape + (kmap.dim,):
+        raise ValueError(f"{kmap.name}: Jacobian of shape {jac.shape} for points {x.shape}")
+    bad = ~np.isfinite(jac).all(axis=(-2, -1))
+    if bad.any():
+        raise MapDomainError(f"{kmap.name}: bad Jacobian at {_at(x, bad)}")
+    return jac
 
 
 def eval_f(kmap: KolmogorovMap, x) -> np.ndarray:
     """Per-capita values f(x); strictly positive on the admissible domain."""
-    x = _check_input(kmap, x)
-    y = np.asarray(kmap.f(x), dtype=float)
-    if not np.all(np.isfinite(y)) or np.any(y <= 0.0):
-        raise MapDomainError(f"{kmap.name}: f({x}) = {y} is not strictly positive")
-    return y
+    return _f(kmap, _check_input(kmap, x))
 
 
 def eval_F(kmap: KolmogorovMap, x) -> np.ndarray:
     """One step of the dynamics, F_i(x) = x_i f_i(x); coordinate faces are exact."""
     x = _check_input(kmap, x)
-    return x * eval_f(kmap, x)
+    return x * _f(kmap, x)
 
 
 def fd_jacobian(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray, dim: int) -> np.ndarray:
     """Finite-difference Jacobian, central step 1e-5 (1 + |x_j|), one-sided at faces."""
     x = np.asarray(x, dtype=float)
-    jac = np.empty((dim, dim))
+    jac = np.empty(x.shape + (dim,))
     for j in range(dim):
-        h = 1e-5 * (1.0 + abs(x[j]))
-        if x[j] - h < 0.0:
-            xp = x.copy()
-            xp[j] += h
-            jac[:, j] = (np.asarray(func(xp)) - np.asarray(func(x))) / h
-        else:
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            jac[:, j] = (np.asarray(func(xp)) - np.asarray(func(xm))) / (2.0 * h)
+        h = 1e-5 * (1.0 + np.abs(x[..., j]))
+        one_sided = x[..., j] - h < 0.0
+        xp, xm = x.copy(), x.copy()
+        xp[..., j] += h
+        xm[..., j] -= np.where(one_sided, 0.0, h)
+        step = np.where(one_sided, h, 2.0 * h)[..., None]
+        jac[..., j] = (np.asarray(func(xp)) - np.asarray(func(xm))) / step
     return jac
 
 
 def eval_df(kmap: KolmogorovMap, x) -> np.ndarray:
     """Jacobian of the per-capita part, analytic when available."""
-    x = _check_input(kmap, x)
-    if kmap.df is not None:
-        jac = np.asarray(kmap.df(x), dtype=float)
-    else:
-        jac = fd_jacobian(kmap.f, x, kmap.dim)
-    if jac.shape != (kmap.dim, kmap.dim) or not np.all(np.isfinite(jac)):
-        raise MapDomainError(f"{kmap.name}: bad Jacobian at {x}")
-    return jac
+    return _df(kmap, _check_input(kmap, x))
 
 
 def eval_DF(kmap: KolmogorovMap, x) -> np.ndarray:
     """Jacobian of the full map, DF_ij = delta_ij f_i + x_i df_ij."""
     x = _check_input(kmap, x)
-    f = eval_f(kmap, x)
-    return np.diag(f) + x[:, None] * eval_df(kmap, x)
+    return _f(kmap, x)[..., None] * np.eye(kmap.dim) + x[..., :, None] * _df(kmap, x)
 
 
 def eval_Z(kmap: KolmogorovMap, x, tol: float = 1e-9) -> np.ndarray:
     """Nonnegative feedback matrix Z_ij = -x_i (df_ij) / f_i; row i vanishes with x_i."""
     x = _check_input(kmap, x)
-    f = eval_f(kmap, x)
-    z = -(x[:, None] * eval_df(kmap, x)) / f[:, None]
-    z[x == 0.0, :] = 0.0
-    if z.min() < -tol:
-        i, j = np.unravel_index(np.argmin(z), z.shape)
+    z = -(x[..., :, None] * _df(kmap, x)) / _f(kmap, x)[..., :, None]
+    z = np.where((x == 0.0)[..., :, None], 0.0, z)
+    neg = z.min(axis=(-2, -1)) < -tol
+    if neg.any():
+        zr = z[neg][0]
+        i, j = np.unravel_index(np.argmin(zr), zr.shape)
         raise MapDomainError(
-            f"{kmap.name}: negative feedback entry {z[i, j]:.3e} at ({i},{j}), x={x}"
+            f"{kmap.name}: negative feedback entry {zr[i, j]:.3e} at ({i},{j}), x={_at(x, neg)}"
         )
     return np.maximum(z, 0.0)
 
@@ -157,10 +189,10 @@ def beverton_holt() -> KolmogorovMap:
     """One-species Beverton-Holt recruitment, f(x) = 2 / (1 + x)."""
 
     def f(x):
-        return np.array([2.0 / (1.0 + x[0])])
+        return 2.0 / (1.0 + x)
 
     def df(x):
-        return np.array([[-2.0 / (1.0 + x[0]) ** 2]])
+        return (-2.0 / (1.0 + x) ** 2)[..., None]
 
     return KolmogorovMap("beverton_holt", 1, {}, f, df)
 
@@ -172,10 +204,10 @@ def atkinson_allen(lam: float = 0.5) -> KolmogorovMap:
         raise ValueError("lam must lie in [0, 1)")
 
     def f(x):
-        return np.array([lam + 2.0 * (1.0 - lam) / (1.0 + x[0])])
+        return lam + 2.0 * (1.0 - lam) / (1.0 + x)
 
     def df(x):
-        return np.array([[-2.0 * (1.0 - lam) / (1.0 + x[0]) ** 2]])
+        return (-2.0 * (1.0 - lam) / (1.0 + x) ** 2)[..., None]
 
     return KolmogorovMap("atkinson_allen", 1, {"lam": lam}, f, df)
 
@@ -187,10 +219,10 @@ def ricker1d(lam: float = 0.5) -> KolmogorovMap:
         raise ValueError("lam must be positive")
 
     def f(x):
-        return np.array([np.exp(lam * (1.0 - x[0]))])
+        return np.exp(lam * (1.0 - x))
 
     def df(x):
-        return np.array([[-lam * np.exp(lam * (1.0 - x[0]))]])
+        return (-lam * np.exp(lam * (1.0 - x)))[..., None]
 
     return KolmogorovMap("ricker1d", 1, {"lam": lam}, f, df)
 
@@ -201,18 +233,19 @@ def ricker2d(r: float = 0.5, s: float = 0.5, a: float = 0.5, b: float = 0.5) -> 
     if r <= 0.0 or s <= 0.0 or a < 0.0 or b < 0.0:
         raise ValueError("need r, s > 0 and a, b >= 0")
 
+    def rates(x):
+        f1 = np.exp(r * (1.0 - x[..., 0] - a * x[..., 1]))
+        f2 = np.exp(s * (1.0 - x[..., 1] - b * x[..., 0]))
+        return f1, f2
+
     def f(x):
-        return np.array(
-            [
-                np.exp(r * (1.0 - x[0] - a * x[1])),
-                np.exp(s * (1.0 - x[1] - b * x[0])),
-            ]
-        )
+        return np.stack(rates(x), axis=-1)
 
     def df(x):
-        f1 = np.exp(r * (1.0 - x[0] - a * x[1]))
-        f2 = np.exp(s * (1.0 - x[1] - b * x[0]))
-        return np.array([[-r * f1, -a * r * f1], [-s * b * f2, -s * f2]])
+        f1, f2 = rates(x)
+        top = np.stack([-r * f1, -a * r * f1], axis=-1)
+        bottom = np.stack([-s * b * f2, -s * f2], axis=-1)
+        return np.stack([top, bottom], axis=-2)
 
     return KolmogorovMap("ricker2d", 2, {"r": r, "s": s, "a": a, "b": b}, f, df)
 
@@ -230,11 +263,13 @@ def leslie_gower(r=(1.0, 1.0), A=((1.0, 0.5), (0.5, 1.0))) -> KolmogorovMap:
     if np.any(r <= 0.0) or np.any(A < 0.0):
         raise ValueError("need r > 0 and A >= 0 entrywise")
 
+    # A @ x[..., None] runs one matrix-vector product per point, like A @ x;
+    # x @ A.T would round differently in the last bit
     def f(x):
-        return (1.0 + r) / (1.0 + A @ x)
+        return (1.0 + r) / (1.0 + (A @ x[..., None])[..., 0])
 
     def df(x):
-        return -((1.0 + r) / (1.0 + A @ x) ** 2)[:, None] * A
+        return -((1.0 + r) / (1.0 + (A @ x[..., None])[..., 0]) ** 2)[..., None] * A
 
     params = {"r": r.tolist(), "A": A.tolist()}
     return KolmogorovMap("leslie_gower", d, params, f, df)

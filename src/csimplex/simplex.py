@@ -297,21 +297,23 @@ def _orbit_end(kmap: KolmogorovMap, x, n: int) -> np.ndarray:
     return y
 
 
-def _golden_minimize(fun, lo: float, hi: float, iters: int = 60) -> float:
+def _golden_minimize(fun, n: int, iters: int = 60) -> np.ndarray:
+    """Golden-section minimisers on [0, 1] of n functions searched together.
+
+    fun maps an array s of shape (n,) to the n function values at s.
+    """
     phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = np.zeros(n), np.ones(n)
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = fun(c), fun(d)
     for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fun(d)
+        left = fc < fd  # the minimum lies in [a, d]: d becomes the new b
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        new = np.where(left, b - phi * (b - a), a + phi * (b - a))
+        f_new = fun(new)
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
     return 0.5 * (a + b)
 
 
@@ -330,9 +332,7 @@ def shadow_point(
     grid = sigma.grid
     target = _orbit_end(kmap, x0, horizon)
     pts = vertex_points(sigma)
-    residuals = np.array(
-        [float(np.linalg.norm(_orbit_end(kmap, p, horizon) - target)) for p in pts]
-    )
+    residuals = np.linalg.norm(_orbit_end(kmap, pts, horizon) - target, axis=1)
     best = int(np.argmin(residuals))
     best_dir = grid.vertices[best]
     best_res = float(residuals[best])
@@ -344,20 +344,18 @@ def shadow_point(
         if best in cell:
             neighbours.update(int(i) for i in cell if i != best)
     u0 = grid.vertices[best]
-    for nb in sorted(neighbours):
-        u1 = grid.vertices[nb]
+    u1 = grid.vertices[sorted(neighbours)]
 
-        def res_at(s: float) -> float:
-            u = (1.0 - s) * u0 + s * u1
-            return float(
-                np.linalg.norm(_orbit_end(kmap, eval_radial(sigma, u), horizon) - target)
-            )
+    def res_at(s: np.ndarray) -> np.ndarray:
+        pts = [eval_radial(sigma, u) for u in (1.0 - s[:, None]) * u0 + s[:, None] * u1]
+        return np.linalg.norm(_orbit_end(kmap, np.array(pts), horizon) - target, axis=1)
 
-        s_best = _golden_minimize(res_at, 0.0, 1.0)
-        val = res_at(s_best)
-        if val < best_res:
-            best_res = val
-            best_dir = (1.0 - s_best) * u0 + s_best * u1
+    s_best = _golden_minimize(res_at, u1.shape[0])
+    vals = res_at(s_best)
+    k = int(np.argmin(vals))
+    if vals[k] < best_res:
+        best_res = float(vals[k])
+        best_dir = (1.0 - s_best[k]) * u0 + s_best[k] * u1[k]
     return ShadowResult(eval_radial(sigma, best_dir), best_dir, best_res)
 
 
@@ -455,13 +453,14 @@ def harnack_battery(
     """
     rng = np.random.default_rng(seed)
     box_top = 1.0 + kappa
-    violations = 0
-    for _ in range(sample_count):
-        x, y = _random_ordered_pair(rng, kmap.dim, box_top)
-        mu_before = symmetrized_order(x, y)
-        mu_after = symmetrized_order(eval_F(kmap, x), eval_F(kmap, y))
-        if mu_after - mu_before <= margin:
-            violations += 1
+    pairs = np.empty((sample_count, 2, kmap.dim))
+    for k in range(sample_count):
+        pairs[k] = _random_ordered_pair(rng, kmap.dim, box_top)
+    images = eval_F(kmap, pairs)
+    violations = sum(
+        symmetrized_order(*fxy) - symmetrized_order(*xy) <= margin
+        for xy, fxy in zip(pairs, images)
+    )
     return violations, sample_count
 
 
@@ -477,13 +476,10 @@ def retrotone_battery(
     """
     rng = np.random.default_rng(seed)
     box_top = 1.0 + kappa
+    pairs = rng.uniform(0.0, box_top, (sample_count, 2, kmap.dim))
     violations = 0
     tested = 0
-    for _ in range(sample_count):
-        x = rng.uniform(0.0, box_top, kmap.dim)
-        y = rng.uniform(0.0, box_top, kmap.dim)
-        fx = eval_F(kmap, x)
-        fy = eval_F(kmap, y)
+    for (x, y), (fx, fy) in zip(pairs, eval_F(kmap, pairs)):
         for p, q, fp, fq in ((x, y, fx, fy), (y, x, fy, fx)):
             if np.all(fp <= fq) and np.any(fp < fq):
                 tested += 1
@@ -507,22 +503,19 @@ def attraction_battery(
 ) -> tuple[int, int]:
     """Monte Carlo attraction: seeds in the box with mass >= min_mass, distance after horizon steps.
 
+    Seeds are drawn in blocks of sample_count and iterated together.
+
     Returns (failures, seeds tested).
     """
     rng = np.random.default_rng(seed)
     box_top = 1.0 + kappa
-    failures = 0
-    done = 0
-    while done < sample_count:
-        x = rng.uniform(0.0, box_top, kmap.dim)
-        if x.sum() < min_mass:
-            continue
-        done += 1
-        for _ in range(horizon):
-            x = eval_F(kmap, x)
-        if surface_distance(sigma, x) >= tol:
-            failures += 1
-    return failures, done
+    seeds = np.empty((0, kmap.dim))
+    while seeds.shape[0] < sample_count:
+        block = rng.uniform(0.0, box_top, (sample_count, kmap.dim))
+        seeds = np.concatenate([seeds, block[block.sum(axis=1) >= min_mass]])
+    x = _orbit_end(kmap, seeds[:sample_count], horizon)
+    failures = sum(surface_distance(sigma, p) >= tol for p in x)
+    return failures, sample_count
 
 
 def verify_cs(

@@ -87,9 +87,7 @@ def _push_points(kmap: KolmogorovMap, pts: np.ndarray, box_top: float | None) ->
                 f"surface point leaves the box [0, {box_top:g}]^d by {drift:.3e}"
             )
         pts = np.minimum(pts, box_top)
-    imgs = np.empty_like(pts)
-    for i, x in enumerate(pts):
-        imgs[i] = eval_F(kmap, x)
+    imgs = eval_F(kmap, pts)
     if box_top is not None:
         drift = float(imgs.max() - box_top)
         if drift > BOX_DRIFT_TOL:
@@ -289,16 +287,9 @@ def graph_step(
     kmap: KolmogorovMap,
     manifold: RadialManifold,
     box_top: float | None = None,
-    resampler: str = "tiling",
 ) -> RadialManifold:
     """One application of the graph transform on the fixed grid."""
-    cloud = pushforward(kmap, manifold, box_top)
-    if resampler == "tiling":
-        out = resample(cloud, manifold.grid)
-    elif resampler == "bisection":
-        out = bisection_resample(cloud, manifold.grid)
-    else:
-        raise ValueError(f"unknown resampler '{resampler}'")
+    out = resample(pushforward(kmap, manifold, box_top), manifold.grid)
     return RadialManifold(
         manifold.grid, out.radii, provenance=manifold.provenance, iteration=manifold.iteration + 1
     )

@@ -72,7 +72,9 @@ def test_check_as3_modes():
     assert check_as3(beverton_holt(), 2.0, 64).mode == "strict"
 
     def f(x):
-        return np.array([np.exp(1.0 - x[0] + 0.1 * x[1]), np.exp(1.0 - x[1])])
+        return np.stack(
+            [np.exp(1.0 - x[..., 0] + 0.1 * x[..., 1]), np.exp(1.0 - x[..., 1])], axis=-1
+        )
 
     bad = KolmogorovMap("mutualist", 2, {}, f, None)
     res = check_as3(bad, 1.0, 8)
@@ -119,9 +121,9 @@ def test_jury_cross_validates_grid_check():
 
 
 def test_find_kappa_examples():
-    assert find_kappa(beverton_holt(), 64, kappa_max=1.0) == 1.0
-    assert find_kappa(atkinson_allen(0.5), 64, kappa_max=1.0) == 1.0
-    kappa = find_kappa(ricker1d(0.5), 64, kappa_max=2.0)
+    assert find_kappa(beverton_holt(), 64, kappa_max=1.0)[0] == 1.0
+    assert find_kappa(atkinson_allen(0.5), 64, kappa_max=1.0)[0] == 1.0
+    kappa, _ = find_kappa(ricker1d(0.5), 64, kappa_max=2.0)
     assert 0.0 < kappa < 1.0
     with pytest.raises(AssumptionError):
         find_kappa(ricker1d(1.5), 64, kappa_max=1.0)
@@ -132,7 +134,7 @@ def test_find_epsilon_examples():
     assert find_epsilon(ricker1d(0.5), 0.01) == 0.5
 
     def f(x):
-        return np.array([1.0])
+        return np.ones_like(x)
 
     flat = KolmogorovMap("flat", 1, {}, f, None)
     with pytest.raises(AssumptionError):

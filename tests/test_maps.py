@@ -126,6 +126,33 @@ def test_eval_Z_flags_mutualism():
         eval_Z(bad, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("kmap", ALL_BUILTINS, ids=lambda k: k.name)
+def test_batched_contract(kmap):
+    # (N, d) and (M, N, d) batches give the single-point values row by row, bit for bit
+    pts = RNG.random((3, 4, kmap.dim)) * 1.4
+    pts[0, 1] = 0.0  # the origin
+    pts[2, 3, 0] = 0.0  # a coordinate face
+    rows = pts.reshape(-1, kmap.dim)
+    fallback = KolmogorovMap(kmap.name + "_fd", kmap.dim, kmap.params, kmap.f, None)
+    for m in (kmap, fallback):
+        for ev in (eval_f, eval_F, eval_df, eval_DF, eval_Z):
+            single = np.array([ev(m, x) for x in rows])
+            assert np.array_equal(ev(m, rows), single)
+            assert np.array_equal(ev(m, pts), single.reshape(pts.shape[:2] + single.shape[1:]))
+    # a bad row is named in the error
+    for bad in (np.nan, -0.5):
+        broken = rows.copy()
+        broken[5, -1] = bad
+        with pytest.raises(MapDomainError, match=r"\(row 5\)"):
+            eval_F(kmap, broken)
+        with pytest.raises(MapDomainError, match=r"\(row \(1, 1\)\)"):
+            eval_Z(kmap, broken.reshape(pts.shape))
+    # an f that drops the coordinate axis breaks the contract
+    scalar = KolmogorovMap("scalar", kmap.dim, {}, lambda x: kmap.f(x)[..., 0])
+    with pytest.raises(ValueError, match="shape"):
+        eval_f(scalar, rows)
+
+
 def test_axis_map_examples():
     g = axis_map(beverton_holt(), 0)
     assert g.G(0.5) == pytest.approx(2.0 / 3.0)

@@ -15,6 +15,7 @@ from csimplex.simplex import (
     attract_trajectory,
     compute_cs,
     gamma_membership,
+    harnack_battery,
     induced_map,
     iterate_manifold,
     shadow_point,
@@ -214,6 +215,17 @@ def test_verify_cs_coupled(coupled_run):
     assert rep.attraction_stats == 1.0
     assert rep.invariance_residual < 0.05
     assert rep.passed()
+
+
+def test_verify_cs_sample_streams_are_pinned():
+    # counts recorded with one map call per sample; batched draws must reproduce them
+    res = compute_cs(COUPLED, make_grid(2, 16), KAPPA, EPSILON, tolerance=1e-6)
+    rep = verify_cs(COUPLED, res.sigma, KAPPA, sample_count=200, horizon=25, seed=11)
+    assert (rep.harnack_samples, rep.harnack_pair_count) == (0, 200)
+    assert rep.retrotone_ordered_count == 63
+    assert rep.attraction_failures == 47
+    # a steep map where the Harnack pairs do fail
+    assert harnack_battery(ricker2d(2.0, 2.0, 0.5, 0.5), KAPPA, 200, seed=11) == (57, 200)
 
 
 def test_verify_cs_flags_perturbed_sigma(coupled_run):

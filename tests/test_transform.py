@@ -33,10 +33,10 @@ RNG = np.random.default_rng(33)
 
 def identity_map(dim):
     def f(x):
-        return np.ones(dim)
+        return np.ones_like(x)
 
     def df(x):
-        return np.zeros((dim, dim))
+        return np.zeros(x.shape + (dim,))
 
     return KolmogorovMap("identity", dim, {}, f, df)
 
