@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,8 @@ __all__ = [
     "constant_manifold",
     "sup_gap",
     "hausdorff_points",
+    "nearest_distances",
+    "projection_ratio_max",
     "is_weakly_unordered",
     "grid_spacing",
     "lipschitz_estimate",
@@ -106,40 +109,55 @@ class BarycentricGrid:
     def compatible(self, other: "BarycentricGrid") -> bool:
         return self.dim == other.dim and self.resolution == other.resolution
 
+    @cached_property
+    def s_table(self) -> np.ndarray:
+        """Vertex index at each integer cumulative coordinate s in [0, m]^(d-1).
+
+        Vertex k sits at s = cumsum(k)[:-1]; integer points outside the ordered
+        region 0 <= s_1 <= ... <= s_{d-1} <= m hold -1.
+        """
+        table = np.full((self.resolution + 1,) * (self.dim - 1), -1, dtype=np.intp)
+        table[tuple(np.cumsum(self.lattice[:, :-1], axis=1).T)] = np.arange(self.n_vertices)
+        return table
+
     def locate(self, u) -> tuple[np.ndarray, np.ndarray]:
-        """Containing cell of a direction u as (vertex indices, barycentric weights)."""
+        """Containing cells of directions u as (vertex indices, barycentric weights).
+
+        u has shape (d,) or (N, d); the results have the same shape, one cell
+        per row.
+        """
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
-            raise GridError(f"direction must have shape ({self.dim},)")
-        if abs(float(u.sum()) - 1.0) > 1e-12 or float(u.min()) < -1e-12:
-            raise GridError(f"point {u} is not on the simplex")
+        if u.ndim not in (1, 2) or u.shape[-1] != self.dim:
+            raise GridError(f"direction must have shape ({self.dim},) or (N, {self.dim})")
+        on = (np.abs(u.sum(axis=-1) - 1.0) <= 1e-12) & (u.min(axis=-1) >= -1e-12)
+        if not np.all(on):
+            if u.ndim == 1:
+                raise GridError(f"point {u} is not on the simplex")
+            k = int(np.argmin(on))
+            raise GridError(f"point {u[k]} (row {k}) is not on the simplex")
         d, m = self.dim, self.resolution
         if d == 1:
-            return np.array([0]), np.array([1.0])
-        s = m * np.cumsum(np.maximum(u, 0.0))[:-1]
-        s = np.maximum.accumulate(np.clip(s, 0.0, m))
+            return np.zeros(u.shape, dtype=int), np.ones(u.shape)
+        s = m * np.cumsum(np.maximum(u, 0.0), axis=-1)[..., :-1]
+        s = np.maximum.accumulate(np.clip(s, 0.0, m), axis=-1)
         base = np.minimum(np.floor(s).astype(int), m - 1)
         frac = s - base
         D = d - 1
         # descending fractional parts; ties broken toward the larger index so
         # every partial-increment vertex stays inside the ordered region
-        order = np.lexsort((-np.arange(D), -frac))
-        s_pts = [base.copy()]
-        cur = base.copy()
-        for axis in order:
-            cur = cur.copy()
-            cur[axis] += 1
-            s_pts.append(cur)
-        fs = frac[order]
-        weights = np.empty(d)
-        weights[0] = 1.0 - fs[0]
-        weights[1:D] = fs[:-1] - fs[1:]
-        weights[D] = fs[-1]
+        order = np.lexsort((np.broadcast_to(-np.arange(D), frac.shape), -frac), axis=-1)
+        steps = np.zeros(frac.shape[:-1] + (d, D), dtype=int)
+        np.put_along_axis(steps[..., 1:, :], order[..., None], 1, axis=-1)
+        s_pts = base[..., None, :] + np.cumsum(steps, axis=-2)
+        fs = np.take_along_axis(frac, order, axis=-1)
+        weights = np.empty(u.shape)
+        weights[..., 0] = 1.0 - fs[..., 0]
+        weights[..., 1:D] = fs[..., :-1] - fs[..., 1:]
+        weights[..., D] = fs[..., -1]
         weights = np.maximum(weights, 0.0)
-        try:
-            idx = np.array([self.vertex_index(_s_to_k(p, m)) for p in s_pts])
-        except KeyError as exc:  # pragma: no cover - defensive
-            raise GridError(f"point location failed for {u}") from exc
+        idx = self.s_table[tuple(np.moveaxis(s_pts, -1, 0))]
+        if np.any(idx < 0):  # pragma: no cover - defensive
+            raise GridError("point location failed")
         return idx, weights
 
 
@@ -250,15 +268,17 @@ def project_e_perp(x) -> np.ndarray:
     return x - x.mean() * np.ones_like(x)
 
 
-def radius_at(manifold: RadialManifold, u) -> float:
+def radius_at(manifold: RadialManifold, u):
+    """Interpolated radius R(u): a float for u of shape (d,), an (N,) array for (N, d)."""
     idx, w = manifold.grid.locate(u)
-    return float(w @ manifold.radii[idx])
+    r = np.vecdot(w, manifold.radii[idx])
+    return float(r) if r.ndim == 0 else r
 
 
 def eval_radial(manifold: RadialManifold, u) -> np.ndarray:
-    """Surface point R(u) * u with R interpolated over the containing cell."""
+    """Surface points R(u) * u with R interpolated over the containing cells."""
     u = np.asarray(u, dtype=float)
-    return radius_at(manifold, u) * u
+    return np.asarray(radius_at(manifold, u))[..., None] * u
 
 
 def vertex_points(manifold: RadialManifold) -> np.ndarray:
@@ -284,14 +304,78 @@ def sup_gap(a: RadialManifold, b: RadialManifold) -> float:
     return float(np.max(np.abs(a.radii - b.radii)))
 
 
-def hausdorff_points(a, b) -> float:
-    """Symmetric Hausdorff distance of two finite point sets, Euclidean norm."""
+# Elements in one block of a pairwise computation: each temporary stays near
+# half a MB, whatever the number of points. Among 2^14 ... 2^22 this block
+# timed fastest, or within 12% of it, for the Hausdorff distance of two sets
+# of 1225 to 8385 points.
+PAIR_BLOCK = 1 << 16
+
+
+def nearest_distances(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each row of a to the nearest row of b, and from each row of b to a.
+
+    Rows of a are taken in blocks, so memory stays linear in |a| + |b|. The
+    squared differences are added coordinate by coordinate, ((d0 + d1) + d2)
+    ..., which for d < 8 is the order of numpy's .sum(axis=-1): the distances
+    equal those of the broadcast (|a|, |b|, d) formula bit for bit.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
-        raise ValueError("hausdorff distance of an empty set")
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-    return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
+        raise ValueError("distance to an empty set")
+    to_b = np.empty(a.shape[0])
+    to_a = np.full(b.shape[0], np.inf)
+    rows = max(1, PAIR_BLOCK // b.shape[0])
+    for start in range(0, a.shape[0], rows):
+        blk = a[start:start + rows]
+        d2 = blk[:, None, 0] - b[None, :, 0]
+        d2 *= d2
+        for k in range(1, a.shape[1]):
+            diff = blk[:, None, k] - b[None, :, k]
+            diff *= diff
+            d2 += diff
+        to_b[start:start + rows] = d2.min(axis=1)
+        np.minimum(to_a, d2.min(axis=0), out=to_a)
+    return np.sqrt(to_b), np.sqrt(to_a)
+
+
+def hausdorff_points(a, b) -> float:
+    """Symmetric Hausdorff distance of two finite point sets, Euclidean norm."""
+    to_b, to_a = nearest_distances(a, b)
+    return float(max(to_b.max(), to_a.max()))
+
+
+def projection_ratio_max(pts) -> float:
+    """Largest |x - y| / |P(x - y)| over all pairs of rows x, y, P the projection onto e-perp.
+
+    inf when two rows differ along (1, ..., 1) only. The pairs (i, j > i) are
+    taken in blocks of consecutive rows i, so memory stays linear in the
+    number of rows.
+    """
+    pts = np.asarray(pts, dtype=float)
+    n = pts.shape[0]
+    if n < 2:
+        raise ValueError("the ratio needs two points")
+    counts = np.arange(n - 1, -1, -1)  # pairs (i, j > i) of each row i
+    ends = np.cumsum(counts)
+    budget = max(1, PAIR_BLOCK // pts.shape[1])
+    block_max = []
+    start = 0
+    while start < n - 1:
+        done = ends[start] - counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        rows = np.arange(start, stop)
+        first = ends[start:stop] - counts[start:stop] - done
+        ii = np.repeat(rows, counts[start:stop])
+        jj = np.arange(ii.size) - np.repeat(first - rows - 1, counts[start:stop])
+        diffs = pts[ii] - pts[jj]
+        proj = diffs - diffs.mean(axis=1, keepdims=True)
+        num = np.linalg.norm(diffs, axis=1)
+        den = np.linalg.norm(proj, axis=1)
+        ratios = np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf)
+        block_max.append(ratios.max())
+        start = stop
+    return float(np.max(block_max))
 
 
 def is_weakly_unordered(manifold: RadialManifold, tol_order: float) -> list[tuple[int, int]]:

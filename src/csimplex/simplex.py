@@ -22,6 +22,8 @@ from .geometry import (
     hausdorff_points,
     is_weakly_unordered,
     lipschitz_estimate,
+    nearest_distances,
+    projection_ratio_max,
     radius_at,
     sup_gap,
     symmetrized_order,
@@ -217,25 +219,25 @@ def iterate_manifold(
     return current, max_iter, history
 
 
-def surface_distance(sigma: RadialManifold, x) -> float:
-    """Distance from a point to the piecewise-linear surface.
+def surface_distance(sigma: RadialManifold, x):
+    """Distance from points to the piecewise-linear surface.
 
+    x has shape (d,), giving a float, or (N, d), giving an (N,) array.
     Upper bound: the smaller of the distance to the vertex cloud and the gap
-    along the ray through x to the interpolated surface point.
+    along the ray through x to the interpolated surface point. Points with no
+    such ray (zero or negative sum, a negative or non-finite coordinate) get
+    the cloud distance.
     """
     x = np.asarray(x, dtype=float)
-    pts = vertex_points(sigma)
-    cloud = float(np.sqrt(((pts - x) ** 2).sum(axis=1)).min())
-    s = float(x.sum())
-    if s <= 0.0 or np.any(x < 0.0):
-        return cloud
-    u = x / s
-    try:
-        r = radius_at(sigma, u)
-    except Exception:
-        return cloud
-    ray = abs(s - r) * float(np.linalg.norm(u))
-    return min(cloud, ray)
+    rows = np.atleast_2d(x)
+    dist, _ = nearest_distances(rows, vertex_points(sigma))
+    s = rows.sum(axis=1)
+    ray = np.isfinite(s) & (s > 0.0) & np.all(rows >= 0.0, axis=1)
+    if ray.any():
+        u = rows[ray] / s[ray, None]
+        gap = np.abs(s[ray] - radius_at(sigma, u)) * np.sqrt(np.vecdot(u, u))
+        dist[ray] = np.minimum(dist[ray], gap)
+    return float(dist[0]) if x.ndim == 1 else dist
 
 
 def induced_map(kmap: KolmogorovMap, sigma: RadialManifold, u) -> np.ndarray:
@@ -347,8 +349,8 @@ def shadow_point(
     u1 = grid.vertices[sorted(neighbours)]
 
     def res_at(s: np.ndarray) -> np.ndarray:
-        pts = [eval_radial(sigma, u) for u in (1.0 - s[:, None]) * u0 + s[:, None] * u1]
-        return np.linalg.norm(_orbit_end(kmap, np.array(pts), horizon) - target, axis=1)
+        pts = eval_radial(sigma, (1.0 - s[:, None]) * u0 + s[:, None] * u1)
+        return np.linalg.norm(_orbit_end(kmap, pts, horizon) - target, axis=1)
 
     s_best = _golden_minimize(res_at, u1.shape[0])
     vals = res_at(s_best)
@@ -514,7 +516,7 @@ def attraction_battery(
         block = rng.uniform(0.0, box_top, (sample_count, kmap.dim))
         seeds = np.concatenate([seeds, block[block.sum(axis=1) >= min_mass]])
     x = _orbit_end(kmap, seeds[:sample_count], horizon)
-    failures = sum(surface_distance(sigma, p) >= tol for p in x)
+    failures = int(np.count_nonzero(surface_distance(sigma, x) >= tol))
     return failures, sample_count
 
 
@@ -554,15 +556,8 @@ def verify_cs(
     ]
 
     lipschitz_bound = float(np.sqrt(1.0 + d))
-    pts = vertex_points(sigma)
-    if pts.shape[0] >= 2:
-        ii, jj = np.triu_indices(pts.shape[0], k=1)
-        diffs = pts[ii] - pts[jj]
-        proj = diffs - diffs.mean(axis=1, keepdims=True)
-        num = np.linalg.norm(diffs, axis=1)
-        den = np.linalg.norm(proj, axis=1)
-        ratios = np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf)
-        lipschitz_ratio_max: float | None = float(ratios.max())
+    if grid.n_vertices >= 2:
+        lipschitz_ratio_max: float | None = projection_ratio_max(vertex_points(sigma))
     else:
         lipschitz_ratio_max = None
         vacuous.append("lipschitz_ratio_max")

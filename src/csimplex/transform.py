@@ -8,6 +8,16 @@ the harmonic mean of the image radii with the barycentric weights:
 
     R'(u) = 1 / sum_k (w_k / r_k).
 
+Point location is a cell-centric raster. Each image cell is mapped to the
+target grid's cumulative lattice coordinates s = m * cumsum(v)[:-1], the
+coordinates of BarycentricGrid.locate; the integer points in its bounding box,
+widened by RASTER_MARGIN * m, are the only targets it is solved against. A
+target takes the candidate cell with the largest minimum barycentric weight,
+ties going to the lowest cell index. The cost is linear in the number of
+cells plus the number of (target, cell) candidates, which for an unfolded
+tiling of cells about one lattice step across is a small multiple of the
+number of cells.
+
 Folding of the image tiling (two cells with opposite orientation) means the
 map stopped being injective on the surface at this resolution and is reported
 as an error rather than silently patched. For planar problems an independent
@@ -38,6 +48,11 @@ __all__ = [
 DEGENERATE_VOLUME = 1e-14
 CONTAINMENT_TOL = 1e-9
 BOX_DRIFT_TOL = 1e-9
+# Widening of an image cell's bounding box, relative to the resolution m. A
+# target the containment test accepts (every weight >= -CONTAINMENT_TOL) lies
+# within (d - 1) * CONTAINMENT_TOL * m of its cell in lattice coordinates, well
+# inside this margin, so the raster never misses a pair the test would accept.
+RASTER_MARGIN = 1e-7
 
 
 class TransformError(RuntimeError):
@@ -147,30 +162,100 @@ def pushforward(
 
 
 def _solve_cells(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell list for the coverage solve, with refined cells replaced by their subdivision."""
+    """Cell list for the coverage solve, with refined cells replaced by their subdivision.
+
+    Refined cell c becomes d sub-cells in its place, sub-cell k having vertex k
+    replaced by the refinement point of c.
+    """
     grid = cloud.grid
-    n = cloud.directions.shape[0]
-    cell_rows = []
-    parents = []
-    refined_flags = []
-    for c, cell in enumerate(grid.cells):
-        if c in cloud.refined_cells:
-            center = n + cloud.refined_cells[c]
-            for k in range(grid.dim):
-                sub = cell.copy()
-                sub[k] = center
-                cell_rows.append(sub)
-                parents.append(c)
-                refined_flags.append(True)
-        else:
-            cell_rows.append(cell)
-            parents.append(c)
-            refined_flags.append(False)
-    return (
-        np.array(cell_rows, dtype=int),
-        np.array(parents, dtype=int),
-        np.array(refined_flags, dtype=bool),
-    )
+    n_cells, d = grid.cells.shape
+    centers = np.full(n_cells, -1)
+    for c, row in cloud.refined_cells.items():
+        centers[c] = cloud.directions.shape[0] + row
+    refined = centers >= 0
+    reps = np.where(refined, d, 1)
+    parents = np.repeat(np.arange(n_cells), reps)
+    cells = grid.cells[parents]
+    flags = refined[parents]
+    sub = np.arange(parents.size) - np.repeat(np.cumsum(reps) - reps, reps)
+    cells[flags, sub[flags]] = centers[parents[flags]]
+    return cells, parents, flags
+
+
+def _raster_pairs(grid: BarycentricGrid, cell_dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(target, cell) candidates: target vertices in each cell's widened bounding box.
+
+    cell_dirs (C, d, d) holds the image directions of each cell's vertices.
+    Boxes are taken in the target grid's cumulative lattice coordinates, where
+    the target vertices are the ordered integer points.
+    """
+    m = grid.resolution
+    s = m * np.cumsum(cell_dirs, axis=-1)[..., :-1]  # (C, d, d - 1)
+    margin = RASTER_MARGIN * m
+    lo = np.maximum(np.ceil(s.min(axis=1) - margin), 0).astype(np.intp)
+    hi = np.minimum(np.floor(s.max(axis=1) + margin), m).astype(np.intp)
+    extent = np.maximum(hi - lo + 1, 0)
+    sizes = extent.prod(axis=1)
+    cell = np.repeat(np.arange(sizes.size), sizes)
+    rest = np.arange(cell.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pts = np.empty((cell.size, grid.dim - 1), dtype=np.intp)
+    for k in range(grid.dim - 2, -1, -1):  # mixed-radix digits of the box offset
+        e = extent[cell, k]
+        pts[:, k] = lo[cell, k] + rest % e
+        rest //= e
+    target = grid.s_table[tuple(pts.T)]
+    keep = target >= 0
+    return target[keep], cell[keep]
+
+
+def _tile(cloud: PushforwardCloud, grid: BarycentricGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Image cell of every target vertex, as rows of cloud point indices, and its weights.
+
+    Raises FoldError if the image tiling folds and CoverageError if a target
+    lies in no image cell.
+    """
+    all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
+    cells, parents, refined = _solve_cells(cloud)
+    mats = np.swapaxes(all_dirs[cells], 1, 2)
+    dets = np.linalg.det(mats)
+
+    plain = ~refined
+    rel = dets[plain] * cloud.grid.cell_orient[parents[plain]]
+    oriented = rel[np.abs(dets[plain]) >= DEGENERATE_VOLUME]
+    if oriented.size and oriented.min() < 0.0 < oriented.max():
+        n_flip = int(min(np.sum(oriented < 0.0), np.sum(oriented > 0.0)))
+        raise FoldError(
+            f"image tiling folds: {n_flip} of {oriented.size} cells reversed orientation"
+        )
+
+    usable = np.abs(dets) >= DEGENERATE_VOLUME
+    if not usable.any():
+        raise CoverageError("all image cells degenerate")
+    cells = cells[usable]
+    inv = np.linalg.inv(mats[usable])
+
+    targets = grid.vertices
+    tgt, cel = _raster_pairs(grid, all_dirs[cells])
+    alpha = np.einsum("pij,pj->pi", inv[cel], targets[tgt])  # barycentric in direction space
+    min_alpha = alpha.min(axis=1)
+    # per target: largest minimum weight first, then the lowest cell index
+    order = np.lexsort((cel, -min_alpha, tgt))
+    lead = order[np.r_[True, tgt[order[1:]] != tgt[order[:-1]]]]
+    best = np.full(targets.shape[0], -1)
+    best[tgt[lead]] = lead
+    covered = best >= 0
+    covered[covered] = min_alpha[best[covered]] >= -CONTAINMENT_TOL
+
+    if not covered.all():
+        t = int(np.argmin(covered))
+        # the one target against every cell, for the nearest cell and its miss
+        row = np.einsum("cij,tj->tci", inv, targets[t:t + 1])[0].min(axis=1)
+        c = int(np.argmax(row))
+        raise CoverageError(
+            f"target vertex {t} (u={targets[t]}) uncovered; nearest image cell "
+            f"{c} misses by {float(-row[c]):.3e}"
+        )
+    return cells[cel[best]], alpha[best]
 
 
 def resample(cloud: PushforwardCloud, grid: BarycentricGrid | None = None) -> RadialManifold:
@@ -183,45 +268,9 @@ def resample(cloud: PushforwardCloud, grid: BarycentricGrid | None = None) -> Ra
     if d == 1:
         return RadialManifold(grid, cloud.radii.copy())
 
-    all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
+    cells, w = _tile(cloud, grid)
     all_rads = np.concatenate([cloud.radii, cloud.extra_radii])
-    cells, parents, refined = _solve_cells(cloud)
-    mats = np.swapaxes(all_dirs[cells], 1, 2)
-    dets = np.linalg.det(mats)
-
-    plain = ~refined
-    rel = dets[plain] * src_grid.cell_orient[parents[plain]]
-    oriented = rel[np.abs(dets[plain]) >= DEGENERATE_VOLUME]
-    if oriented.size and oriented.min() < 0.0 < oriented.max():
-        n_flip = int(min(np.sum(oriented < 0.0), np.sum(oriented > 0.0)))
-        raise FoldError(
-            f"image tiling folds: {n_flip} of {oriented.size} cells reversed orientation"
-        )
-
-    usable = np.abs(dets) >= DEGENERATE_VOLUME
-    if not usable.any():
-        raise CoverageError("all image cells degenerate")
-    mats = mats[usable]
-    cells = cells[usable]
-    inv = np.linalg.inv(mats)
-    cell_rads = all_rads[cells]  # (C, d)
-
-    targets = grid.vertices
-    alpha = np.einsum("cij,tj->tci", inv, targets)  # barycentric in direction space
-    min_alpha = alpha.min(axis=2)  # (T, C)
-    best = np.argmax(min_alpha, axis=1)
-    covered = min_alpha[np.arange(targets.shape[0]), best] >= -CONTAINMENT_TOL
-
-    if not covered.all():
-        t = int(np.flatnonzero(~covered)[0])
-        gap = float(-min_alpha[t, best[t]])
-        raise CoverageError(
-            f"target vertex {t} (u={targets[t]}) uncovered; nearest image cell "
-            f"{int(best[t])} misses by {gap:.3e}"
-        )
-
-    w = alpha[np.arange(targets.shape[0]), best]  # (T, d)
-    radii = 1.0 / (w / cell_rads[best]).sum(axis=1)
+    radii = 1.0 / (w / all_rads[cells]).sum(axis=1)
 
     # corners evolve by the exact scalar axis dynamics
     for i in range(d):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from csimplex import geometry
 from csimplex.geometry import (
     GridError,
     box_boundary_manifold,
@@ -15,8 +16,10 @@ from csimplex.geometry import (
     is_weakly_unordered,
     lipschitz_estimate,
     make_grid,
+    nearest_distances,
     order_function,
     project_e_perp,
+    projection_ratio_max,
     radial_project,
     radius_at,
     restricted_harnack,
@@ -87,6 +90,57 @@ def test_locate_rejects_points_off_simplex():
         grid.locate(np.array([0.5, 0.2, 0.2]))
     with pytest.raises(GridError):
         grid.locate(np.array([1.2, -0.2, 0.0]))
+    with pytest.raises(GridError, match="row 1"):
+        grid.locate(np.array([[0.2, 0.3, 0.5], [0.5, 0.2, 0.2]]))
+    with pytest.raises(GridError, match="row 0"):
+        grid.locate(np.array([[np.nan, 0.5, 0.5]]))
+
+
+def loop_locate(grid, u):
+    """Single-point location by sorting fractional parts (reference for the batched one)."""
+    d, m = grid.dim, grid.resolution
+    if d == 1:
+        return np.array([0]), np.array([1.0])
+    s = m * np.cumsum(np.maximum(u, 0.0))[:-1]
+    s = np.maximum.accumulate(np.clip(s, 0.0, m))
+    base = np.minimum(np.floor(s).astype(int), m - 1)
+    frac = s - base
+    D = d - 1
+    order = np.lexsort((-np.arange(D), -frac))
+    s_pts = [base.copy()]
+    cur = base.copy()
+    for axis in order:
+        cur = cur.copy()
+        cur[axis] += 1
+        s_pts.append(cur)
+    fs = frac[order]
+    weights = np.empty(d)
+    weights[0] = 1.0 - fs[0]
+    weights[1:D] = fs[:-1] - fs[1:]
+    weights[D] = fs[-1]
+    weights = np.maximum(weights, 0.0)
+    ks = [[int(p[0])] + [int(b) - int(a) for a, b in zip(p[:-1], p[1:])] + [m - int(p[-1])]
+          for p in s_pts]
+    return np.array([grid.vertex_index(k) for k in ks]), weights
+
+
+@pytest.mark.parametrize("dim,m", [(1, 1), (2, 9), (3, 6), (4, 4)])
+def test_locate_batch_equals_single_point_reference(dim, m):
+    grid = make_grid(dim, m)
+    faces = np.zeros((60 if dim > 1 else 0, dim))  # on the facet u_1 = 0
+    faces[:, 1:] = RNG.dirichlet(np.ones(dim - 1), faces.shape[0])
+    edges = 0.5 * (grid.vertices[grid.cells[:, 0]] + grid.vertices[grid.cells[:, -1]])
+    u = np.vstack([RNG.dirichlet(np.ones(dim), 200), grid.vertices, faces, edges.reshape(-1, dim)])
+    idx, w = grid.locate(u)
+    manifold = RadialManifold(grid, 1.0 + RNG.random(grid.n_vertices))
+    radii = radius_at(manifold, u)
+    points = eval_radial(manifold, u)
+    for k, row in enumerate(u):
+        i1, w1 = loop_locate(grid, row)
+        assert np.array_equal(idx[k], i1) and np.array_equal(w[k], w1)
+        assert radii[k] == float(w1 @ manifold.radii[i1])
+        assert np.array_equal(points[k], float(w1 @ manifold.radii[i1]) * row)
+        assert radius_at(manifold, row) == radii[k]
 
 
 def test_constant_manifold_interpolates_constant():
@@ -215,6 +269,50 @@ def test_hausdorff_examples():
     assert hausdorff_points([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
     a = RNG.random((40, 3))
     assert hausdorff_points(a, a) == 0.0
+
+
+def broadcast_sq_dists(a, b):
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_hausdorff_chunked_equals_broadcast(dim, monkeypatch):
+    for na, nb in [(37, 23), (700, 450)]:
+        a, b = RNG.random((na, dim)), RNG.random((nb, dim))
+        d2 = broadcast_sq_dists(a, b)
+        expected = float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
+        # the default block, and blocks that split |a| and |b| unevenly
+        for block in (geometry.PAIR_BLOCK, 5 * nb + 4, 7 * na - 1, 1):
+            monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+            assert hausdorff_points(a, b) == expected
+            assert hausdorff_points(b, a) == expected
+            to_b, to_a = nearest_distances(a, b)
+            assert np.array_equal(to_b, np.sqrt(d2.min(axis=1)))
+            assert np.array_equal(to_a, np.sqrt(d2.min(axis=0)))
+
+
+def triu_ratio_max(pts):
+    ii, jj = np.triu_indices(pts.shape[0], k=1)
+    diffs = pts[ii] - pts[jj]
+    proj = diffs - diffs.mean(axis=1, keepdims=True)
+    num = np.linalg.norm(diffs, axis=1)
+    den = np.linalg.norm(proj, axis=1)
+    return float(np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf).max())
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_projection_ratio_chunked_equals_triu(dim, monkeypatch):
+    pts = RNG.random((41, dim))
+    along_e = pts.copy()
+    along_e[3] = 0.25 * np.arange(dim)
+    along_e[4] = along_e[3] + 0.5  # a pair that differs along (1, ..., 1) only
+    # small sets, so that every pair is the largest in some set
+    small = list(RNG.random((30, 7, dim)))
+    for block in (geometry.PAIR_BLOCK, 50, 3 * dim + 1, 1):
+        monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+        for p in [pts, along_e, pts[:2]] + small:
+            assert projection_ratio_max(p) == triu_ratio_max(p)
+    assert projection_ratio_max(along_e) == np.inf
 
 
 def test_sup_gap_dominates_hausdorff():

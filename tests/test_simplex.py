@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from csimplex.geometry import (
+    RadialManifold,
     box_boundary_manifold,
     constant_manifold,
     hausdorff_points,
     make_grid,
+    radius_at,
     sup_gap,
     vertex_points,
 )
@@ -179,6 +181,35 @@ def test_surface_distance_properties(coupled_run):
         assert surface_distance(sigma, p) < 1e-12
         assert surface_distance(sigma, 0.9 * p) > 0.0
     assert surface_distance(sigma, np.zeros(2)) > 0.0
+
+
+def loop_surface_distance(sigma, x):
+    """Single-point surface distance (reference for the batched one)."""
+    pts = vertex_points(sigma)
+    cloud = float(np.sqrt(((pts - x) ** 2).sum(axis=1)).min())
+    s = float(x.sum())
+    if s <= 0.0 or np.any(x < 0.0):
+        return cloud
+    u = x / s
+    return min(cloud, abs(s - radius_at(sigma, u)) * float(np.linalg.norm(u)))
+
+
+@pytest.mark.parametrize("dim,m", [(1, 1), (2, 16), (3, 6)])
+def test_surface_distance_batch_equals_single_point_reference(dim, m):
+    rng = np.random.default_rng(5)
+    grid = make_grid(dim, m)
+    sigma = RadialManifold(grid, 0.8 + 0.4 * rng.random(grid.n_vertices))
+    x = np.vstack([
+        rng.uniform(0.0, 1.5, (300, dim)),
+        vertex_points(sigma),
+        np.zeros((1, dim)),
+        -rng.uniform(0.0, 1.0, (3, dim)),
+    ])
+    x[-1, 0] = 0.5  # one negative coordinate, positive sum
+    batch = surface_distance(sigma, x)
+    for k, row in enumerate(x):
+        assert batch[k] == loop_surface_distance(sigma, row)
+        assert surface_distance(sigma, row) == batch[k]
 
 
 def test_shadow_point_one_species():

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from csimplex import transform
 from csimplex.geometry import (
     RadialManifold,
     box_boundary_manifold,
@@ -18,6 +21,8 @@ from csimplex.maps import (
     ricker2d,
 )
 from csimplex.transform import (
+    CONTAINMENT_TOL,
+    DEGENERATE_VOLUME,
     CoverageError,
     FoldError,
     PushforwardCloud,
@@ -39,6 +44,95 @@ def identity_map(dim):
         return np.zeros(x.shape + (dim,))
 
     return KolmogorovMap("identity", dim, {}, f, df)
+
+
+def loop_solve_cells(cloud):
+    """Per-cell loop form of the refined cell list (reference for the vectorised one)."""
+    grid = cloud.grid
+    n = cloud.directions.shape[0]
+    cell_rows, parents, refined_flags = [], [], []
+    for c, cell in enumerate(grid.cells):
+        if c in cloud.refined_cells:
+            for k in range(grid.dim):
+                sub = cell.copy()
+                sub[k] = n + cloud.refined_cells[c]
+                cell_rows.append(sub)
+                parents.append(c)
+                refined_flags.append(True)
+        else:
+            cell_rows.append(cell)
+            parents.append(c)
+            refined_flags.append(False)
+    return (
+        np.array(cell_rows, dtype=int),
+        np.array(parents, dtype=int),
+        np.array(refined_flags, dtype=bool),
+    )
+
+
+def dense_resample(cloud, grid=None):
+    """All-pairs solve of every target against every image cell (reference for the raster).
+
+    Returns the resampled manifold and, per target, the chosen cell as a row of
+    cloud point indices.
+    """
+    src_grid = cloud.grid
+    grid = grid if grid is not None else src_grid
+    d = grid.dim
+    all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
+    all_rads = np.concatenate([cloud.radii, cloud.extra_radii])
+    cells, parents, refined = loop_solve_cells(cloud)
+    mats = np.swapaxes(all_dirs[cells], 1, 2)
+    dets = np.linalg.det(mats)
+    plain = ~refined
+    rel = dets[plain] * src_grid.cell_orient[parents[plain]]
+    oriented = rel[np.abs(dets[plain]) >= DEGENERATE_VOLUME]
+    if oriented.size and oriented.min() < 0.0 < oriented.max():
+        raise FoldError("image tiling folds")
+    usable = np.abs(dets) >= DEGENERATE_VOLUME
+    mats = mats[usable]
+    cells = cells[usable]
+    inv = np.linalg.inv(mats)
+    cell_rads = all_rads[cells]
+    targets = grid.vertices
+    alpha = np.einsum("cij,tj->tci", inv, targets)
+    min_alpha = alpha.min(axis=2)
+    best = np.argmax(min_alpha, axis=1)
+    covered = min_alpha[np.arange(targets.shape[0]), best] >= -CONTAINMENT_TOL
+    if not covered.all():
+        t = int(np.flatnonzero(~covered)[0])
+        gap = float(-min_alpha[t, best[t]])
+        raise CoverageError(
+            f"target vertex {t} (u={targets[t]}) uncovered; nearest image cell "
+            f"{int(best[t])} misses by {gap:.3e}"
+        )
+    w = alpha[np.arange(targets.shape[0]), best]
+    radii = 1.0 / (w / cell_rads[best]).sum(axis=1)
+    for i in range(d):
+        radii[grid.corner_index(i)] = cloud.radii[src_grid.corner_index(i)]
+    return RadialManifold(grid, radii), cells[best]
+
+
+def coupled_lg(dim):
+    a = np.full((dim, dim), 0.3) + 0.7 * np.eye(dim)
+    return leslie_gower(r=(1.0,) * dim, A=a)
+
+
+def perturbed_cloud(cloud, rng, scale):
+    """The cloud with each direction moved by up to scale within its own support."""
+    noise = rng.uniform(-scale, scale, cloud.directions.shape) * (cloud.directions > 0.0)
+    dirs = cloud.directions + noise
+    dirs /= dirs.sum(axis=1, keepdims=True)
+    return PushforwardCloud(
+        grid=cloud.grid,
+        source_radii=cloud.source_radii,
+        points=dirs * cloud.radii[:, None],
+        directions=dirs,
+        radii=cloud.radii,
+        extra_directions=cloud.extra_directions,
+        extra_radii=cloud.extra_radii,
+        refined_cells=cloud.refined_cells,
+    )
 
 
 def test_pushforward_corners_follow_axis_maps():
@@ -282,3 +376,87 @@ def test_refined_cell_plumbing_keeps_values():
     )
     out = resample(refined)
     np.testing.assert_allclose(out.radii, 0.9, atol=1e-12)
+
+
+def oracle_clouds(dim, m):
+    rng = np.random.default_rng(100 + dim)
+    grid = make_grid(dim, m)
+    radii = 0.6 + 0.3 * rng.random(grid.n_vertices)
+    identity = pushforward(identity_map(dim), RadialManifold(grid, radii))
+    yield "identity", identity
+    yield "perturbed identity", perturbed_cloud(identity, rng, 0.15 / (m * dim))
+    kmap = coupled_lg(dim)
+    yield "coupled box", pushforward(kmap, box_boundary_manifold(grid, 2.0), box_top=2.0)
+    smooth = RadialManifold(grid, 0.8 + 0.2 * grid.vertices[:, 0])
+    coupled = pushforward(kmap, graph_step(kmap, smooth, box_top=2.0), box_top=2.0)
+    yield "coupled", coupled
+    yield "perturbed coupled", perturbed_cloud(coupled, rng, 0.1 / (m * dim))
+
+
+@pytest.mark.parametrize("dim,m", [(2, 3), (2, 8), (3, 4), (3, 7), (4, 3), (4, 5)])
+def test_raster_matches_dense_oracle(dim, m):
+    for name, cloud in oracle_clouds(dim, m):
+        expected, chosen = dense_resample(cloud)
+        cells, _ = transform._tile(cloud, cloud.grid)
+        assert np.array_equal(cells, chosen), name
+        np.testing.assert_allclose(resample(cloud).radii, expected.radii, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,m", [(2, 6), (3, 5), (4, 3)])
+def test_raster_matches_dense_oracle_on_refined_cells(dim, m):
+    grid = make_grid(dim, m)
+    rng = np.random.default_rng(7)
+    cloud = pushforward(identity_map(dim), RadialManifold(grid, 0.7 + 0.2 * rng.random(grid.n_vertices)))
+    picked = [0, grid.cells.shape[0] // 2, grid.cells.shape[0] - 1]
+    refined = PushforwardCloud(
+        grid=grid,
+        source_radii=cloud.source_radii,
+        points=cloud.points,
+        directions=cloud.directions,
+        radii=cloud.radii,
+        extra_directions=grid.vertices[grid.cells[picked]].mean(axis=1),
+        extra_radii=np.array([0.8, 0.9, 1.0]),
+        refined_cells={c: k for k, c in enumerate(picked)},
+    )
+    for got, want in zip(transform._solve_cells(refined), loop_solve_cells(refined)):
+        assert np.array_equal(got, want)
+    expected, chosen = dense_resample(refined)
+    cells, _ = transform._tile(refined, grid)
+    assert np.array_equal(cells, chosen)
+    np.testing.assert_allclose(resample(refined).radii, expected.radii, rtol=0, atol=1e-12)
+
+
+def test_raster_coverage_error_matches_dense_oracle():
+    grid = make_grid(2, 8)
+    cloud = pushforward(identity_map(2), constant_manifold(grid, 1.0))
+    center = np.full(2, 0.5)
+    shrunk = 0.5 * (cloud.directions - center) + center
+    broken = PushforwardCloud(
+        grid=cloud.grid,
+        source_radii=cloud.source_radii,
+        points=shrunk * cloud.radii[:, None],
+        directions=shrunk,
+        radii=cloud.radii,
+        extra_directions=cloud.extra_directions,
+        extra_radii=cloud.extra_radii,
+        refined_cells={},
+    )
+    with pytest.raises(CoverageError) as raster:
+        resample(broken)
+    with pytest.raises(CoverageError) as dense:
+        dense_resample(broken)
+    assert str(raster.value) == str(dense.value)
+
+
+def test_resample_memory_is_output_sensitive():
+    # the dense solve held a (targets x cells x d) array: 282 MB for this call
+    grid = make_grid(3, 64)
+    kmap = coupled_lg(3)
+    cloud = pushforward(kmap, box_boundary_manifold(grid, 2.0), box_top=2.0)
+    tracemalloc.start()
+    try:
+        resample(cloud)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
