@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -52,24 +51,19 @@ class GridError(ValueError):
 def simplex_lattice(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Lattice points k (nonnegative ints, sum = resolution) and directions k/resolution.
 
-    Enumeration is lexicographic in k, so for dim = 2 the first coordinate of
-    the directions is increasing.
+    The points are enumerated by their cumulative coordinates s = cumsum(k)[:-1],
+    the ordered integer points 0 <= s_1 <= ... <= s_{d-1} <= m, in lexicographic
+    order; this is lexicographic in k as well, so for dim = 2 the first
+    coordinate of the directions is increasing.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    combos = itertools.combinations(range(resolution + dim - 1), dim - 1)
-    rows = []
-    for cut in combos:
-        prev = -1
-        k = []
-        for c in cut:
-            k.append(c - prev - 1)
-            prev = c
-        k.append(resolution + dim - 2 - prev)
-        rows.append(k)
-    lattice = np.array(rows, dtype=int)
+    cube = np.indices((resolution + 1,) * (dim - 1))
+    ordered = np.all(np.diff(cube, axis=0) >= 0, axis=0)
+    s = np.moveaxis(cube, 0, -1)[ordered]
+    lattice = np.diff(s, axis=1, prepend=0, append=resolution)
     return lattice, lattice / float(resolution)
 
 
@@ -79,7 +73,10 @@ class BarycentricGrid:
 
     vertices[i] = lattice[i] / resolution, rows summing to one; cells hold the
     vertex indices of each top-dimensional simplex, cell_orient the sign of
-    det([v_0 ... v_{d-1}]) for its canonical vertex order.
+    det([v_0 ... v_{d-1}]) for its canonical vertex order. s_table, the grid's
+    one index, holds the vertex index at each integer cumulative coordinate s in
+    [0, m]^(d-1): vertex k sits at s = cumsum(k)[:-1], and integer points outside
+    the ordered region 0 <= s_1 <= ... <= s_{d-1} <= m hold -1.
     """
 
     dim: int
@@ -88,37 +85,25 @@ class BarycentricGrid:
     vertices: np.ndarray
     cells: np.ndarray
     cell_orient: np.ndarray
-    _index: dict = field(repr=False)
+    s_table: np.ndarray = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
         return self.vertices.shape[0]
 
     def vertex_index(self, k) -> int:
-        return self._index[tuple(int(v) for v in k)]
+        k = [int(v) for v in k]
+        if len(k) != self.dim or min(k) < 0 or sum(k) != self.resolution:
+            raise GridError(f"{k} is not a lattice point of the grid")
+        return int(self.s_table[tuple(itertools.accumulate(k[:-1]))])
 
     def corner_index(self, i: int) -> int:
         k = [0] * self.dim
         k[i] = self.resolution
         return self.vertex_index(k)
 
-    @property
-    def corner_indices(self) -> list[int]:
-        return [self.corner_index(i) for i in range(self.dim)]
-
     def compatible(self, other: "BarycentricGrid") -> bool:
         return self.dim == other.dim and self.resolution == other.resolution
-
-    @cached_property
-    def s_table(self) -> np.ndarray:
-        """Vertex index at each integer cumulative coordinate s in [0, m]^(d-1).
-
-        Vertex k sits at s = cumsum(k)[:-1]; integer points outside the ordered
-        region 0 <= s_1 <= ... <= s_{d-1} <= m hold -1.
-        """
-        table = np.full((self.resolution + 1,) * (self.dim - 1), -1, dtype=np.intp)
-        table[tuple(np.cumsum(self.lattice[:, :-1], axis=1).T)] = np.arange(self.n_vertices)
-        return table
 
     def locate(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Containing cells of directions u as (vertex indices, barycentric weights).
@@ -161,43 +146,33 @@ class BarycentricGrid:
         return idx, weights
 
 
-def _s_to_k(s, m: int) -> list[int]:
-    k = [int(s[0])]
-    for a, b in zip(s[:-1], s[1:]):
-        k.append(int(b) - int(a))
-    k.append(m - int(s[-1]))
-    return k
-
-
 def make_grid(dim: int, resolution: int) -> BarycentricGrid:
-    """Build the lattice grid with its Kuhn-cell decomposition."""
+    """Build the lattice grid with its Kuhn-cell decomposition.
+
+    Cell vertices are base + (unit steps along perm), for every integer base of
+    [0, m - 1]^(d-1) in lexicographic order and, within a base, every
+    permutation in itertools order; a cell is kept when all its vertices lie in
+    the ordered region.
+    """
     lattice, vertices = simplex_lattice(dim, resolution)
-    index = {tuple(k): i for i, k in enumerate(lattice.tolist())}
-    cells = []
-    D = dim - 1
-    m = resolution
-    if D > 0:
-        for base in itertools.product(range(m), repeat=D):
-            for perm in itertools.permutations(range(D)):
-                pts = [list(base)]
-                cur = list(base)
-                for axis in perm:
-                    cur = cur.copy()
-                    cur[axis] += 1
-                    pts.append(cur)
-                ok = all(
-                    all(p[i] <= p[i + 1] for i in range(D - 1)) and p[-1] <= m and p[0] >= 0
-                    for p in pts
-                )
-                if ok:
-                    cells.append([index[tuple(_s_to_k(p, m))] for p in pts])
-    cells_arr = np.array(cells, dtype=int) if cells else np.empty((0, dim), dtype=int)
-    if cells:
-        mats = np.swapaxes(vertices[cells_arr], 1, 2)
-        orient = np.sign(np.linalg.det(mats)).astype(int)
-    else:
-        orient = np.empty((0,), dtype=int)
-    return BarycentricGrid(dim, resolution, lattice, vertices, cells_arr, orient, index)
+    m, D = resolution, dim - 1
+    s_table = np.full((m + 1,) * D, -1, dtype=np.intp)
+    if D == 0:  # the one-point simplex: one vertex, no cells
+        s_table[...] = 0
+        return BarycentricGrid(dim, m, lattice, vertices, np.empty((0, 1), dtype=int),
+                               np.empty((0,), dtype=int), s_table)
+    s_table[tuple(np.cumsum(lattice[:, :-1], axis=1).T)] = np.arange(lattice.shape[0])
+
+    bases = np.indices((m,) * D).reshape(D, -1).T
+    bases = bases[np.all(np.diff(bases, axis=1) >= 0, axis=1)]  # a cell's base is its vertex 0
+    perms = np.array(list(itertools.permutations(range(D))))
+    steps = np.zeros((perms.shape[0], D + 1, D), dtype=int)
+    steps[:, 1:] = np.cumsum(np.eye(D, dtype=int)[perms], axis=1)
+    pts = (bases[:, None, None, :] + steps).reshape(-1, D + 1, D)
+    pts = pts[np.all(np.diff(pts, axis=-1) >= 0, axis=(1, 2))]
+    cells = s_table[tuple(np.moveaxis(pts, -1, 0))]
+    orient = np.sign(np.linalg.det(np.swapaxes(vertices[cells], 1, 2))).astype(int)
+    return BarycentricGrid(dim, m, lattice, vertices, cells, orient, s_table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,18 +203,22 @@ def radial_project(x) -> np.ndarray:
     return x / s
 
 
-def order_function(x, y) -> float:
-    """sup{t >= 0 : y - t x stays in the nonnegative cone}; inf iff x = 0."""
+def order_function(x, y):
+    """sup{t >= 0 : y - t x stays in the nonnegative cone}; inf iff x = 0.
+
+    x and y have shape (..., d); a float for a single point, else one value per row.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    mask = x > 0.0
-    if not mask.any():
-        return np.inf
-    return float(np.min(y[mask] / x[mask]))
+    ratios = np.divide(y, x, out=np.full(np.broadcast_shapes(x.shape, y.shape), np.inf),
+                       where=x > 0.0)
+    t = ratios.min(axis=-1)
+    return float(t) if t.ndim == 0 else t
 
 
-def symmetrized_order(x, y) -> float:
-    return min(order_function(x, y), order_function(y, x))
+def symmetrized_order(x, y):
+    t = np.minimum(order_function(x, y), order_function(y, x))
+    return float(t) if t.ndim == 0 else t
 
 
 def harnack(x, y) -> float:

@@ -138,8 +138,14 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("solver.tolerance must be positive")
     if cfg.max_iter < 1:
         raise ConfigError("solver.max_iter must be at least 1")
+    if cfg.check_resolution is not None and cfg.check_resolution < 2:
+        raise ConfigError("solver.check_resolution must be at least 2")
+    if not cfg.kappa_max >= 0.0:
+        raise ConfigError("solver.kappa_max must be nonnegative")
     if cfg.sample_count < 0 or cfg.horizon < 0:
         raise ConfigError("verify.sample_count and verify.horizon must be nonnegative")
+    if cfg.seed < 0:
+        raise ConfigError("verify.seed must be nonnegative")
 
 
 def atomic_write_text(path: str, text: str) -> None:

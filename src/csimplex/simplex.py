@@ -9,7 +9,7 @@ tolerance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,6 +55,12 @@ class EscapeError(RuntimeError):
     """An orbit left the configured safety box: the run is not dissipative."""
 
 
+def _field_dict(report, skip=()) -> dict:
+    """A report's fields by name, leaving out the named ones; lists are copied."""
+    out = {f.name: getattr(report, f.name) for f in fields(report) if f.name not in skip}
+    return {k: list(v) if isinstance(v, list) else v for k, v in out.items()}
+
+
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     iterations: int
@@ -92,25 +98,9 @@ class ConvergenceReport:
         return all(b <= a + self.tol_order for a, b in zip(g, g[1:]))
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "termination": self.termination,
-            "final_gap": self.final_gap,
-            "gap_history": list(self.gap_history),
-            "hausdorff_history": list(self.hausdorff_history),
-            "lower_min_steps": list(self.lower_min_steps),
-            "upper_max_steps": list(self.upper_max_steps),
-            "sandwich_mins": list(self.sandwich_mins),
-            "interp_error": self.interp_error,
-            "tol_order": self.tol_order,
-            "certified_error": self.certified_error,
-            "kappa": self.kappa,
-            "epsilon": self.epsilon,
-            "tolerance": self.tolerance,
-            "monotone_ok": self.monotone_ok,
-            "gap_monotone_ok": self.gap_monotone_ok,
-            "fold_message": self.fold_message,
-        }
+        out = _field_dict(self, skip=("sigma", "lower", "upper"))
+        out.update(monotone_ok=self.monotone_ok, gap_monotone_ok=self.gap_monotone_ok)
+        return out
 
 
 def compute_cs(
@@ -341,12 +331,9 @@ def shadow_point(
     if grid.dim == 1 or grid.cells.shape[0] == 0:
         return ShadowResult(pts[best], best_dir, best_res)
 
-    neighbours = set()
-    for cell in grid.cells:
-        if best in cell:
-            neighbours.update(int(i) for i in cell if i != best)
+    star = grid.cells[np.any(grid.cells == best, axis=1)]
     u0 = grid.vertices[best]
-    u1 = grid.vertices[sorted(neighbours)]
+    u1 = grid.vertices[np.setdiff1d(star, best)]
 
     def res_at(s: np.ndarray) -> np.ndarray:
         pts = eval_radial(sigma, (1.0 - s[:, None]) * u0 + s[:, None] * u1)
@@ -403,26 +390,7 @@ class VerificationReport:
         return all(checks)
 
     def to_dict(self) -> dict:
-        return {
-            "invariance_residual": self.invariance_residual,
-            "unorder_violations": self.unorder_violations,
-            "fixed_point_residuals": list(self.fixed_point_residuals),
-            "lipschitz_ratio_max": self.lipschitz_ratio_max,
-            "lipschitz_bound": self.lipschitz_bound,
-            "harnack_samples": self.harnack_samples,
-            "harnack_pair_count": self.harnack_pair_count,
-            "retrotone_samples": self.retrotone_samples,
-            "retrotone_ordered_count": self.retrotone_ordered_count,
-            "attraction_stats": self.attraction_stats,
-            "attraction_failures": self.attraction_failures,
-            "sample_count": self.sample_count,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "attraction_tol": self.attraction_tol,
-            "tol_order": self.tol_order,
-            "vacuous": list(self.vacuous),
-            "passed": self.passed(),
-        }
+        return {**_field_dict(self), "passed": self.passed()}
 
 
 def _random_ordered_pair(rng, dim: int, box_top: float) -> tuple[np.ndarray, np.ndarray]:
@@ -459,11 +427,9 @@ def harnack_battery(
     for k in range(sample_count):
         pairs[k] = _random_ordered_pair(rng, kmap.dim, box_top)
     images = eval_F(kmap, pairs)
-    violations = sum(
-        symmetrized_order(*fxy) - symmetrized_order(*xy) <= margin
-        for xy, fxy in zip(pairs, images)
-    )
-    return violations, sample_count
+    before = symmetrized_order(pairs[:, 0], pairs[:, 1])
+    after = symmetrized_order(images[:, 0], images[:, 1])
+    return int(np.count_nonzero(after - before <= margin)), sample_count
 
 
 def retrotone_battery(

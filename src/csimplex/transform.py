@@ -9,7 +9,7 @@ the harmonic mean of the image radii with the barycentric weights:
     R'(u) = 1 / sum_k (w_k / r_k).
 
 Point location is a cell-centric raster. Each image cell is mapped to the
-target grid's cumulative lattice coordinates s = m * cumsum(v)[:-1], the
+grid's cumulative lattice coordinates s = m * cumsum(v)[:-1], the
 coordinates of BarycentricGrid.locate; the integer points in its bounding box,
 widened by RASTER_MARGIN * m, are the only targets it is solved against. A
 target takes the candidate cell with the largest minimum barycentric weight,
@@ -85,7 +85,6 @@ class PushforwardCloud:
     """
 
     grid: BarycentricGrid
-    source_radii: np.ndarray
     points: np.ndarray
     directions: np.ndarray
     radii: np.ndarray
@@ -151,7 +150,6 @@ def pushforward(
             refined = {int(c): k for k, c in enumerate(bad)}
     return PushforwardCloud(
         grid=grid,
-        source_radii=manifold.radii.copy(),
         points=imgs,
         directions=directions,
         radii=radii,
@@ -186,7 +184,7 @@ def _raster_pairs(grid: BarycentricGrid, cell_dirs: np.ndarray) -> tuple[np.ndar
     """(target, cell) candidates: target vertices in each cell's widened bounding box.
 
     cell_dirs (C, d, d) holds the image directions of each cell's vertices.
-    Boxes are taken in the target grid's cumulative lattice coordinates, where
+    Boxes are taken in the grid's cumulative lattice coordinates, where
     the target vertices are the ordered integer points.
     """
     m = grid.resolution
@@ -208,19 +206,20 @@ def _raster_pairs(grid: BarycentricGrid, cell_dirs: np.ndarray) -> tuple[np.ndar
     return target[keep], cell[keep]
 
 
-def _tile(cloud: PushforwardCloud, grid: BarycentricGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Image cell of every target vertex, as rows of cloud point indices, and its weights.
+def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
+    """Image cell of every grid vertex, as rows of cloud point indices, and its weights.
 
     Raises FoldError if the image tiling folds and CoverageError if a target
     lies in no image cell.
     """
+    grid = cloud.grid
     all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
     cells, parents, refined = _solve_cells(cloud)
     mats = np.swapaxes(all_dirs[cells], 1, 2)
     dets = np.linalg.det(mats)
 
     plain = ~refined
-    rel = dets[plain] * cloud.grid.cell_orient[parents[plain]]
+    rel = dets[plain] * grid.cell_orient[parents[plain]]
     oriented = rel[np.abs(dets[plain]) >= DEGENERATE_VOLUME]
     if oriented.size and oriented.min() < 0.0 < oriented.max():
         n_flip = int(min(np.sum(oriented < 0.0), np.sum(oriented > 0.0)))
@@ -258,41 +257,32 @@ def _tile(cloud: PushforwardCloud, grid: BarycentricGrid) -> tuple[np.ndarray, n
     return cells[cel[best]], alpha[best]
 
 
-def resample(cloud: PushforwardCloud, grid: BarycentricGrid | None = None) -> RadialManifold:
-    """Radial representation of the pushforward surface on the target grid."""
-    src_grid = cloud.grid
-    grid = grid if grid is not None else src_grid
-    if grid.dim != src_grid.dim:
-        raise GridError("target grid dimension mismatch")
-    d = grid.dim
-    if d == 1:
+def resample(cloud: PushforwardCloud) -> RadialManifold:
+    """Radial representation of the pushforward surface on the cloud's grid."""
+    grid = cloud.grid
+    if grid.dim == 1:
         return RadialManifold(grid, cloud.radii.copy())
 
-    cells, w = _tile(cloud, grid)
+    cells, w = _tile(cloud)
     all_rads = np.concatenate([cloud.radii, cloud.extra_radii])
     radii = 1.0 / (w / all_rads[cells]).sum(axis=1)
 
     # corners evolve by the exact scalar axis dynamics
-    for i in range(d):
-        radii[grid.corner_index(i)] = cloud.radii[src_grid.corner_index(i)]
+    corners = [grid.corner_index(i) for i in range(grid.dim)]
+    radii[corners] = cloud.radii[corners]
     return RadialManifold(grid, radii)
 
 
-def bisection_resample(
-    cloud: PushforwardCloud,
-    grid: BarycentricGrid | None = None,
-    tol: float = 1e-13,
-) -> RadialManifold:
+def bisection_resample(cloud: PushforwardCloud, tol: float = 1e-13) -> RadialManifold:
     """Planar-only alternative solver: bisection along the image polyline.
 
     Solves T(p) = u for p on the polyline through the image points without any
     linear algebra, serving as an independent oracle for the tiling path.
     """
-    src_grid = cloud.grid
-    grid = grid if grid is not None else src_grid
+    grid = cloud.grid
     if grid.dim != 2:
         raise GridError("bisection resampling is a planar-only path")
-    order = np.argsort(src_grid.vertices[:, 0], kind="stable")
+    order = np.argsort(grid.vertices[:, 0], kind="stable")
     v1 = cloud.directions[order, 0]
     if not np.all(np.diff(v1) > 0.0):
         raise FoldError("image directions are not strictly monotone along the segment")
@@ -327,8 +317,8 @@ def bisection_resample(
                 hi = mid
         s = 0.5 * (lo + hi)
         radii[t] = float(((1.0 - s) * a + s * b).sum())
-    for i in range(2):
-        radii[grid.corner_index(i)] = cloud.radii[src_grid.corner_index(i)]
+    corners = [grid.corner_index(i) for i in range(grid.dim)]
+    radii[corners] = cloud.radii[corners]
     return RadialManifold(grid, radii)
 
 
@@ -338,7 +328,7 @@ def graph_step(
     box_top: float | None = None,
 ) -> RadialManifold:
     """One application of the graph transform on the fixed grid."""
-    out = resample(pushforward(kmap, manifold, box_top), manifold.grid)
+    out = resample(pushforward(kmap, manifold, box_top))
     return RadialManifold(
         manifold.grid, out.radii, provenance=manifold.provenance, iteration=manifold.iteration + 1
     )

@@ -77,6 +77,25 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["check", "--config", str(wrong_dim)]) == 2
 
 
+@pytest.mark.parametrize("command,overrides,flags", [
+    ("check", {"solver": {"check_resolution": 1}}, []),
+    ("check", {"solver": {"check_resolution": -2}}, []),
+    ("check", {"solver": {"kappa_max": -0.5}}, []),
+    ("verify", {"verify": {"seed": -1}}, []),
+    ("verify", {}, ["--seed", "-3"]),
+])
+def test_bad_config_values_exit_2(tmp_path, capsys, command, overrides, flags):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **overrides)
+    args = [command, "--config", str(cfg_path)] + flags
+    if command == "verify":  # verify reaches its sampling only with a surface to load
+        sigma_path = tmp_path / "sigma.csv"
+        save_manifold_csv(str(sigma_path), constant_manifold(make_grid(2, 16), 1.0))
+        args += ["--sigma", str(sigma_path)]
+    assert main(args) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_compute_verify_simulate_pipeline(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)

@@ -62,6 +62,64 @@ def test_grid_cells_cover_simplex(dim, m):
     assert set(np.abs(grid.cell_orient)) == {1}
 
 
+def loop_make_grid(dim, m):
+    """Lattice, cells and vertex index built point by point (reference for make_grid)."""
+    rows = []
+    for cut in itertools.combinations(range(m + dim - 1), dim - 1):
+        prev = -1
+        k = []
+        for c in cut:
+            k.append(c - prev - 1)
+            prev = c
+        k.append(m + dim - 2 - prev)
+        rows.append(k)
+    lattice = np.array(rows, dtype=int)
+    vertices = lattice / float(m)
+    index = {tuple(k): i for i, k in enumerate(lattice.tolist())}
+    cells = []
+    D = dim - 1
+    for base in itertools.product(range(m), repeat=D) if D > 0 else ():
+        for perm in itertools.permutations(range(D)):
+            pts = [list(base)]
+            cur = list(base)
+            for axis in perm:
+                cur = cur.copy()
+                cur[axis] += 1
+                pts.append(cur)
+            if all(all(p[i] <= p[i + 1] for i in range(D - 1)) and p[-1] <= m and p[0] >= 0
+                   for p in pts):
+                ks = [[p[0]] + [b - a for a, b in zip(p[:-1], p[1:])] + [m - p[-1]] for p in pts]
+                cells.append([index[tuple(k)] for k in ks])
+    cells = np.array(cells, dtype=int) if cells else np.empty((0, dim), dtype=int)
+    if cells.shape[0]:
+        orient = np.sign(np.linalg.det(np.swapaxes(vertices[cells], 1, 2))).astype(int)
+    else:
+        orient = np.empty((0,), dtype=int)
+    return lattice, vertices, cells, orient, index
+
+
+@pytest.mark.parametrize(
+    "dim,m", [(d, m) for d in (1, 2, 3, 4) for m in (1, 2, 5)] + [(3, 48), (4, 12)]
+)
+def test_make_grid_equals_loop_reference(dim, m):
+    grid = make_grid(dim, m)
+    lattice, vertices, cells, orient, index = loop_make_grid(dim, m)
+    for got, want in [(grid.lattice, lattice), (grid.vertices, vertices),
+                      (grid.cells, cells), (grid.cell_orient, orient)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert all(grid.vertex_index(k) == i for k, i in index.items())
+    for i in range(dim):
+        assert grid.corner_index(i) == index[tuple(m if j == i else 0 for j in range(dim))]
+
+
+def test_vertex_index_rejects_points_off_lattice():
+    grid = make_grid(3, 4)
+    for k in [(1, 1, 1), (5, -1, 0), (2, 2)]:
+        with pytest.raises(GridError):
+            grid.vertex_index(k)
+
+
 @pytest.mark.parametrize("dim,m", [(2, 9), (3, 5), (4, 3)])
 def test_locate_exact_at_vertices(dim, m):
     grid = make_grid(dim, m)
@@ -171,6 +229,41 @@ def test_order_function_scaling():
         y = RNG.random(4) + 0.01
         c = RNG.random() * 4 + 0.1
         assert order_function(c * x, y) == pytest.approx(order_function(x, y) / c)
+
+
+def loop_order(x, y):
+    """Order function of one pair (reference for the batched one)."""
+    mask = x > 0.0
+    if not mask.any():
+        return np.inf
+    return float(np.min(y[mask] / x[mask]))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_order_batch_equals_single_point_reference(dim):
+    rng = np.random.default_rng(11)
+    x = rng.random((300, dim)) * (rng.random((300, dim)) < 0.7)  # zero rows, partial supports
+    y = rng.random((300, dim)) * (rng.random((300, dim)) < 0.7)
+    x[:5] = 0.0
+    y[5:10] = 0.0
+    if dim > 1:  # disjoint supports
+        x[10:15, 0], y[10:15, 0] = 0.0, 1.0
+        x[10:15, 1:], y[10:15, 1:] = 1.0, 0.0
+    fwd, back = order_function(x, y), order_function(y, x)
+    sym = geometry.symmetrized_order(x, y)
+    want_fwd = np.array([loop_order(a, b) for a, b in zip(x, y)])
+    want_back = np.array([loop_order(b, a) for a, b in zip(x, y)])
+    assert fwd.tobytes() == want_fwd.tobytes() and back.tobytes() == want_back.tobytes()
+    assert sym.tobytes() == np.array([min(f, b) for f, b in zip(want_fwd, want_back)]).tobytes()
+    assert np.isinf(fwd[:5]).all() and np.isinf(back[5:10]).all()
+    if dim > 1:
+        assert (sym[10:15] == 0.0).all()
+    for k in range(x.shape[0]):
+        assert type(order_function(x[k], y[k])) is float
+        assert order_function(x[k], y[k]) == want_fwd[k]
+        assert geometry.symmetrized_order(x[k], y[k]) == sym[k]
+    stacked = order_function(x.reshape(3, 100, dim), y.reshape(3, 100, dim))
+    assert stacked.tobytes() == want_fwd.tobytes()
 
 
 def test_harnack_examples_and_properties():

@@ -125,7 +125,6 @@ def perturbed_cloud(cloud, rng, scale):
     dirs /= dirs.sum(axis=1, keepdims=True)
     return PushforwardCloud(
         grid=cloud.grid,
-        source_radii=cloud.source_radii,
         points=dirs * cloud.radii[:, None],
         directions=dirs,
         radii=cloud.radii,
@@ -288,7 +287,6 @@ def test_resample_detects_fold():
     dirs[[3, 4]] = dirs[[4, 3]]  # swap two interior directions: orientation flips
     folded = PushforwardCloud(
         grid=cloud.grid,
-        source_radii=cloud.source_radii,
         points=cloud.points,
         directions=dirs,
         radii=cloud.radii,
@@ -309,7 +307,6 @@ def test_resample_detects_uncovered_target():
     shrunk = 0.5 * (cloud.directions - center) + center
     broken = PushforwardCloud(
         grid=cloud.grid,
-        source_radii=cloud.source_radii,
         points=shrunk * cloud.radii[:, None],
         directions=shrunk,
         radii=cloud.radii,
@@ -366,7 +363,6 @@ def test_refined_cell_plumbing_keeps_values():
     center_dir = grid.vertices[grid.cells[0]].mean(axis=0)
     refined = PushforwardCloud(
         grid=cloud.grid,
-        source_radii=cloud.source_radii,
         points=cloud.points,
         directions=cloud.directions,
         radii=cloud.radii,
@@ -397,7 +393,7 @@ def oracle_clouds(dim, m):
 def test_raster_matches_dense_oracle(dim, m):
     for name, cloud in oracle_clouds(dim, m):
         expected, chosen = dense_resample(cloud)
-        cells, _ = transform._tile(cloud, cloud.grid)
+        cells, _ = transform._tile(cloud)
         assert np.array_equal(cells, chosen), name
         np.testing.assert_allclose(resample(cloud).radii, expected.radii, rtol=0, atol=1e-12)
 
@@ -410,7 +406,6 @@ def test_raster_matches_dense_oracle_on_refined_cells(dim, m):
     picked = [0, grid.cells.shape[0] // 2, grid.cells.shape[0] - 1]
     refined = PushforwardCloud(
         grid=grid,
-        source_radii=cloud.source_radii,
         points=cloud.points,
         directions=cloud.directions,
         radii=cloud.radii,
@@ -421,7 +416,7 @@ def test_raster_matches_dense_oracle_on_refined_cells(dim, m):
     for got, want in zip(transform._solve_cells(refined), loop_solve_cells(refined)):
         assert np.array_equal(got, want)
     expected, chosen = dense_resample(refined)
-    cells, _ = transform._tile(refined, grid)
+    cells, _ = transform._tile(refined)
     assert np.array_equal(cells, chosen)
     np.testing.assert_allclose(resample(refined).radii, expected.radii, rtol=0, atol=1e-12)
 
@@ -433,7 +428,6 @@ def test_raster_coverage_error_matches_dense_oracle():
     shrunk = 0.5 * (cloud.directions - center) + center
     broken = PushforwardCloud(
         grid=cloud.grid,
-        source_radii=cloud.source_radii,
         points=shrunk * cloud.radii[:, None],
         directions=shrunk,
         radii=cloud.radii,
