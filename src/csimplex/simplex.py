@@ -220,7 +220,7 @@ def surface_distance(sigma: RadialManifold, x):
     """
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
-    dist, _ = nearest_distances(rows, vertex_points(sigma))
+    dist = nearest_distances(rows, vertex_points(sigma))
     s = rows.sum(axis=1)
     ray = np.isfinite(s) & (s > 0.0) & np.all(rows >= 0.0, axis=1)
     if ray.any():
@@ -432,6 +432,24 @@ def harnack_battery(
     return int(np.count_nonzero(after - before <= margin)), sample_count
 
 
+def _retrotone_counts(pairs: np.ndarray, images: np.ndarray) -> tuple[int, int]:
+    """(violations, ordered image pairs) over (n, 2, d) points and their images.
+
+    A row counts in the orientation whose image pair is ordered, Fp <= Fq with
+    Fp != Fq; at most one orientation can be. It violates unless p <= q, p != q
+    and p < q in every coordinate where Fp < Fq.
+    """
+    tested = violations = 0
+    for i, j in ((0, 1), (1, 0)):
+        p, q, fp, fq = pairs[:, i], pairs[:, j], images[:, i], images[:, j]
+        grows = fp < fq
+        ordered = np.all(fp <= fq, axis=1) & np.any(grows, axis=1)
+        ok = np.all(p <= q, axis=1) & np.any(p < q, axis=1) & np.all((p < q) | ~grows, axis=1)
+        tested += int(np.count_nonzero(ordered))
+        violations += int(np.count_nonzero(ordered & ~ok))
+    return violations, tested
+
+
 def retrotone_battery(
     kmap: KolmogorovMap,
     kappa: float,
@@ -445,18 +463,7 @@ def retrotone_battery(
     rng = np.random.default_rng(seed)
     box_top = 1.0 + kappa
     pairs = rng.uniform(0.0, box_top, (sample_count, 2, kmap.dim))
-    violations = 0
-    tested = 0
-    for (x, y), (fx, fy) in zip(pairs, eval_F(kmap, pairs)):
-        for p, q, fp, fq in ((x, y, fx, fy), (y, x, fy, fx)):
-            if np.all(fp <= fq) and np.any(fp < fq):
-                tested += 1
-                idx = fp < fq
-                ok = np.all(p <= q) and np.any(p < q) and np.all(p[idx] < q[idx])
-                if not ok:
-                    violations += 1
-                break
-    return violations, tested
+    return _retrotone_counts(pairs, eval_F(kmap, pairs))
 
 
 def attraction_battery(

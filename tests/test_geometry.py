@@ -1,10 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from csimplex import geometry
+from csimplex.maps import leslie_gower, ricker2d
+from csimplex.simplex import compute_cs
 from csimplex.geometry import (
     GridError,
     box_boundary_manifold,
@@ -343,6 +346,61 @@ def test_weak_unordered_detects_constructed_violation():
     assert (i_mid, i_hi) in violations
 
 
+def dense_weakly_unordered(manifold, tol_order):
+    """The (n, n, d) dominance scan (reference for the row-blocked one)."""
+    pts = vertex_points(manifold)
+    supp = manifold.grid.lattice > 0
+    keys = supp @ (1 << np.arange(manifold.grid.dim))
+    violations = []
+    for key in np.unique(keys):
+        members = np.flatnonzero(keys == key)
+        if members.size < 2:
+            continue
+        mask = supp[members[0]]
+        p = pts[np.ix_(members, np.flatnonzero(mask))]
+        diff = p[None, :, :] - p[:, None, :]
+        dom = diff.min(axis=-1) > tol_order
+        for i, j in zip(*np.nonzero(dom)):
+            violations.append((int(members[i]), int(members[j])))
+    return violations
+
+
+@pytest.mark.parametrize("dim,m", [(2, 40), (3, 12), (4, 6)])
+def test_weakly_unordered_blocks_equal_dense(dim, m, monkeypatch):
+    grid = make_grid(dim, m)
+    sigma = compute_cs(lg(dim, 0.3), grid, 1.0, 0.5, tolerance=1e-6).sigma
+    noisy = RadialManifold(grid, sigma.radii * (1.0 + 0.2 * RNG.standard_normal(grid.n_vertices)))
+    manifolds = [
+        (box_boundary_manifold(grid, 1.0), 1e-12),
+        (constant_manifold(grid, 1.0), 1e-12),
+        (constant_manifold(grid, 1.0), 0.0),  # a point against itself ties at 0
+        (box_boundary_manifold(grid, 1.0), 0.0),
+        (sigma, 1e-9),
+        (noisy, 1e-9),  # perturbed: many dominated pairs
+        (noisy, -1.0),  # every pair of a support group
+    ]
+    for manifold, tol in manifolds:
+        expected = dense_weakly_unordered(manifold, tol)
+        for block in (geometry.PAIR_BLOCK, 1, 7, 3 * grid.n_vertices - 1):
+            monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+            got = is_weakly_unordered(manifold, tol)
+            assert got == expected
+            assert all(type(i) is int and type(j) is int for i, j in got)
+    assert dense_weakly_unordered(noisy, 1e-9) != []
+
+
+def test_weakly_unordered_memory_is_linear():
+    # the dense scan held an (n, n, d) array per support group: 126 MB here
+    manifold = box_boundary_manifold(make_grid(3, 64), 2.0)
+    tracemalloc.start()
+    try:
+        assert is_weakly_unordered(manifold, 1e-12) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+
+
 def test_sup_gap():
     grid = make_grid(3, 6)
     a = constant_manifold(grid, 1.0)
@@ -379,9 +437,67 @@ def test_hausdorff_chunked_equals_broadcast(dim, monkeypatch):
             monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
             assert hausdorff_points(a, b) == expected
             assert hausdorff_points(b, a) == expected
-            to_b, to_a = nearest_distances(a, b)
-            assert np.array_equal(to_b, np.sqrt(d2.min(axis=1)))
-            assert np.array_equal(to_a, np.sqrt(d2.min(axis=0)))
+            assert np.array_equal(nearest_distances(a, b), np.sqrt(d2.min(axis=1)))
+            assert np.array_equal(nearest_distances(b, a), np.sqrt(d2.min(axis=0)))
+
+
+def broadcast_nearest(a, b):
+    return np.sqrt(broadcast_sq_dists(a, b).min(axis=1))
+
+
+def iterate_pairs(kmap, dim, m, kappa, epsilon):
+    """Vertex clouds of every (lower, upper) pair of a compute_cs run."""
+    pairs = []
+
+    def keep(n, lower, upper):
+        pairs.append((vertex_points(lower), vertex_points(upper)))
+
+    compute_cs(kmap, make_grid(dim, m), kappa, epsilon, tolerance=1e-6, on_iteration=keep)
+    return pairs
+
+
+def lg(dim, offdiag):
+    return leslie_gower((1.0,) * dim, np.eye(dim) + offdiag * (1.0 - np.eye(dim)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_nearest_band_equals_broadcast(dim, monkeypatch):
+    a = RNG.random((200, dim))  # 200 x 200 pairs exceed the default block
+    coarse = RNG.integers(0, 4, (200, dim)) / 4.0  # duplicates, ties in every coordinate
+    with_nan = a.copy()
+    with_nan[7, 0], with_nan[11, -1] = np.nan, np.inf
+    cases = [
+        (a, a),  # identical: every seed bound is 0
+        (a, a[::-1].copy()),
+        (a, RNG.random((200, dim)) + 10.0),  # far apart: the band is all of b
+        (coarse, coarse[RNG.permutation(200)]),
+        (coarse, RNG.integers(0, 4, (230, dim)) / 4.0),
+        (a, RNG.random((170, dim))),  # unequal sizes: rows past the end of b
+        (RNG.random((170, dim)), a),
+        (with_nan, a),
+        (a, with_nan),
+    ]
+    iterates = {
+        1: [(a[:40], a[40:90])],
+        2: iterate_pairs(ricker2d(0.5, 0.5, 0.5, 0.5), 2, 64, 0.25, 0.5)[::4],
+        3: iterate_pairs(lg(3, 0.3), 3, 12, 1.0, 0.5)[::4],
+        4: iterate_pairs(lg(4, 0.2), 4, 6, 1.0, 0.5)[::4],
+    }[dim]
+    for lower, upper in iterates:
+        cases += [(lower, upper), (upper, lower)]
+    for a_, b_ in cases:
+        to_b, to_a = broadcast_nearest(a_, b_), broadcast_nearest(b_, a_)
+        expected = float(max(to_b.max(), to_a.max()))
+        na, nb = a_.shape[0], b_.shape[0]
+        # the default block, one pair, and blocks that split the sets unevenly
+        for block, rows in [(geometry.PAIR_BLOCK, geometry.BAND_ROWS), (1, geometry.BAND_ROWS),
+                            (97, 3), (5 * nb + 4, 3), (7 * na - 1, geometry.BAND_ROWS)]:
+            monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+            monkeypatch.setattr(geometry, "BAND_ROWS", rows)
+            assert np.array_equal(nearest_distances(a_, b_), to_b, equal_nan=True)
+            assert np.array_equal(nearest_distances(b_, a_), to_a, equal_nan=True)
+            got = hausdorff_points(a_, b_)
+            assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 def triu_ratio_max(pts):

@@ -11,7 +11,15 @@ from csimplex.geometry import (
     sup_gap,
     vertex_points,
 )
-from csimplex.maps import atkinson_allen, beverton_holt, eval_F, ricker1d, ricker2d
+from csimplex.maps import (
+    atkinson_allen,
+    beverton_holt,
+    eval_F,
+    leslie_gower,
+    ricker1d,
+    ricker2d,
+)
+from csimplex import simplex
 from csimplex.simplex import (
     EscapeError,
     attract_trajectory,
@@ -20,6 +28,7 @@ from csimplex.simplex import (
     harnack_battery,
     induced_map,
     iterate_manifold,
+    retrotone_battery,
     shadow_point,
     surface_distance,
     verify_cs,
@@ -257,6 +266,51 @@ def test_verify_cs_sample_streams_are_pinned():
     assert rep.attraction_failures == 47
     # a steep map where the Harnack pairs do fail
     assert harnack_battery(ricker2d(2.0, 2.0, 0.5, 0.5), KAPPA, 200, seed=11) == (57, 200)
+
+
+def loop_retrotone_counts(pairs, images):
+    """The per-pair retrotone loop (reference for the vectorised counts)."""
+    violations = tested = 0
+    for (x, y), (fx, fy) in zip(pairs, images):
+        for p, q, fp, fq in ((x, y, fx, fy), (y, x, fy, fx)):
+            if np.all(fp <= fq) and np.any(fp < fq):
+                tested += 1
+                idx = fp < fq
+                ok = np.all(p <= q) and np.any(p < q) and np.all(p[idx] < q[idx])
+                if not ok:
+                    violations += 1
+                break
+    return violations, tested
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_retrotone_counts_equal_loop_reference(dim):
+    rng = np.random.default_rng(30 + dim)
+    # values from {0, 1, 2}, so that images tie and coordinates repeat often
+    pairs = rng.integers(0, 3, (3000, 2, dim)).astype(float)
+    images = rng.integers(0, 3, (3000, 2, dim)).astype(float)
+    images[:100, 1] = images[:100, 0]  # tied images: ordered in neither orientation
+    pairs[100:200, 1] = pairs[100:200, 0]  # equal points
+    images[200:300, 1, 0] = images[200:300, 0, 0]  # ties in one coordinate
+    counts = simplex._retrotone_counts(pairs, images)
+    assert counts == loop_retrotone_counts(pairs, images)
+    assert counts[0] > 0 and counts[1] > counts[0]
+
+
+@pytest.mark.parametrize(
+    "kmap,kappa",
+    [
+        (ricker1d(0.5), 0.5),
+        (COUPLED, KAPPA),
+        (ricker2d(3.0, 3.0, 0.5, 0.5), KAPPA),  # overcompensating: violations
+        (leslie_gower((1.0, 1.0, 1.0), np.eye(3) + 0.3 * (1 - np.eye(3))), 1.0),
+    ],
+    ids=["ricker1d", "coupled", "steep", "lg3"],
+)
+def test_retrotone_battery_equals_loop_reference(kmap, kappa):
+    pairs = np.random.default_rng(4).uniform(0.0, 1.0 + kappa, (500, 2, kmap.dim))
+    expected = loop_retrotone_counts(pairs, eval_F(kmap, pairs))
+    assert retrotone_battery(kmap, kappa, 500, seed=4) == expected
 
 
 def test_verify_cs_flags_perturbed_sigma(coupled_run):
