@@ -16,7 +16,11 @@ distance to its same-index partner (for two vertex clouds of one grid, the
 radial gap at that vertex) bounds how far its nearest point can lie along the
 key coordinate, and only the points within that bound, widened by a relative
 margin against rounding, are compared (see nearest_distances). The
-dominance scan of weak unorderedness runs in row blocks.
+Hausdorff distance needs only the largest nearest distance, so it solves rows
+in descending order of that bound and stops at the first whose bound cannot
+exceed the largest found: an exact early exit (Taha and Hanbury, IEEE TPAMI
+37(11), 2015; see hausdorff_points). The dominance scan of weak
+unorderedness runs in row blocks.
 """
 from __future__ import annotations
 
@@ -250,9 +254,9 @@ def restricted_harnack(x, y, support) -> float:
 
 
 def project_e_perp(x) -> np.ndarray:
-    """Orthogonal projection onto the hyperplane orthogonal to (1, ..., 1)."""
+    """Projection of each row of x, shape (..., d), onto the hyperplane orthogonal to (1, ..., 1)."""
     x = np.asarray(x, dtype=float)
-    return x - x.mean() * np.ones_like(x)
+    return x - x.mean(axis=-1, keepdims=True)
 
 
 def radius_at(manifold: RadialManifold, u):
@@ -336,6 +340,37 @@ def _sq_dists(p, q, buf=None) -> np.ndarray:
     return d2
 
 
+def _band_sq(a, b, key, bound) -> np.ndarray:
+    """Squared nearest distances from the rows of a to b, by the band rules of nearest_distances.
+
+    b is sorted on its column key, in Fortran order; bound[i] >= row i's distance (inf, NaN: none).
+    """
+    order = np.argsort(a[:, key])
+    a, bound = a[order], bound[order]
+    width = bound + BAND_MARGIN * (bound + np.abs(a[:, key])) + 1e-150
+    whole = ~np.isfinite(width)
+    width[whole] = 0.0
+    lo = np.searchsorted(b[:, key], a[:, key] - width, side="left")
+    hi = np.searchsorted(b[:, key], a[:, key] + width, side="right")
+    lo[whole], hi[whole] = 0, b.shape[0]
+    out = np.empty(a.shape[0])
+    buf = np.empty((2, max(PAIR_BLOCK, b.shape[0])))  # a block is within PAIR_BLOCK, or one row
+    start = 0
+    while start < a.shape[0]:
+        # the union of the bands grows with the rows; the first row's band caps them
+        cap = max(1, PAIR_BLOCK // max(1, hi[start] - lo[start]))
+        stop = min(a.shape[0], start + min(BAND_ROWS, cap))
+        s = np.minimum.accumulate(lo[start:stop])
+        e = np.maximum.accumulate(hi[start:stop])
+        fits = np.arange(1, stop - start + 1) * (e - s) <= PAIR_BLOCK
+        rows = max(1, int(np.count_nonzero(fits)))
+        blk = slice(start, start + rows)
+        band = b[None, s[rows - 1]:e[rows - 1]]
+        out[order[blk]] = _sq_dists(a[blk, None], band, buf).min(axis=1)
+        start += rows
+    return out
+
+
 def nearest_distances(a, b) -> np.ndarray:
     """Distance from each row of a to the nearest row of b.
 
@@ -345,7 +380,7 @@ def nearest_distances(a, b) -> np.ndarray:
     in |a| + |b|.
 
     When |a| * |b| <= PAIR_BLOCK all pairs are solved in one block. Otherwise
-    the search is pruned to a band:
+    the search is pruned to a band (_band_sq):
     - seed bound: row i of a gets r_i = |a_i - b_i|, its distance to the
       same-index row of b (for two vertex clouds of one grid, the radial gap
       at vertex i, so at most sup_gap); rows with no partner, and all rows
@@ -374,46 +409,51 @@ def nearest_distances(a, b) -> np.ndarray:
     if np.all(np.isfinite(b)):  # a NaN in b reaches every minimum
         bound[:n] = np.sqrt(_sq_dists(a[:n], b[:n]))
     key = int(np.argmax(np.ptp(b, axis=0)))
-    b = np.asfortranarray(b[np.argsort(b[:, key])])  # contiguous band columns
-    order = np.argsort(a[:, key])
-    a, bound = a[order], bound[order]
-    width = bound + BAND_MARGIN * (bound + np.abs(a[:, key])) + 1e-150
-    whole = ~np.isfinite(width)
-    width[whole] = 0.0
-    lo = np.searchsorted(b[:, key], a[:, key] - width, side="left")
-    hi = np.searchsorted(b[:, key], a[:, key] + width, side="right")
-    lo[whole], hi[whole] = 0, nb
-    out = np.empty(na)
-    buf = np.empty((2, max(PAIR_BLOCK, nb)))  # a block is within PAIR_BLOCK, or one row
-    start = 0
-    while start < na:
-        # the union of the bands grows with the rows; the first row's band caps them
-        cap = max(1, PAIR_BLOCK // max(1, hi[start] - lo[start]))
-        stop = min(na, start + min(BAND_ROWS, cap))
-        s = np.minimum.accumulate(lo[start:stop])
-        e = np.maximum.accumulate(hi[start:stop])
-        fits = np.arange(1, stop - start + 1) * (e - s) <= PAIR_BLOCK
-        rows = max(1, int(np.count_nonzero(fits)))
-        blk = slice(start, start + rows)
-        band = b[None, s[rows - 1]:e[rows - 1]]
-        out[order[blk]] = _sq_dists(a[blk, None], band, buf).min(axis=1)
-        start += rows
-    return np.sqrt(out)
+    b = np.asfortranarray(b[np.argsort(b[:, key])])
+    return np.sqrt(_band_sq(a, b, key, bound))
+
+
+def _directed_hausdorff(a, b):
+    """max_i min_j |a_i - b_j| by exact early exit; see hausdorff_points."""
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        return nearest_distances(a, b).max()
+    n = min(a.shape[0], b.shape[0])
+    seed = np.full(a.shape[0], np.inf)  # squared; rows with no partner come first
+    seed[:n] = _sq_dists(a[:n], b[:n])
+    visit = np.argsort(seed)[::-1]
+    key = int(np.argmax(np.ptp(b, axis=0)))
+    b = np.asfortranarray(b[np.argsort(b[:, key])])
+    h2 = 0.0
+    for start in range(0, visit.size, BAND_ROWS):
+        rows = visit[start:start + BAND_ROWS]
+        rows = rows[seed[rows] > h2]  # min_i <= seed_i <= h2 cannot raise the maximum
+        if rows.size == 0:
+            break
+        h2 = max(h2, _band_sq(a[rows], b, key, np.sqrt(seed[rows])).max())
+    return np.sqrt(h2)
 
 
 def hausdorff_points(a, b) -> float:
     """Symmetric Hausdorff distance of two finite point sets, Euclidean norm.
 
-    Exact (see nearest_distances, which it calls both ways). Sets with
-    |a| * |b| <= PAIR_BLOCK take both directions from one dense block, which
-    halves their work; the value is the same, as sqrt is monotone.
+    Exact: equal to the broadcast formula bit for bit. Sets with |a| * |b|
+    <= PAIR_BLOCK take both directions from one dense block. Otherwise each
+    direction max_i min_j |a_i - b_j| exits early: row i's squared distance
+    s_i to the same-index row of b (inf with no partner) bounds its squared
+    minimum; rows are solved in descending s_i, BAND_ROWS at a time, by the
+    band search of nearest_distances, until the next s_i <= H^2, the largest
+    squared minimum so far, as no later row can raise it. Squares are
+    compared, so no sqrt rounding enters the test. Sets with a non-finite
+    coordinate solve every row.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.size and b.size and a.shape[0] * b.shape[0] <= PAIR_BLOCK:
+    if a.size == 0 or b.size == 0:
+        raise ValueError("distance to an empty set")
+    if a.shape[0] * b.shape[0] <= PAIR_BLOCK:
         d2 = _sq_dists(a[:, None], b[None])
         return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
-    return float(max(nearest_distances(a, b).max(), nearest_distances(b, a).max()))
+    return float(max(_directed_hausdorff(a, b), _directed_hausdorff(b, a)))
 
 
 def projection_ratio_max(pts) -> float:

@@ -216,9 +216,14 @@ def load_manifold_csv(path: str, grid: BarycentricGrid, provenance: str = "") ->
         raise GridError(f"manifold file has a non-numeric row: {exc}") from exc
     if data.ndim != 2 or data.shape[1] != grid.dim + 1:
         raise GridError("manifold row width does not match the grid dimension")
-    if np.max(np.abs(data[:, : grid.dim] - grid.vertices)) > 1e-12:
+    if not np.max(np.abs(data[:, : grid.dim] - grid.vertices)) <= 1e-12:  # NaN fails too
         raise GridError("manifold directions do not match the grid lattice")
-    return RadialManifold(grid, data[:, grid.dim], provenance)
+    radii = data[:, grid.dim]
+    bad = np.flatnonzero(~(np.isfinite(radii) & (radii > 0.0)))
+    if bad.size:
+        raise GridError(f"manifold row {bad[0] + 1} has radius {float(radii[bad[0]])}; "
+                        "radii must be positive and finite")
+    return RadialManifold(grid, radii, provenance)
 
 
 def save_trajectory_csv(path: str, traj: np.ndarray, dists: np.ndarray) -> None:

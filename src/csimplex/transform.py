@@ -81,7 +81,9 @@ class PushforwardCloud:
 
     extra_* holds interior refinement samples for source cells whose image
     became numerically degenerate; refined_cells maps such a cell index to the
-    row of its refinement point.
+    row of its refinement point. dets holds det([v_0 ... v_{d-1}]) of every
+    grid cell's image directions, as pushforward computed them; None makes
+    the tiling compute them.
     """
 
     grid: BarycentricGrid
@@ -91,6 +93,7 @@ class PushforwardCloud:
     extra_directions: np.ndarray
     extra_radii: np.ndarray
     refined_cells: dict = field(default_factory=dict)
+    dets: np.ndarray | None = None
 
 
 def _push_points(kmap: KolmogorovMap, pts: np.ndarray, box_top: float | None) -> np.ndarray:
@@ -136,9 +139,9 @@ def pushforward(
     extra_dirs = np.empty((0, grid.dim))
     extra_rads = np.empty((0,))
     refined: dict[int, int] = {}
+    dets = np.empty((0,))
     if grid.cells.shape[0]:
-        mats = np.swapaxes(directions[grid.cells], 1, 2)
-        dets = np.linalg.det(mats)
+        dets = np.linalg.det(np.swapaxes(directions[grid.cells], 1, 2))
         bad = np.flatnonzero(np.abs(dets) < DEGENERATE_VOLUME)
         if bad.size:
             # refine once: push the source surface point over the cell barycenter
@@ -156,6 +159,7 @@ def pushforward(
         extra_directions=extra_dirs,
         extra_radii=extra_rads,
         refined_cells=refined,
+        dets=dets,
     )
 
 
@@ -215,8 +219,13 @@ def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
     grid = cloud.grid
     all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
     cells, parents, refined = _solve_cells(cloud)
-    mats = np.swapaxes(all_dirs[cells], 1, 2)
-    dets = np.linalg.det(mats)
+    # det works on each matrix alone: the plain cells reuse pushforward's values
+    dets = cloud.dets
+    if dets is None:
+        dets = np.linalg.det(np.swapaxes(cloud.directions[grid.cells], 1, 2))
+    if refined.any():
+        dets = dets[parents]
+        dets[refined] = np.linalg.det(np.swapaxes(all_dirs[cells[refined]], 1, 2))
 
     plain = ~refined
     rel = dets[plain] * grid.cell_orient[parents[plain]]
@@ -231,7 +240,7 @@ def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
     if not usable.any():
         raise CoverageError("all image cells degenerate")
     cells = cells[usable]
-    inv = np.linalg.inv(mats[usable])
+    inv = np.linalg.inv(np.swapaxes(all_dirs[cells], 1, 2))
 
     targets = grid.vertices
     tgt, cel = _raster_pairs(grid, all_dirs[cells])

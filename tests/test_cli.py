@@ -254,6 +254,29 @@ def test_verify_rejects_corrupt_sigma(tmp_path):
     assert main(["verify", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+@pytest.mark.parametrize("column,value,message", [
+    (-1, "nan", "manifold row 3 has radius nan"),
+    (-1, "inf", "manifold row 3 has radius inf"),
+    (-1, "0", "manifold row 3 has radius 0.0"),
+    (-1, "-0.5", "manifold row 3 has radius -0.5"),
+    (0, "nan", "directions do not match"),
+])
+def test_bad_surface_file_values_exit_2(tmp_path, capsys, command, column, value, message):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, grid={"resolution": 4})
+    sigma = tmp_path / "sigma.csv"
+    save_manifold_csv(str(sigma), constant_manifold(make_grid(2, 4), 1.0))
+    lines = sigma.read_text().splitlines()
+    row = lines[3].split(",")
+    row[column] = value
+    lines[3] = ",".join(row)
+    sigma.write_text("\n".join(lines) + "\n")
+    extra = ["--x0", "0.2,0.1", "--steps", "5"] if command == "simulate" else []
+    assert main([command, "--config", str(cfg_path), "--sigma", str(sigma)] + extra) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_export_iterates(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, grid={"resolution": 8})

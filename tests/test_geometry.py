@@ -305,6 +305,17 @@ def test_project_e_perp():
         np.testing.assert_allclose(project_e_perp(x + c), p, atol=1e-12)
 
 
+def test_project_e_perp_batch_equals_rows():
+    x = RNG.normal(size=(9, 4))
+    batch = project_e_perp(x)
+    np.testing.assert_allclose(batch.sum(axis=1), 0.0, atol=1e-14)
+    np.testing.assert_allclose(project_e_perp(np.arange(6.0).reshape(2, 3)), [[-1, 0, 1]] * 2)
+    for row, got in zip(x, batch):
+        assert np.array_equal(project_e_perp(row), got)
+        # a single point keeps the whole-array formula's bits
+        assert np.array_equal(project_e_perp(row), row - row.mean() * np.ones_like(row))
+
+
 @pytest.mark.parametrize("dim,m,a", [(2, 6, 1.0), (3, 5, 1.0), (3, 7, 2.5), (4, 4, 0.3)])
 def test_box_boundary_manifold(dim, m, a):
     grid = make_grid(dim, m)
@@ -498,6 +509,88 @@ def test_nearest_band_equals_broadcast(dim, monkeypatch):
             assert np.array_equal(nearest_distances(b_, a_), to_a, equal_nan=True)
             got = hausdorff_points(a_, b_)
             assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+
+def broadcast_hausdorff(a, b):
+    return float(max(broadcast_nearest(a, b).max(), broadcast_nearest(b, a).max()))
+
+
+def count_solved_rows(monkeypatch):
+    """Rows of a that the band search of the Hausdorff early exit solves, as a running count."""
+    solved = [0]
+    band_sq = geometry._band_sq
+
+    def counted(a, *args):
+        solved[0] += a.shape[0]
+        return band_sq(a, *args)
+
+    monkeypatch.setattr(geometry, "_band_sq", counted)
+    return solved
+
+
+@pytest.mark.parametrize("dim,m", [(2, 300), (3, 24), (4, 12)])
+def test_hausdorff_early_exit_equals_broadcast_on_iterates(dim, m):
+    kmap = ricker2d(0.5, 0.5, 0.5, 0.5) if dim == 2 else lg(dim, 0.3 if dim == 3 else 0.2)
+    pairs = iterate_pairs(kmap, dim, m, 1.0 if dim > 2 else 0.25, 0.5)
+    rng = np.random.default_rng(dim)
+    for lower, upper in pairs:
+        assert lower.shape[0] ** 2 > geometry.PAIR_BLOCK  # the early exit, not the dense block
+        expected = broadcast_hausdorff(lower, upper)
+        # a permuted b: the seed bounds belong to unrelated rows
+        shuffled = upper[rng.permutation(upper.shape[0])]
+        for a_, b_ in [(lower, upper), (upper, lower), (lower, shuffled), (shuffled, lower)]:
+            assert hausdorff_points(a_, b_) == expected
+
+
+def test_hausdorff_early_exit_edge_cases(monkeypatch):
+    a = RNG.random((300, 3))
+    coarse = RNG.integers(0, 3, (300, 3)) / 2.0  # duplicate points, tied seeds and minima
+    nonfinite = a.copy()
+    nonfinite[5, 1], nonfinite[9, 2] = np.nan, np.inf
+    cases = [
+        (a, a), (a, a + 1e-3), (a, a[::-1].copy()), (coarse, coarse[RNG.permutation(300)]),
+        (coarse, RNG.integers(0, 3, (280, 3)) / 2.0),
+        (a, RNG.random((260, 3))), (RNG.random((260, 3)), a),  # unequal sizes, both orders
+        (a, RNG.random((40, 3)) + 5.0),  # rows with no partner solve against all of b
+        (nonfinite, a), (a, nonfinite), (nonfinite[:, :1], a[:, :1]),
+    ]
+    for a_, b_ in cases:
+        expected = broadcast_hausdorff(a_, b_)
+        # the default block, and one small enough that every case exits early
+        for block, rows in [(geometry.PAIR_BLOCK, geometry.BAND_ROWS), (97, 3), (97, 1)]:
+            monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+            monkeypatch.setattr(geometry, "BAND_ROWS", rows)
+            got = hausdorff_points(a_, b_)
+            assert got == expected or (np.isnan(got) and np.isnan(expected))
+
+
+def test_hausdorff_early_exit_stops_at_a_tied_bound(monkeypatch):
+    # rows by descending seed: row 0 (seed 100, minimum 9 at b_2), row 1 (seed
+    # and minimum 9, equal to H^2 after row 0: skipped), row 2 (seed 1/4)
+    a = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 3.5]])
+    b = np.array([[10.0, 0.0], [50.0, 3.0], [0.0, 3.0]])
+    monkeypatch.setattr(geometry, "BAND_ROWS", 1)
+    solved = count_solved_rows(monkeypatch)
+    assert geometry._directed_hausdorff(a, b) == 3.0
+    assert solved[0] == 1
+    # row 1 one ulp farther: its bound exceeds H^2, and it raises the maximum
+    far = b.copy()
+    far[1, 1] = np.nextafter(3.0, 4.0)
+    expected = float(broadcast_nearest(a, far).max())
+    assert expected > 3.0
+    solved[0] = 0
+    assert geometry._directed_hausdorff(a, far) == expected
+    assert solved[0] == 2
+
+
+def test_hausdorff_early_exit_solves_few_rows_when_converged(monkeypatch):
+    pairs = iterate_pairs(lg(3, 0.3), 3, 64, 1.0, 0.5)
+    solved = count_solved_rows(monkeypatch)
+    for lower, upper in pairs[-3:]:
+        expected = max(nearest_distances(lower, upper).max(), nearest_distances(upper, lower).max())
+        solved[0] = 0
+        assert hausdorff_points(lower, upper) == expected
+        assert solved[0] < 0.05 * (lower.shape[0] + upper.shape[0])
 
 
 def triu_ratio_max(pts):

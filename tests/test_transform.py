@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -418,6 +419,54 @@ def test_raster_matches_dense_oracle_on_refined_cells(dim, m):
     expected, chosen = dense_resample(refined)
     cells, _ = transform._tile(refined)
     assert np.array_equal(cells, chosen)
+    np.testing.assert_allclose(resample(refined).radii, expected.radii, rtol=0, atol=1e-12)
+
+
+def count_det_calls(monkeypatch):
+    calls = [0]
+    det = np.linalg.det
+
+    def counted(a):
+        calls[0] += 1
+        return det(a)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim,m", [(2, 16), (3, 8), (4, 5)])
+def test_graph_step_takes_one_det_pass(dim, m, monkeypatch):
+    kmap = coupled_lg(dim)
+    grid = make_grid(dim, m)  # the grid's own orientation det comes first
+    upper = box_boundary_manifold(grid, 2.0)
+    assert pushforward(kmap, upper, box_top=2.0).refined_cells == {}
+    calls = count_det_calls(monkeypatch)
+    graph_step(kmap, upper, box_top=2.0)
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("dim,m", [(2, 6), (3, 5), (4, 3)])
+def test_refined_cloud_reuses_pushforward_dets(dim, m, monkeypatch):
+    grid = make_grid(dim, m)
+    rng = np.random.default_rng(11)
+    cloud = pushforward(coupled_lg(dim), RadialManifold(grid, 0.7 + 0.2 * rng.random(grid.n_vertices)))
+    picked = [0, grid.cells.shape[0] // 2, grid.cells.shape[0] - 1]
+    centers = cloud.directions[grid.cells[picked]].mean(axis=1)
+    centers[0] = cloud.directions[grid.cells[0, 0]]  # a vertex: degenerate sub-cells
+    refined = dataclasses.replace(
+        cloud,
+        extra_directions=centers,
+        extra_radii=np.array([0.8, 0.9, 1.0]),
+        refined_cells={c: k for k, c in enumerate(picked)},
+    )
+    fresh = dataclasses.replace(refined, dets=None)
+    expected, chosen = dense_resample(refined)
+    calls = count_det_calls(monkeypatch)
+    cells, w = transform._tile(refined)
+    assert calls[0] == 1  # the sub-cells of the refined cells only
+    assert np.array_equal(cells, chosen)
+    fresh_cells, fresh_w = transform._tile(fresh)
+    assert np.array_equal(cells, fresh_cells) and np.array_equal(w, fresh_w)
     np.testing.assert_allclose(resample(refined).radii, expected.radii, rtol=0, atol=1e-12)
 
 
