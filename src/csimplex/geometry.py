@@ -19,8 +19,9 @@ margin against rounding, are compared (see nearest_distances). The
 Hausdorff distance needs only the largest nearest distance, so it solves rows
 in descending order of that bound and stops at the first whose bound cannot
 exceed the largest found: an exact early exit (Taha and Hanbury, IEEE TPAMI
-37(11), 2015; see hausdorff_points). The dominance scan of weak
-unorderedness runs in row blocks.
+37(11), 2015; see hausdorff_points). The projection Lipschitz ratio prunes its
+pairs by grid buckets and the same exact early exit (see projection_ratio_max),
+and the dominance scan of weak unorderedness runs in row blocks.
 """
 from __future__ import annotations
 
@@ -207,11 +208,13 @@ class RadialManifold:
 
 
 def radial_project(x) -> np.ndarray:
-    """Direction x / ||x||_1 on the simplex; undefined at the origin."""
+    """Direction x / ||x||_1 on the simplex of each row of x, shape (..., d); undefined at 0."""
     x = np.asarray(x, dtype=float)
-    s = float(x.sum())
-    if s <= 0.0 or np.any(x < 0.0):
-        raise ValueError("radial projection needs a nonzero nonnegative point")
+    s = x.sum(axis=-1, keepdims=True)
+    bad = (s[..., 0] <= 0.0) | np.any(x < 0.0, axis=-1)
+    if np.any(bad):
+        row = "" if x.ndim == 1 else f" (row {np.flatnonzero(bad)[0]})"
+        raise ValueError(f"radial projection needs a nonzero nonnegative point{row}")
     return x / s
 
 
@@ -233,12 +236,17 @@ def symmetrized_order(x, y):
     return float(t) if t.ndim == 0 else t
 
 
-def harnack(x, y) -> float:
-    """Harnack distance 1 - min(order both ways); 0 at equal points, 1 on disjoint supports."""
+def harnack(x, y):
+    """Harnack distance 1 - min(order both ways); 0 at equal points, 1 on disjoint supports.
+
+    x and y have shape (..., d); a float for a single pair, else one value per row.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not (x > 0).any() or not (y > 0).any():
-        raise ValueError("harnack distance needs nonzero points")
+    zero = ~np.any(x > 0.0, axis=-1) | ~np.any(y > 0.0, axis=-1)
+    if np.any(zero):
+        row = "" if zero.ndim == 0 else f" (row {np.flatnonzero(zero)[0]})"
+        raise ValueError(f"harnack distance needs nonzero points{row}")
     return 1.0 - symmetrized_order(x, y)
 
 
@@ -314,6 +322,11 @@ BAND_MARGIN = 1e-9
 # at res 48 (medians of 9), 64 and 128 rows took 0.15 s, 32 rows 0.18 s, and
 # blocks capped by PAIR_BLOCK alone 0.18 s.
 BAND_ROWS = 64
+# Rows per occupied bucket of the grid in projection_ratio_max. Larger buckets loosen
+# its bounds, so more pairs are solved; smaller ones make more bucket pairs to screen.
+# On converged 3-species surfaces at res 128 and 4-species at res 32, 4 rows took 0.50
+# and 0.43 s, 6 rows 0.53 and 0.55 s, 3 rows 0.55 and 0.48 s (medians of 7).
+RATIO_FILL = 4
 
 
 def _sq_dists(p, q, buf=None) -> np.ndarray:
@@ -456,37 +469,108 @@ def hausdorff_points(a, b) -> float:
     return float(max(_directed_hausdorff(a, b), _directed_hausdorff(b, a)))
 
 
+def _pair_ratios(pts, i, j) -> np.ndarray:
+    """|x_i - x_j| / |P(x_i - x_j)| for row pairs i < j; inf where the projection is <= 1e-300."""
+    diffs = pts[i] - pts[j]
+    proj = diffs - diffs.mean(axis=1, keepdims=True)
+    num = np.linalg.norm(diffs, axis=1)
+    den = np.linalg.norm(proj, axis=1)
+    return np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf)
+
+
+def _bucket_ratio_max(pts, buckets, pa, pb, bound, best):
+    """best raised by the ratios of the row pairs of bucket pairs (pa[k], pb[k]), in order.
+
+    Bucket b holds rows perm[start[b]:][:count[b]] of buckets = (perm, start, count), and
+    paired with itself gives each of its pairs once. Pairs are solved PAIR_BLOCK // d at a
+    time, stopping at the first block whose first bucket pair has bound < best^2.
+    """
+    perm, start, count = buckets
+    sizes = count[pa] * count[pb]
+    ends = np.cumsum(sizes)
+    budget = max(1, PAIR_BLOCK // pts.shape[1])
+    for pos in range(0, int(sizes.sum()), budget):
+        flat = np.arange(pos, min(pos + budget, ends[-1]))
+        k = np.searchsorted(ends, flat, side="right")
+        if bound[k[0]] < best * best:
+            break
+        i, j = np.divmod(flat - (ends[k] - sizes[k]), count[pb[k]])
+        i += start[pa[k]]
+        j += start[pb[k]]
+        own = (pa[k] != pb[k]) | (i < j)
+        i, j = perm[i[own]], perm[j[own]]
+        ratios = _pair_ratios(pts, np.minimum(i, j), np.maximum(i, j))
+        best = np.maximum(best, ratios.max(initial=0.0))
+    return best
+
+
 def projection_ratio_max(pts) -> float:
     """Largest |x - y| / |P(x - y)| over all pairs of rows x, y, P the projection onto e-perp.
 
-    inf when two rows differ along (1, ..., 1) only. The pairs (i, j > i) are
-    taken in blocks of consecutive rows i, so memory stays linear in the
-    number of rows.
+    inf when two rows differ along e = (1, ..., 1) only. Exact: every pair solved uses the
+    arithmetic of _pair_ratios, taken as (i < j), and a maximum ignores the order of its
+    terms. Sets of at most PAIR_BLOCK // d pairs solve them in one block. Larger sets are
+    bucketed on a grid over q = x - h e (h the mean coordinate), about RATIO_FILL rows a
+    bucket; as ratio^2 = 1 + d dh^2 / |dq|^2, the (q, h) boxes of two buckets bound the
+    ratio^2 of their pairs. The pairs inside and between touching buckets seed best, the
+    largest ratio so far. The other bucket pairs are screened in blocks, and a block's
+    pairs with bound >= best^2 are solved in descending bound until one falls below
+    best^2. Boxes widen by BAND_MARGIN * max|x| + 1e-150, and bounds by the relative
+    BAND_MARGIN * (1 + sqrt(bound)), for rounding, underflow and the error of a computed
+    ratio, which grows with it. Memory stays linear in the number of rows. With a
+    non-finite coordinate, d < 2 or max|x| > 1e150, all rows share one bucket.
     """
     pts = np.asarray(pts, dtype=float)
-    n = pts.shape[0]
+    n, d = pts.shape
     if n < 2:
         raise ValueError("the ratio needs two points")
-    counts = np.arange(n - 1, -1, -1)  # pairs (i, j > i) of each row i
-    ends = np.cumsum(counts)
-    budget = max(1, PAIR_BLOCK // pts.shape[1])
-    block_max = []
-    start = 0
-    while start < n - 1:
-        done = ends[start] - counts[start]
-        stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
-        rows = np.arange(start, stop)
-        first = ends[start:stop] - counts[start:stop] - done
-        ii = np.repeat(rows, counts[start:stop])
-        jj = np.arange(ii.size) - np.repeat(first - rows - 1, counts[start:stop])
-        diffs = pts[ii] - pts[jj]
-        proj = diffs - diffs.mean(axis=1, keepdims=True)
-        num = np.linalg.norm(diffs, axis=1)
-        den = np.linalg.norm(proj, axis=1)
-        ratios = np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf)
-        block_max.append(ratios.max())
-        start = stop
-    return float(np.max(block_max))
+    if n * (n - 1) // 2 <= max(1, PAIR_BLOCK // d):
+        return float(_pair_ratios(pts, *np.triu_indices(n, 1)).max())
+    scale = np.abs(pts).max()
+    h = pts.mean(axis=1)
+    q = pts - h[:, None]
+    # a NaN scale fails the test too
+    grid = q[:, :min(d - 1, 3)] if d > 1 and scale <= 1e150 else np.zeros((n, 1))
+    grid = grid - grid.min(axis=0)
+    unit, k = grid.max() or 1.0, grid.shape[1]
+    m = (n / RATIO_FILL) ** (1.0 / k)  # cells along the longest axis, were the box filled
+    for _ in range(2):  # then corrected once by the measured fill
+        side = max(1, int(m))
+        cells = np.minimum(grid * (side / unit), side - 1).astype(np.intp)
+        key = np.ravel_multi_index(cells.T, (side,) * k)
+        perm = np.argsort(key, kind="stable")
+        start, count = np.unique(key[perm], return_index=True, return_counts=True)[1:]
+        m *= (n / start.size / RATIO_FILL) ** (1.0 / k)
+    nb, cell = start.size, cells[perm[start]]
+    slack = BAND_MARGIN * scale + 1e-150
+    qlo, qhi, hlo, hhi = (f.reduceat(v[perm], start, axis=0) + sign * slack
+                          for v in (q, h) for f, sign in ((np.minimum, -1), (np.maximum, 1)))
+    best, rows = 0.0, max(1, PAIR_BLOCK // d // nb)
+    for seed in (True, False):
+        for s in range(0, nb, rows):
+            a = np.arange(s, min(nb, s + rows))[:, None]
+            b = np.arange(s, nb)
+            near = np.ones((a.size, b.size), dtype=bool)
+            for c in range(k):
+                near &= np.abs(cell[b, c] - cell[a, c]) <= 1
+            if seed:
+                ii, jj = np.nonzero(near & (b >= a))
+                w = np.full(ii.size, np.inf)
+            else:
+                gap2 = np.zeros(near.shape)
+                for c in range(d):
+                    gap = np.maximum(qlo[b, c] - qhi[a, c], qlo[a, c] - qhi[b, c])
+                    gap2 += np.maximum(gap, 0.0) ** 2
+                hspan = np.maximum(hhi[b] - hlo[a], hhi[a] - hlo[b])
+                with np.errstate(divide="ignore", over="ignore"):
+                    bound = 1.0 + d * (hspan * hspan / gap2)
+                bound *= 1.0 + BAND_MARGIN * (1.0 + np.sqrt(bound))
+                ii, jj = np.nonzero(~near & (b > a) & (bound >= best * best))
+                w = bound[ii, jj]
+            order = np.argsort(-w, kind="stable")
+            best = _bucket_ratio_max(pts, (perm, start, count), a[ii[order], 0], b[jj[order]],
+                                     w[order], best)
+    return float(best)
 
 
 def is_weakly_unordered(manifold: RadialManifold, tol_order: float) -> list[tuple[int, int]]:

@@ -218,6 +218,15 @@ def test_radial_project():
     np.testing.assert_allclose(radial_project([1.0, 3.0]), [0.25, 0.75])
     with pytest.raises(ValueError):
         radial_project([0.0, 0.0])
+    batch = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])  # whole-array sums are 0.286 and 0.714
+    got = radial_project(batch)
+    np.testing.assert_allclose(got.sum(axis=1), [1.0, 1.0], rtol=1e-15)
+    for row, direction in zip(batch, got):
+        assert direction.tobytes() == radial_project(row).tobytes()
+    with pytest.raises(ValueError, match="row 1"):
+        radial_project([[1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="row 0"):
+        radial_project([[1.0, -2.0], [1.0, 1.0]])
 
 
 def test_order_function_examples():
@@ -280,6 +289,14 @@ def test_harnack_examples_and_properties():
         assert harnack(x, x) == 0.0
         assert h == pytest.approx(harnack(y, x))
         assert -1e-15 <= h <= 1.0
+    x, y = RNG.random((50, 3)) + 1e-3, RNG.random((50, 3)) * (RNG.random((50, 3)) < 0.7)
+    y[:, 0] += 1e-3  # partial supports, none empty
+    assert harnack(x, y).tobytes() == np.array([harnack(a, b) for a, b in zip(x, y)]).tobytes()
+    # the whole batch has a positive entry, the row does not
+    with pytest.raises(ValueError, match="row 1"):
+        harnack([[1.0, 2.0], [0.0, 0.0]], [[2.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match="row 0"):
+        harnack([[1.0, 2.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_restricted_harnack():
@@ -602,6 +619,14 @@ def triu_ratio_max(pts):
     return float(np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf).max())
 
 
+def converged_points(dim, m):
+    """Vertex points of a converged compute_cs surface: Ricker for d=2, Leslie-Gower above."""
+    kmap = ricker2d(0.5, 0.5, 0.5, 0.5) if dim == 2 else lg(dim, 0.3 if dim == 3 else 0.2)
+    sigma = compute_cs(kmap, make_grid(dim, m), 1.0 if dim > 2 else 0.25, 0.5, tolerance=1e-6).sigma
+    return vertex_points(sigma)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf rows
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_projection_ratio_chunked_equals_triu(dim, monkeypatch):
     pts = RNG.random((41, dim))
@@ -610,11 +635,129 @@ def test_projection_ratio_chunked_equals_triu(dim, monkeypatch):
     along_e[4] = along_e[3] + 0.5  # a pair that differs along (1, ..., 1) only
     # small sets, so that every pair is the largest in some set
     small = list(RNG.random((30, 7, dim)))
-    for block in (geometry.PAIR_BLOCK, 50, 3 * dim + 1, 1):
-        monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
-        for p in [pts, along_e, pts[:2]] + small:
-            assert projection_ratio_max(p) == triu_ratio_max(p)
+    far_dup = RNG.random((300, dim))
+    far_dup[-1] = far_dup[0]  # duplicate rows far apart in index
+    e_pair = RNG.random((300, dim))
+    e_pair[10] = 0.25 * np.arange(dim)
+    e_pair[250] = e_pair[10] + 0.5  # an e-parallel pair, also far apart in index
+    nonfinite = RNG.random((300, dim))
+    nonfinite[5], nonfinite[77, -1] = np.nan, np.inf
+    # uneven bucket fills: a dense cluster in a sparse halo
+    uneven = np.concatenate([0.5 + 1e-3 * RNG.random((250, dim)), RNG.random((60, dim))])
+    large = [far_dup, e_pair, nonfinite, uneven]
+    if dim > 1:  # surfaces above one block: converged, the decoupled box and the flat simplex
+        m = {2: 300, 3: 24, 4: 12}[dim]
+        grid = make_grid(dim, m)
+        large += [converged_points(dim, m), vertex_points(box_boundary_manifold(grid, 1.0)),
+                  vertex_points(constant_manifold(grid, 1.0))]
+        assert large[-3].shape[0] * (large[-3].shape[0] - 1) // 2 > geometry.PAIR_BLOCK // dim
+    # (PAIR_BLOCK, RATIO_FILL): the defaults, small blocks, one row per bucket and large buckets
+    fill = geometry.RATIO_FILL
+    for sets, settings in [
+        ([pts, along_e, pts[:2]] + small,
+         [(geometry.PAIR_BLOCK, fill), (50, 1), (3 * dim + 1, 40), (1, fill), (1, 1)]),
+        (large, [(geometry.PAIR_BLOCK, fill), (geometry.PAIR_BLOCK, 1), (997, 40), (397, fill)]),
+    ]:
+        for p in sets:
+            expected = triu_ratio_max(p)
+            for block, fill in settings:
+                monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+                monkeypatch.setattr(geometry, "RATIO_FILL", fill)
+                assert projection_ratio_max(p) == expected
     assert projection_ratio_max(along_e) == np.inf
+    assert projection_ratio_max(far_dup) == projection_ratio_max(e_pair) == np.inf
+    assert projection_ratio_max(nonfinite) == np.inf
+
+
+def count_solved_pairs(monkeypatch):
+    """Row pairs whose ratio projection_ratio_max computes, as a running count."""
+    solved = [0]
+    pair_ratios = geometry._pair_ratios
+
+    def counted(pts, i, j):
+        solved[0] += i.size
+        return pair_ratios(pts, i, j)
+
+    monkeypatch.setattr(geometry, "_pair_ratios", counted)
+    return solved
+
+
+def test_projection_ratio_solves_a_tied_bound(monkeypatch):
+    # one row per bucket and one pair per block; both pairs have ratio 1, below best = 1.5
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]])
+    buckets = (np.arange(4), np.arange(4), np.ones(4, dtype=int))
+    pa, pb = np.array([0, 2]), np.array([1, 3])
+    monkeypatch.setattr(geometry, "PAIR_BLOCK", 3)
+    solved = count_solved_pairs(monkeypatch)
+    # the first bound equals best^2 = 2.25: solved; the next is an ulp below: the search stops
+    bound = np.array([2.25, np.nextafter(2.25, 0.0)])
+    assert geometry._bucket_ratio_max(pts, buckets, pa, pb, bound, 1.5) == 1.5
+    assert solved[0] == 1
+    solved[0] = 0
+    assert geometry._bucket_ratio_max(pts, buckets, pa, pb, np.full(2, 2.25), 1.5) == 1.5
+    assert solved[0] == 2
+
+
+def tilted_lattice(dim, n, slope):
+    """Rows q + slope * q_0 * e over a dyadic n^(d-1) lattice of q in e-perp.
+
+    All pairs along q_0 have one ratio in exact arithmetic, so in one-row buckets the
+    computed ratios and the bounds of the screen tie up to rounding.
+    """
+    g = np.stack(np.meshgrid(*[np.arange(n) / n] * (dim - 1)), -1).reshape(-1, dim - 1)
+    q = np.concatenate([g, -g.sum(axis=1, keepdims=True)], axis=1)
+    return q + slope * q[:, :1]
+
+
+def test_projection_ratio_bounds_dominate_solved_pairs(monkeypatch):
+    # the screen's widened bound of a bucket pair is at least the square of every ratio
+    # computed in it; without the widening, thousands of tilted-lattice pairs exceed it
+    seen = []
+    bucket_max = geometry._bucket_ratio_max
+
+    def spy(pts, buckets, pa, pb, bound, best):
+        seen.append((buckets, pa, pb, bound))
+        return bucket_max(pts, buckets, pa, pb, bound, best)
+
+    monkeypatch.setattr(geometry, "_bucket_ratio_max", spy)
+    monkeypatch.setattr(geometry, "RATIO_FILL", 1)
+    for pts in (tilted_lattice(3, 16, 0.3), tilted_lattice(4, 8, 2.0), converged_points(3, 24)):
+        seen.clear()
+        assert projection_ratio_max(pts) == triu_ratio_max(pts)
+        checked = 0
+        for (perm, start, count), pa, pb, bound in seen:
+            for a, b, w in zip(pa, pb, bound):
+                if np.isfinite(w):  # seed pairs have no bound
+                    i, j = (x.ravel() for x in np.meshgrid(perm[start[a]:][:count[a]],
+                                                           perm[start[b]:][:count[b]]))
+                    r = geometry._pair_ratios(pts, np.minimum(i, j), np.maximum(i, j)).max()
+                    assert r * r <= w
+                    checked += 1
+        assert checked > 100
+
+
+@pytest.fixture(scope="module")
+def lg3_res64_points():
+    return converged_points(3, 64)
+
+
+def test_projection_ratio_solves_few_pairs_when_converged(lg3_res64_points, monkeypatch):
+    n = lg3_res64_points.shape[0]
+    solved = count_solved_pairs(monkeypatch)
+    got = projection_ratio_max(lg3_res64_points)
+    assert 1.3 < got < 1.4  # 1.37: the all-pairs maximum on this surface
+    assert solved[0] < 0.15 * n * (n - 1) / 2
+
+
+def test_projection_ratio_memory_is_linear(lg3_res64_points):
+    # all 2.3 million pairs at once would hold about 200 MB
+    tracemalloc.start()
+    try:
+        projection_ratio_max(lg3_res64_points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
 
 
 def test_sup_gap_dominates_hausdorff():
