@@ -183,16 +183,16 @@ def write_json(path: str, obj) -> None:
     atomic_write_text(path, json.dumps(sanitize(obj), indent=2, sort_keys=True) + "\n")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_rows(data: np.ndarray) -> list[str]:
+    """Each row of a 2-D float array as one line of 17-significant-digit values."""
+    fmt = ",".join(["%.17g"] * data.shape[1])
+    return [fmt % tuple(row) for row in data.tolist()]
 
 
 def save_manifold_csv(path: str, manifold: RadialManifold) -> None:
     grid = manifold.grid
     header = ",".join(f"u_{i + 1}" for i in range(grid.dim)) + ",R"
-    lines = [header]
-    for u, r in zip(grid.vertices, manifold.radii):
-        lines.append(",".join(_fmt(v) for v in u) + "," + _fmt(r))
+    lines = [header] + _csv_rows(np.column_stack([grid.vertices, manifold.radii]))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -229,7 +229,6 @@ def load_manifold_csv(path: str, grid: BarycentricGrid, provenance: str = "") ->
 def save_trajectory_csv(path: str, traj: np.ndarray, dists: np.ndarray) -> None:
     dim = traj.shape[1]
     header = "n," + ",".join(f"x_{i + 1}" for i in range(dim)) + ",dist"
-    lines = [header]
-    for n, (x, dist) in enumerate(zip(traj, dists)):
-        lines.append(str(n) + "," + ",".join(_fmt(v) for v in x) + "," + _fmt(dist))
+    rows = _csv_rows(np.column_stack([traj, dists]))
+    lines = [header] + [f"{n},{row}" for n, row in enumerate(rows)]
     atomic_write_text(path, "\n".join(lines) + "\n")

@@ -8,15 +8,27 @@ the harmonic mean of the image radii with the barycentric weights:
 
     R'(u) = 1 / sum_k (w_k / r_k).
 
-Point location is a cell-centric raster. Each image cell is mapped to the
-grid's cumulative lattice coordinates s = m * cumsum(v)[:-1], the
-coordinates of BarycentricGrid.locate; the integer points in its bounding box,
-widened by RASTER_MARGIN * m, are the only targets it is solved against. A
-target takes the candidate cell with the largest minimum barycentric weight,
-ties going to the lowest cell index. The cost is linear in the number of
-cells plus the number of (target, cell) candidates, which for an unfolded
-tiling of cells about one lattice step across is a small multiple of the
-number of cells.
+Image cells are taken to the grid's cumulative lattice coordinates
+s = m * cumsum(v)[:-1], the coordinates of BarycentricGrid.locate, where the
+target vertices are the ordered integer points. Barycentric weights are
+affine invariants and s is an affine bijection of the plane sum(v) = 1, so a
+cell's weights of a target t are solved there, in closed form: with the edge
+matrix E = [s_1 - s_0 ... s_D - s_0] (D = d - 1),
+
+    w_{1..D} = adj(E) (s_t - s_0) / det(E),    w_0 = 1 - sum w_{1..D},
+
+with det(E) and adj(E) taken by Laplace expansion over arrays of all cells
+at once, one code path for every d and no LAPACK call. Since
+det(E) = (-1)^(d+1) m^D det([v_0 ... v_D]), the fold and degeneracy tests
+keep their direction-space meaning.
+
+Point location is a cell-centric raster. The integer points in each cell's
+bounding box, widened by RASTER_MARGIN * m, are the only targets it is solved
+against. A target takes the candidate cell with the largest minimum
+barycentric weight, ties going to the lowest cell index. The cost is linear
+in the number of cells plus the number of (target, cell) candidates, which
+for an unfolded tiling of cells about one lattice step across is a small
+multiple of the number of cells.
 
 Folding of the image tiling (two cells with opposite orientation) means the
 map stopped being injective on the surface at this resolution and is reported
@@ -25,6 +37,7 @@ bisection solver along the image polyline provides a cross-check.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,9 +94,8 @@ class PushforwardCloud:
 
     extra_* holds interior refinement samples for source cells whose image
     became numerically degenerate; refined_cells maps such a cell index to the
-    row of its refinement point. dets holds det([v_0 ... v_{d-1}]) of every
-    grid cell's image directions, as pushforward computed them; None makes
-    the tiling compute them.
+    row of its refinement point. The cloud holds no per-cell data: the tiling
+    solves its cells by cofactors in lattice coordinates (see _cell_frames).
     """
 
     grid: BarycentricGrid
@@ -93,7 +105,6 @@ class PushforwardCloud:
     extra_directions: np.ndarray
     extra_radii: np.ndarray
     refined_cells: dict = field(default_factory=dict)
-    dets: np.ndarray | None = None
 
 
 def _push_points(kmap: KolmogorovMap, pts: np.ndarray, box_top: float | None) -> np.ndarray:
@@ -139,10 +150,9 @@ def pushforward(
     extra_dirs = np.empty((0, grid.dim))
     extra_rads = np.empty((0,))
     refined: dict[int, int] = {}
-    dets = np.empty((0,))
     if grid.cells.shape[0]:
-        dets = np.linalg.det(np.swapaxes(directions[grid.cells], 1, 2))
-        bad = np.flatnonzero(np.abs(dets) < DEGENERATE_VOLUME)
+        vol = _cell_frames(directions, grid.cells, grid.resolution)[3]
+        bad = np.flatnonzero(np.abs(vol) < DEGENERATE_VOLUME)
         if bad.size:
             # refine once: push the source surface point over the cell barycenter
             centers = manifold.grid.vertices[grid.cells[bad]].mean(axis=1)
@@ -159,7 +169,6 @@ def pushforward(
         extra_directions=extra_dirs,
         extra_radii=extra_rads,
         refined_cells=refined,
-        dets=dets,
     )
 
 
@@ -171,6 +180,8 @@ def _solve_cells(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     grid = cloud.grid
     n_cells, d = grid.cells.shape
+    if not cloud.refined_cells:
+        return grid.cells, np.arange(n_cells), np.zeros(n_cells, dtype=bool)
     centers = np.full(n_cells, -1)
     for c, row in cloud.refined_cells.items():
         centers[c] = cloud.directions.shape[0] + row
@@ -184,30 +195,115 @@ def _solve_cells(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray, np.nd
     return cells, parents, flags
 
 
-def _raster_pairs(grid: BarycentricGrid, cell_dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _minor(edges: np.ndarray, rows: tuple, cols: tuple, memo: dict) -> np.ndarray:
+    """Determinant of edges[rows][:, cols], expanded along its first row; memo shares minors."""
+    if not rows:
+        return 1.0
+    if len(rows) == 1:
+        return edges[rows[0], cols[0]]
+    key = (rows, cols)
+    if key not in memo:
+        total = edges[rows[0], cols[0]] * _minor(edges, rows[1:], cols[1:], memo)
+        for k in range(1, len(cols)):
+            term = edges[rows[0], cols[k]] * _minor(edges, rows[1:], cols[:k] + cols[k + 1:], memo)
+            total = total - term if k % 2 else total + term
+        memo[key] = total
+    return memo[key]
+
+
+def _cell_frames(
+    dirs: np.ndarray, cells: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell in the lattice coordinates s = m * cumsum(v)[:-1], and its volume.
+
+    dirs (P, d) holds directions and cells (C, d) rows of dirs. Returns the
+    origin s_0 (D, C) of each cell, its edge matrix E = [s_1 - s_0 ... s_D - s_0]
+    (D, D, C), det(E) (C,) and vol = det([v_0 ... v_D]) = (-1)^(d+1) det(E) / m^D
+    (C,), which the fold and DEGENERATE_VOLUME tests read. An edge is summed
+    from the differences of its end directions, which are exact for close
+    directions, so a small cell keeps its relative accuracy.
+    """
+    d = dirs.shape[1]
+    coords = np.ascontiguousarray(dirs.T)
+    rows = np.ascontiguousarray(cells.T)
+    origin = np.take(m * np.cumsum(coords, axis=0)[:-1], rows[0], axis=1)
+    edges = np.empty((d - 1, d - 1, cells.shape[0]))
+    for k in range(d - 1):  # running sums over the coordinates, one (C,) array at a time
+        base = np.take(coords[k], rows[0])
+        for j in range(d - 1):
+            diff = np.take(coords[k], rows[j + 1]) - base
+            edges[k, j] = diff if k == 0 else edges[k - 1, j] + diff
+    edges *= m
+    idx = tuple(range(d - 1))
+    det = _minor(edges, idx, idx, {})
+    vol = det * ((-1.0) ** (d + 1) / float(m) ** (d - 1))
+    return origin, edges, det, vol
+
+
+def _adjugate(edges: np.ndarray) -> np.ndarray:
+    """Adjugate (D, D, C) of a stack of D x D matrices (D, D, C), by cofactors.
+
+    The matrix indices come first, so that every entry is a contiguous (C,)
+    array. Minors are shared between cofactors, one code path for every D.
+    """
+    D = edges.shape[0]
+    idx = tuple(range(D))
+    memo: dict = {}
+    adj = np.empty(edges.shape)
+    for i, j in itertools.product(range(D), repeat=2):
+        cof = _minor(edges, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:], memo)
+        adj[i, j] = -cof if (i + j) % 2 else cof
+    return adj
+
+
+def _weights(origin: np.ndarray, inv: np.ndarray, cel: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Barycentric weights (d, n) of lattice points pts (D, n) in the cells cel (n,).
+
+    origin (D, C) holds the cells' origins s_0 and inv (D, D, C) their inverse
+    edge matrices adj(E) / det(E). Each pair's weights come from the same
+    elementwise operations whatever the batch, so a target gets the same
+    weights from a raster candidate list as from an all-pairs one.
+    """
+    D = pts.shape[0]
+    diff = [pts[k] - origin[k, cel] for k in range(D)]
+    w = np.empty((D + 1, cel.size))
+    for j in range(D):
+        acc = inv[j, 0, cel] * diff[0]
+        for k in range(1, D):
+            acc += inv[j, k, cel] * diff[k]
+        w[j + 1] = acc
+    w[0] = 1.0 - w[1:].sum(axis=0)
+    return w
+
+
+def _raster_pairs(
+    grid: BarycentricGrid, origin: np.ndarray, edges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(target, cell) candidates: target vertices in each cell's widened bounding box.
 
-    cell_dirs (C, d, d) holds the image directions of each cell's vertices.
-    Boxes are taken in the grid's cumulative lattice coordinates, where
-    the target vertices are the ordered integer points.
+    The cells are given in the grid's cumulative lattice coordinates, by
+    origin (D, C) and edges (D, D, C), where the target vertices are the
+    ordered integer points. Returns the target and cell of each candidate and
+    the target's lattice point (D, n).
     """
     m = grid.resolution
-    s = m * np.cumsum(cell_dirs, axis=-1)[..., :-1]  # (C, d, d - 1)
     margin = RASTER_MARGIN * m
-    lo = np.maximum(np.ceil(s.min(axis=1) - margin), 0).astype(np.intp)
-    hi = np.minimum(np.floor(s.max(axis=1) + margin), m).astype(np.intp)
+    low = origin + np.minimum(np.minimum.reduce(edges, axis=1), 0.0)
+    high = origin + np.maximum(np.maximum.reduce(edges, axis=1), 0.0)
+    lo = np.maximum(np.ceil(low - margin), 0).astype(np.intp)
+    hi = np.minimum(np.floor(high + margin), m).astype(np.intp)
     extent = np.maximum(hi - lo + 1, 0)
-    sizes = extent.prod(axis=1)
+    sizes = extent.prod(axis=0)
     cell = np.repeat(np.arange(sizes.size), sizes)
     rest = np.arange(cell.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    pts = np.empty((cell.size, grid.dim - 1), dtype=np.intp)
-    for k in range(grid.dim - 2, -1, -1):  # mixed-radix digits of the box offset
-        e = extent[cell, k]
-        pts[:, k] = lo[cell, k] + rest % e
+    pts = np.empty((extent.shape[0], cell.size), dtype=np.intp)
+    for k in range(extent.shape[0] - 1, -1, -1):  # mixed-radix digits of the box offset
+        e = extent[k, cell]
+        pts[k] = lo[k, cell] + rest % e
         rest //= e
-    target = grid.s_table[tuple(pts.T)]
+    target = grid.s_table[tuple(pts)]
     keep = target >= 0
-    return target[keep], cell[keep]
+    return target[keep], cell[keep], pts[:, keep]
 
 
 def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
@@ -219,51 +315,50 @@ def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
     grid = cloud.grid
     all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
     cells, parents, refined = _solve_cells(cloud)
-    # det works on each matrix alone: the plain cells reuse pushforward's values
-    dets = cloud.dets
-    if dets is None:
-        dets = np.linalg.det(np.swapaxes(cloud.directions[grid.cells], 1, 2))
-    if refined.any():
-        dets = dets[parents]
-        dets[refined] = np.linalg.det(np.swapaxes(all_dirs[cells[refined]], 1, 2))
+    origin, edges, det, vol = _cell_frames(all_dirs, cells, grid.resolution)
 
     plain = ~refined
-    rel = dets[plain] * grid.cell_orient[parents[plain]]
-    oriented = rel[np.abs(dets[plain]) >= DEGENERATE_VOLUME]
+    rel = vol[plain] * grid.cell_orient[parents[plain]]
+    oriented = rel[np.abs(vol[plain]) >= DEGENERATE_VOLUME]
     if oriented.size and oriented.min() < 0.0 < oriented.max():
         n_flip = int(min(np.sum(oriented < 0.0), np.sum(oriented > 0.0)))
         raise FoldError(
             f"image tiling folds: {n_flip} of {oriented.size} cells reversed orientation"
         )
 
-    usable = np.abs(dets) >= DEGENERATE_VOLUME
+    usable = np.abs(vol) >= DEGENERATE_VOLUME
     if not usable.any():
         raise CoverageError("all image cells degenerate")
-    cells = cells[usable]
-    inv = np.linalg.inv(np.swapaxes(all_dirs[cells], 1, 2))
+    if not usable.all():
+        keep = np.flatnonzero(usable)
+        cells, parents, origin = cells[keep], parents[keep], origin[:, keep]
+        edges, det = edges[:, :, keep], det[keep]
+    inv = _adjugate(edges) / det
 
-    targets = grid.vertices
-    tgt, cel = _raster_pairs(grid, all_dirs[cells])
-    alpha = np.einsum("pij,pj->pi", inv[cel], targets[tgt])  # barycentric in direction space
-    min_alpha = alpha.min(axis=1)
-    # per target: largest minimum weight first, then the lowest cell index
-    order = np.lexsort((cel, -min_alpha, tgt))
-    lead = order[np.r_[True, tgt[order[1:]] != tgt[order[:-1]]]]
-    best = np.full(targets.shape[0], -1)
-    best[tgt[lead]] = lead
-    covered = best >= 0
-    covered[covered] = min_alpha[best[covered]] >= -CONTAINMENT_TOL
+    tgt, cel, pts = _raster_pairs(grid, origin, edges)
+    alpha = _weights(origin, inv, cel, pts)
+    min_alpha = np.minimum.reduce(alpha, axis=0)
+    # per target: the largest minimum weight, then the lowest cell index, which
+    # is the lowest candidate index since the raster lists candidates by cell
+    top = np.full(grid.n_vertices, -np.inf)
+    np.maximum.at(top, tgt, min_alpha)
+    ties = np.flatnonzero(min_alpha == top[tgt])
+    best = np.full(grid.n_vertices, cel.size)
+    np.minimum.at(best, tgt[ties], ties)
+    covered = top >= -CONTAINMENT_TOL
 
     if not covered.all():
         t = int(np.argmin(covered))
         # the one target against every cell, for the nearest cell and its miss
-        row = np.einsum("cij,tj->tci", inv, targets[t:t + 1])[0].min(axis=1)
+        every = np.arange(cells.shape[0])
+        s_t = np.repeat(np.cumsum(grid.lattice[t])[:-1, None], every.size, axis=1)
+        row = np.minimum.reduce(_weights(origin, inv, every, s_t))
         c = int(np.argmax(row))
         raise CoverageError(
-            f"target vertex {t} (u={targets[t]}) uncovered; nearest image cell "
-            f"{c} misses by {float(-row[c]):.3e}"
+            f"target vertex {t} (u={grid.vertices[t]}) uncovered; nearest image cell "
+            f"{int(parents[c])} (cloud rows {cells[c].tolist()}) misses by {float(-row[c]):.3e}"
         )
-    return cells[cel[best]], alpha[best]
+    return cells[cel[best]], alpha[:, best].T
 
 
 def resample(cloud: PushforwardCloud) -> RadialManifold:

@@ -71,47 +71,71 @@ def loop_solve_cells(cloud):
     )
 
 
-def dense_resample(cloud, grid=None):
+def dense_resample(cloud):
     """All-pairs solve of every target against every image cell (reference for the raster).
 
-    Returns the resampled manifold and, per target, the chosen cell as a row of
-    cloud point indices.
+    The weights come from the tiling's own cofactor helpers, so the cell choice
+    (largest minimum weight, then lowest cell index) compares exactly. Returns
+    the resampled manifold and, per target, the chosen cell as a row of cloud
+    point indices.
     """
-    src_grid = cloud.grid
-    grid = grid if grid is not None else src_grid
+    grid = cloud.grid
     d = grid.dim
     all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
     all_rads = np.concatenate([cloud.radii, cloud.extra_radii])
     cells, parents, refined = loop_solve_cells(cloud)
-    mats = np.swapaxes(all_dirs[cells], 1, 2)
-    dets = np.linalg.det(mats)
+    origin, edges, det, vol = transform._cell_frames(all_dirs, cells, grid.resolution)
     plain = ~refined
-    rel = dets[plain] * src_grid.cell_orient[parents[plain]]
-    oriented = rel[np.abs(dets[plain]) >= DEGENERATE_VOLUME]
+    rel = vol[plain] * grid.cell_orient[parents[plain]]
+    oriented = rel[np.abs(vol[plain]) >= DEGENERATE_VOLUME]
     if oriented.size and oriented.min() < 0.0 < oriented.max():
         raise FoldError("image tiling folds")
-    usable = np.abs(dets) >= DEGENERATE_VOLUME
-    mats = mats[usable]
-    cells = cells[usable]
-    inv = np.linalg.inv(mats)
-    cell_rads = all_rads[cells]
-    targets = grid.vertices
-    alpha = np.einsum("cij,tj->tci", inv, targets)
-    min_alpha = alpha.min(axis=2)
+    usable = np.abs(vol) >= DEGENERATE_VOLUME
+    cells, parents = cells[usable], parents[usable]
+    origin, inv = origin[:, usable], transform._adjugate(edges[:, :, usable]) / det[usable]
+    n_t, n_c = grid.n_vertices, cells.shape[0]
+    pts = np.cumsum(grid.lattice, axis=1)[:, :-1].T
+    tgt = np.repeat(np.arange(n_t), n_c)
+    cel = np.tile(np.arange(n_c), n_t)
+    alpha = transform._weights(origin, inv, cel, pts[:, tgt]).reshape(d, n_t, n_c)
+    min_alpha = alpha.min(axis=0)
     best = np.argmax(min_alpha, axis=1)
-    covered = min_alpha[np.arange(targets.shape[0]), best] >= -CONTAINMENT_TOL
+    covered = min_alpha[np.arange(n_t), best] >= -CONTAINMENT_TOL
     if not covered.all():
         t = int(np.flatnonzero(~covered)[0])
-        gap = float(-min_alpha[t, best[t]])
+        c = best[t]
         raise CoverageError(
-            f"target vertex {t} (u={targets[t]}) uncovered; nearest image cell "
-            f"{int(best[t])} misses by {gap:.3e}"
+            f"target vertex {t} (u={grid.vertices[t]}) uncovered; nearest image cell "
+            f"{int(parents[c])} (cloud rows {cells[c].tolist()}) misses by "
+            f"{float(-min_alpha[t, c]):.3e}"
         )
-    w = alpha[np.arange(targets.shape[0]), best]
-    radii = 1.0 / (w / cell_rads[best]).sum(axis=1)
+    w = alpha[:, np.arange(n_t), best].T
+    radii = 1.0 / (w / all_rads[cells[best]]).sum(axis=1)
     for i in range(d):
-        radii[grid.corner_index(i)] = cloud.radii[src_grid.corner_index(i)]
+        radii[grid.corner_index(i)] = cloud.radii[grid.corner_index(i)]
     return RadialManifold(grid, radii), cells[best]
+
+
+def lapack_resample(cloud):
+    """Radii from LAPACK inverses of every usable cell in direction space.
+
+    An independent reference for the cofactor solve: the weights of a target u
+    in a cell with vertex directions V are inv(V) u.
+    """
+    grid = cloud.grid
+    all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
+    all_rads = np.concatenate([cloud.radii, cloud.extra_radii])
+    cells = loop_solve_cells(cloud)[0]
+    mats = np.swapaxes(all_dirs[cells], 1, 2)
+    usable = np.abs(np.linalg.det(mats)) >= DEGENERATE_VOLUME
+    cells = cells[usable]
+    alpha = np.einsum("cij,tj->tci", np.linalg.inv(mats[usable]), grid.vertices)
+    best = np.argmax(alpha.min(axis=2), axis=1)
+    w = alpha[np.arange(grid.n_vertices), best]
+    radii = 1.0 / (w / all_rads[cells[best]]).sum(axis=1)
+    for i in range(grid.dim):
+        radii[grid.corner_index(i)] = cloud.radii[grid.corner_index(i)]
+    return radii
 
 
 def coupled_lg(dim):
@@ -396,7 +420,9 @@ def test_raster_matches_dense_oracle(dim, m):
         expected, chosen = dense_resample(cloud)
         cells, _ = transform._tile(cloud)
         assert np.array_equal(cells, chosen), name
-        np.testing.assert_allclose(resample(cloud).radii, expected.radii, rtol=0, atol=1e-12)
+        radii = resample(cloud).radii
+        np.testing.assert_allclose(radii, expected.radii, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(radii, lapack_resample(cloud), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim,m", [(2, 6), (3, 5), (4, 3)])
@@ -419,37 +445,37 @@ def test_raster_matches_dense_oracle_on_refined_cells(dim, m):
     expected, chosen = dense_resample(refined)
     cells, _ = transform._tile(refined)
     assert np.array_equal(cells, chosen)
-    np.testing.assert_allclose(resample(refined).radii, expected.radii, rtol=0, atol=1e-12)
+    radii = resample(refined).radii
+    np.testing.assert_allclose(radii, expected.radii, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(radii, lapack_resample(refined), rtol=0, atol=1e-12)
 
 
-def count_det_calls(monkeypatch):
-    calls = [0]
-    det = np.linalg.det
+def forbid_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call in the graph step")
 
-    def counted(a):
-        calls[0] += 1
-        return det(a)
-
-    monkeypatch.setattr(np.linalg, "det", counted)
-    return calls
+    for name in ("det", "inv", "solve"):
+        monkeypatch.setattr(np.linalg, name, refuse)
 
 
 @pytest.mark.parametrize("dim,m", [(2, 16), (3, 8), (4, 5)])
-def test_graph_step_takes_one_det_pass(dim, m, monkeypatch):
+def test_graph_step_calls_no_lapack(dim, m, monkeypatch):
     kmap = coupled_lg(dim)
     grid = make_grid(dim, m)  # the grid's own orientation det comes first
     upper = box_boundary_manifold(grid, 2.0)
-    assert pushforward(kmap, upper, box_top=2.0).refined_cells == {}
-    calls = count_det_calls(monkeypatch)
-    graph_step(kmap, upper, box_top=2.0)
-    assert calls[0] == 1
+    lapack = lapack_resample(pushforward(kmap, upper, box_top=2.0))
+    forbid_lapack(monkeypatch)
+    out = graph_step(kmap, upper, box_top=2.0)
+    np.testing.assert_allclose(out.radii, lapack, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim,m", [(2, 6), (3, 5), (4, 3)])
-def test_refined_cloud_reuses_pushforward_dets(dim, m, monkeypatch):
+def test_refined_cells_call_no_lapack(dim, m, monkeypatch):
     grid = make_grid(dim, m)
     rng = np.random.default_rng(11)
-    cloud = pushforward(coupled_lg(dim), RadialManifold(grid, 0.7 + 0.2 * rng.random(grid.n_vertices)))
+    kmap = coupled_lg(dim)
+    manifold = RadialManifold(grid, 0.7 + 0.2 * rng.random(grid.n_vertices))
+    cloud = pushforward(kmap, manifold)
     picked = [0, grid.cells.shape[0] // 2, grid.cells.shape[0] - 1]
     centers = cloud.directions[grid.cells[picked]].mean(axis=1)
     centers[0] = cloud.directions[grid.cells[0, 0]]  # a vertex: degenerate sub-cells
@@ -459,15 +485,18 @@ def test_refined_cloud_reuses_pushforward_dets(dim, m, monkeypatch):
         extra_radii=np.array([0.8, 0.9, 1.0]),
         refined_cells={c: k for k, c in enumerate(picked)},
     )
-    fresh = dataclasses.replace(refined, dets=None)
     expected, chosen = dense_resample(refined)
-    calls = count_det_calls(monkeypatch)
-    cells, w = transform._tile(refined)
-    assert calls[0] == 1  # the sub-cells of the refined cells only
+    lapack = lapack_resample(refined)
+    forbid_lapack(monkeypatch)
+    with monkeypatch.context() as patch:
+        # every image cell counts as degenerate: pushforward refines them all
+        patch.setattr(transform, "DEGENERATE_VOLUME", np.inf)
+        assert len(pushforward(kmap, manifold).refined_cells) == grid.cells.shape[0]
+    cells, _ = transform._tile(refined)
     assert np.array_equal(cells, chosen)
-    fresh_cells, fresh_w = transform._tile(fresh)
-    assert np.array_equal(cells, fresh_cells) and np.array_equal(w, fresh_w)
-    np.testing.assert_allclose(resample(refined).radii, expected.radii, rtol=0, atol=1e-12)
+    radii = resample(refined).radii
+    np.testing.assert_allclose(radii, expected.radii, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(radii, lapack, rtol=0, atol=1e-12)
 
 
 def test_raster_coverage_error_matches_dense_oracle():
@@ -503,3 +532,98 @@ def test_resample_memory_is_output_sensitive():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def test_coverage_error_names_the_grid_cell_after_a_degenerate_one():
+    # image cell 0 collapses, so the nearest usable cell, grid cell 1, is the
+    # first usable one: the message names it by its grid index and cloud rows
+    grid = make_grid(2, 8)
+    cloud = pushforward(identity_map(2), constant_manifold(grid, 1.0))
+    center = np.full(2, 0.5)
+    shrunk = 0.5 * (cloud.directions - center) + center
+    shrunk[1] = shrunk[0]
+    broken = dataclasses.replace(cloud, points=shrunk * cloud.radii[:, None], directions=shrunk)
+    assert grid.cells[:2].tolist() == [[0, 1], [1, 2]]
+    message = r"vertex 0 .* nearest image cell 1 \(cloud rows \[1, 2\]\) misses by 2\.000e\+00"
+    with pytest.raises(CoverageError, match=message) as raster:
+        resample(broken)
+    with pytest.raises(CoverageError) as dense:
+        dense_resample(broken)
+    assert str(raster.value) == str(dense.value)
+
+
+def random_cells(rng, dim, n):
+    """n cells of random directions: the directions (n * dim, dim) and the cells' rows."""
+    return rng.dirichlet(np.ones(dim), size=n * dim), np.arange(n * dim).reshape(n, dim)
+
+
+@pytest.mark.parametrize("dim,m", [(2, 24), (3, 12), (4, 6), (5, 4)])
+def test_cell_frames_match_lapack(dim, m):
+    # image-like cells: grid cells with each direction moved by up to a third
+    # of a lattice step within its support
+    rng = np.random.default_rng(40 + dim)
+    grid = make_grid(dim, m)
+    noise = rng.uniform(-1.0, 1.0, grid.vertices.shape) * (grid.vertices > 0.0)
+    dirs = grid.vertices + noise / (3 * m)
+    dirs /= dirs.sum(axis=1, keepdims=True)
+    cells = grid.cells
+    origin, edges, det, vol = transform._cell_frames(dirs, cells, m)
+    mats = np.swapaxes(dirs[cells], 1, 2)
+    lapack = np.linalg.det(mats)
+    scale = (-1) ** (dim + 1) * m ** (dim - 1)
+    np.testing.assert_allclose(det / scale, lapack, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(vol, lapack, rtol=1e-12, atol=0)
+    # targets inside each cell and up to a tenth of its size outside
+    n = cells.shape[0]
+    w_true = rng.dirichlet(np.ones(dim), size=n) * 1.2 - 0.2 / dim
+    u = np.einsum("cij,cj->ci", mats, w_true)
+    pts = m * np.cumsum(u, axis=1)[:, :-1].T
+    w = transform._weights(origin, transform._adjugate(edges) / det, np.arange(n), pts)
+    np.testing.assert_allclose(w.T, np.linalg.solve(mats, u[..., None])[..., 0], rtol=0, atol=1e-12)
+
+
+def exact_lattice_volume(v):
+    """det([v_0 ... v_D]) of one cell in exact rational arithmetic, in the lattice chart.
+
+    The edges are the exact cumulative sums of the direction differences, so
+    the value is that of the cell the float directions span within the plane
+    sum(v) = 1, whatever rounding moved the directions off it.
+    """
+    from fractions import Fraction
+
+    d = v.shape[0]
+    a = [[sum(Fraction(float(v[j, i])) - Fraction(float(v[0, i])) for i in range(k + 1))
+          for j in range(1, d)] for k in range(d - 1)]
+    det = Fraction((-1) ** (d + 1))
+    for c in range(d - 1):  # Gaussian elimination
+        p = next((r for r in range(c, d - 1) if a[r][c] != 0), None)
+        if p is None:
+            return 0.0
+        if p != c:
+            a[c], a[p], det = a[p], a[c], -det
+        det *= a[c][c]
+        for r in range(c + 1, d - 1):
+            f = a[r][c] / a[c][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return float(det)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_cell_frames_classify_near_degenerate_cells(dim):
+    # random cells shrunk toward their centroid to volumes within a factor of
+    # ten of DEGENERATE_VOLUME on either side
+    rng = np.random.default_rng(50 + dim)
+    m, n = 24, 300
+    dirs, cells = random_cells(rng, dim, n)
+    v = dirs[cells]
+    center = v.mean(axis=1, keepdims=True)
+    scale = DEGENERATE_VOLUME * 10.0 ** rng.uniform(-1.0, 1.0, n) / np.abs(np.linalg.det(v))
+    v = center + scale[:, None, None] ** (1.0 / (dim - 1)) * (v - center)
+    vol = transform._cell_frames(v.reshape(-1, dim), cells, m)[3]
+    exact = np.array([exact_lattice_volume(c) for c in v])
+    assert np.any(np.abs(exact) < DEGENERATE_VOLUME) and np.any(np.abs(exact) >= DEGENERATE_VOLUME)
+    clear = np.abs(np.abs(exact) / DEGENERATE_VOLUME - 1.0) > 1e-9
+    assert np.array_equal((np.abs(vol) < DEGENERATE_VOLUME)[clear],
+                          (np.abs(exact) < DEGENERATE_VOLUME)[clear])
+    np.testing.assert_allclose(vol, exact, rtol=1e-9, atol=0)
+
