@@ -180,8 +180,6 @@ def _solve_cells(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray, np.nd
     """
     grid = cloud.grid
     n_cells, d = grid.cells.shape
-    if not cloud.refined_cells:
-        return grid.cells, np.arange(n_cells), np.zeros(n_cells, dtype=bool)
     centers = np.full(n_cells, -1)
     for c, row in cloud.refined_cells.items():
         centers[c] = cloud.directions.shape[0] + row
@@ -277,14 +275,15 @@ def _weights(origin: np.ndarray, inv: np.ndarray, cel: np.ndarray, pts: np.ndarr
 
 
 def _raster_pairs(
-    grid: BarycentricGrid, origin: np.ndarray, edges: np.ndarray
+    grid: BarycentricGrid, origin: np.ndarray, edges: np.ndarray, usable: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(target, cell) candidates: target vertices in each cell's widened bounding box.
+    """(target, cell) candidates: target vertices in each usable cell's widened bounding box.
 
     The cells are given in the grid's cumulative lattice coordinates, by
     origin (D, C) and edges (D, D, C), where the target vertices are the
-    ordered integer points. Returns the target and cell of each candidate and
-    the target's lattice point (D, n).
+    ordered integer points; a cell outside the mask usable (C,) gets no
+    candidates. Returns the target and cell of each candidate and the target's
+    lattice point (D, n).
     """
     m = grid.resolution
     margin = RASTER_MARGIN * m
@@ -293,7 +292,7 @@ def _raster_pairs(
     lo = np.maximum(np.ceil(low - margin), 0).astype(np.intp)
     hi = np.minimum(np.floor(high + margin), m).astype(np.intp)
     extent = np.maximum(hi - lo + 1, 0)
-    sizes = extent.prod(axis=0)
+    sizes = np.where(usable, extent.prod(axis=0), 0)
     cell = np.repeat(np.arange(sizes.size), sizes)
     rest = np.arange(cell.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     pts = np.empty((extent.shape[0], cell.size), dtype=np.intp)
@@ -329,13 +328,11 @@ def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
     usable = np.abs(vol) >= DEGENERATE_VOLUME
     if not usable.any():
         raise CoverageError("all image cells degenerate")
-    if not usable.all():
-        keep = np.flatnonzero(usable)
-        cells, parents, origin = cells[keep], parents[keep], origin[:, keep]
-        edges, det = edges[:, :, keep], det[keep]
-    inv = _adjugate(edges) / det
+    # degenerate cells keep their place but get no candidates and no inverse
+    inv = _adjugate(edges)
+    np.divide(inv, det, out=inv, where=usable)
 
-    tgt, cel, pts = _raster_pairs(grid, origin, edges)
+    tgt, cel, pts = _raster_pairs(grid, origin, edges, usable)
     alpha = _weights(origin, inv, cel, pts)
     min_alpha = np.minimum.reduce(alpha, axis=0)
     # per target: the largest minimum weight, then the lowest cell index, which
@@ -349,14 +346,14 @@ def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
 
     if not covered.all():
         t = int(np.argmin(covered))
-        # the one target against every cell, for the nearest cell and its miss
-        every = np.arange(cells.shape[0])
+        # the one target against every usable cell, for the nearest cell and its miss
+        every = np.flatnonzero(usable)
         s_t = np.repeat(np.cumsum(grid.lattice[t])[:-1, None], every.size, axis=1)
         row = np.minimum.reduce(_weights(origin, inv, every, s_t))
-        c = int(np.argmax(row))
+        c = int(every[np.argmax(row)])
         raise CoverageError(
             f"target vertex {t} (u={grid.vertices[t]}) uncovered; nearest image cell "
-            f"{int(parents[c])} (cloud rows {cells[c].tolist()}) misses by {float(-row[c]):.3e}"
+            f"{int(parents[c])} (cloud rows {cells[c].tolist()}) misses by {float(-row.max()):.3e}"
         )
     return cells[cel[best]], alpha[:, best].T
 
