@@ -17,7 +17,6 @@ from .assumptions import (
     find_kappa,
     jury_condition_ricker2d,
     run_assumption_checks,
-    spectral_radius,
 )
 from .geometry import (
     BarycentricGrid,

@@ -85,8 +85,8 @@ def _check_input(kmap: KolmogorovMap, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != kmap.dim:
         raise ValueError(f"{kmap.name} expects points of dimension {kmap.dim}")
-    bad = ~(np.isfinite(x) & (x >= 0.0)).all(axis=-1)
-    if bad.any():
+    if x.size and not (x.min() >= 0.0 and x.max() < np.inf):  # NaN fails min() >= 0
+        bad = ~(np.isfinite(x) & (x >= 0.0)).all(axis=-1)
         raise MapDomainError(f"input {_at(x, bad)} is not finite and nonnegative")
     return x
 
@@ -95,8 +95,8 @@ def _f(kmap: KolmogorovMap, x: np.ndarray) -> np.ndarray:
     y = np.asarray(kmap.f(x), dtype=float)
     if y.shape != x.shape:
         raise ValueError(f"{kmap.name}: f returned shape {y.shape} for points {x.shape}")
-    bad = ~(np.isfinite(y) & (y > 0.0)).all(axis=-1)
-    if bad.any():
+    if y.size and not (y.min() > 0.0 and y.max() < np.inf):
+        bad = ~(np.isfinite(y) & (y > 0.0)).all(axis=-1)
         raise MapDomainError(f"{kmap.name}: f is not strictly positive at {_at(x, bad)}")
     return y
 
@@ -108,8 +108,8 @@ def _df(kmap: KolmogorovMap, x: np.ndarray) -> np.ndarray:
         jac = fd_jacobian(kmap.f, x, kmap.dim)
     if jac.shape != x.shape + (kmap.dim,):
         raise ValueError(f"{kmap.name}: Jacobian of shape {jac.shape} for points {x.shape}")
-    bad = ~np.isfinite(jac).all(axis=(-2, -1))
-    if bad.any():
+    if jac.size and not (jac.min() > -np.inf and jac.max() < np.inf):
+        bad = ~np.isfinite(jac).all(axis=(-2, -1))
         raise MapDomainError(f"{kmap.name}: bad Jacobian at {_at(x, bad)}")
     return jac
 
@@ -156,8 +156,8 @@ def eval_Z(kmap: KolmogorovMap, x, tol: float = 1e-9) -> np.ndarray:
     x = _check_input(kmap, x)
     z = -(x[..., :, None] * _df(kmap, x)) / _f(kmap, x)[..., :, None]
     z = np.where((x == 0.0)[..., :, None], 0.0, z)
-    neg = z.min(axis=(-2, -1)) < -tol
-    if neg.any():
+    if z.size and z.min() < -tol:
+        neg = z.min(axis=(-2, -1)) < -tol
         zr = z[neg][0]
         i, j = np.unravel_index(np.argmin(zr), zr.shape)
         raise MapDomainError(

@@ -12,7 +12,6 @@ from csimplex.assumptions import (
     check_as4,
     jury_condition_ricker2d,
     run_assumption_checks,
-    spectral_radius,
 )
 from csimplex.cli import main
 from csimplex.geometry import (
@@ -42,6 +41,7 @@ from csimplex.simplex import (
     verify_cs,
 )
 from csimplex.transform import bisection_resample, graph_step, pushforward, resample
+from spectral_oracles import spectral_radius
 
 
 def record(num: int, ok: bool, detail: str) -> None:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from csimplex import assumptions
 from csimplex.assumptions import (
     AssumptionError,
     check_as2,
@@ -10,9 +11,7 @@ from csimplex.assumptions import (
     find_epsilon,
     find_kappa,
     jury_condition_ricker2d,
-    power_radius,
     run_assumption_checks,
-    spectral_radius,
 )
 from csimplex.maps import (
     KolmogorovMap,
@@ -23,6 +22,7 @@ from csimplex.maps import (
     ricker1d,
     ricker2d,
 )
+from spectral_oracles import dense_check_as4, power_radius, spectral_radius
 
 RNG = np.random.default_rng(101)
 
@@ -102,6 +102,60 @@ def test_check_as4_monotone_in_kappa():
     small = check_as4(kmap, 0.1, 24)
     assert big.ok and small.ok
     assert small.max_rho <= big.max_rho + 1e-12
+
+
+def lg(dim, offdiag):
+    return leslie_gower((1.0,) * dim, np.eye(dim) + offdiag * (1.0 - np.eye(dim)))
+
+
+SCAN_MAPS = [
+    beverton_holt(), atkinson_allen(0.5), ricker1d(0.5), ricker1d(1.5),
+    ricker2d(0.5, 0.5, 0.5, 0.5), ricker2d(0.5, 0.5, 0.0, 0.0), ricker2d(0.9, 0.2, 1.2, 0.3),
+    leslie_gower(), lg(3, 0.3), lg(3, 0.0), lg(4, 0.3), lg(4, 0.0),
+]
+
+
+@pytest.mark.parametrize("kmap", SCAN_MAPS, ids=lambda k: f"{k.name}{k.dim}-{k.params}")
+def test_check_as4_equals_dense_scan(kmap):
+    # the resolutions of the default scans and of the coarse benchmark scan
+    for resolution in sorted({default_resolution(kmap.dim), 12}):
+        for kappa in (0.0, 0.25, 0.5, 1.0):
+            assert check_as4(kmap, kappa, resolution) == dense_check_as4(kmap, kappa, resolution)
+
+
+def count_solved(monkeypatch):
+    """Matrices passed to the eigensolver, one entry per call."""
+    solved = []
+    eigvals = np.linalg.eigvals
+
+    def counted(z):
+        solved.append(z.shape[0])
+        return eigvals(z)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return solved
+
+
+def test_check_as4_face_tie_first_point_wins(monkeypatch):
+    # decoupled Leslie-Gower: rho = max_i x_i / (1 + x_i) ties wherever a coordinate is 2
+    kmap = lg(3, 0.0)
+    solved = count_solved(monkeypatch)
+    res = check_as4(kmap, 1.0, 24)
+    assert solved == [1657]
+    assert res.argmax_point == [0.0, 0.0, 2.0]
+    assert res.max_rho == pytest.approx(2.0 / 3.0, rel=1e-15)
+
+
+def test_check_as4_solves_only_candidates(monkeypatch):
+    solved = count_solved(monkeypatch)
+    res = check_as4(ricker2d(0.5, 0.5, 0.5, 0.5), 0.25, 64)
+    assert solved == [1]  # of 4095 scan points
+    assert res.argmax_point == [1.25, 1.25]
+    # the lower bound takes the row and the column sums: either alone keeps 0.1 I
+    for z in ([[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.0], [0.5, 0.0]]):
+        solved.clear()
+        assert assumptions._max_radius(np.array([0.1 * np.eye(2), z])) == (1, 0.5)
+        assert solved == [1]
 
 
 def test_jury_condition_examples():

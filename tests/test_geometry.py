@@ -610,6 +610,23 @@ def test_hausdorff_early_exit_solves_few_rows_when_converged(monkeypatch):
         assert solved[0] < 0.05 * (lower.shape[0] + upper.shape[0])
 
 
+def test_hausdorff_early_exit_solves_few_pairs_when_converged(monkeypatch):
+    # blocks grow from one row: a first block of BAND_ROWS rows scattered in key
+    # order would band nearly all of b, about 115,000 pairs here
+    lower, upper = iterate_pairs(lg(3, 0.3), 3, 48, 1.0, 0.5)[-1]
+    pairs = [0]
+    sq_dists = geometry._sq_dists
+
+    def counted(p, q, buf=None):
+        pairs[0] += int(np.prod(np.broadcast_shapes(p.shape[:-1], q.shape[:-1])))
+        return sq_dists(p, q, buf)
+
+    expected = max(nearest_distances(lower, upper).max(), nearest_distances(upper, lower).max())
+    monkeypatch.setattr(geometry, "_sq_dists", counted)
+    assert hausdorff_points(lower, upper) == expected
+    assert pairs[0] < 5000  # 2 * 1225 of them are the seed bounds
+
+
 def triu_ratio_max(pts):
     ii, jj = np.triu_indices(pts.shape[0], k=1)
     diffs = pts[ii] - pts[jj]

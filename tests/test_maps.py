@@ -153,6 +153,48 @@ def test_batched_contract(kmap):
         eval_f(scalar, rows)
 
 
+def _trap_map(site):
+    """A planar map that breaks the check at `site` exactly at the points with x_0 = 0.7."""
+
+    def f(x):
+        y = np.exp(1.0 - x)
+        if site == "f":
+            y[x[..., 0] == 0.7] = 0.0
+        return y
+
+    def df(x):
+        jac = -np.exp(1.0 - x)[..., None] * np.eye(2)
+        trap = x[..., 0] == 0.7
+        if site == "df":
+            jac[trap] = np.nan
+        elif site == "Z":
+            jac[trap, 0, 1] = 1.0  # mutualism: Z_01 = -x_0 / f_0 < 0
+        return jac
+
+    return KolmogorovMap("trap", 2, {}, f, df)
+
+
+@pytest.mark.parametrize("shape", [(300,), (3, 100)])
+@pytest.mark.parametrize("site", ["input", "f", "df", "Z"])
+def test_domain_errors_name_the_first_bad_row(shape, site):
+    # the messages of the per-row scan, whichever row of the batch is first bad
+    kmap = _trap_map(site)
+    for pos in [(0,) * len(shape), tuple(n // 2 for n in shape), tuple(n - 1 for n in shape)]:
+        x = RNG.random(shape + (2,))
+        for row in (pos, tuple(n - 1 for n in shape)):  # a later bad row is not named
+            x[row] = (np.nan, 0.5) if site == "input" else (0.7, 0.5)
+        point = f"{x[pos]}" + (f" (row {pos[0]})" if len(pos) == 1 else f" (row {pos})")
+        expected = {
+            "input": f"input {point} is not finite and nonnegative",
+            "f": f"trap: f is not strictly positive at {point}",
+            "df": f"trap: bad Jacobian at {point}",
+            "Z": f"trap: negative feedback entry {-0.7 / math.exp(0.3):.3e} at (0,1), x={point}",
+        }[site]
+        with pytest.raises(MapDomainError) as err:
+            eval_Z(kmap, x)
+        assert str(err.value) == expected
+
+
 def test_axis_map_examples():
     g = axis_map(beverton_holt(), 0)
     assert g.G(0.5) == pytest.approx(2.0 / 3.0)
