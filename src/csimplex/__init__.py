@@ -53,7 +53,6 @@ from .simplex import (
     compute_cs,
     gamma_membership,
     induced_map,
-    iterate_manifold,
     shadow_point,
     surface_distance,
     verify_cs,
@@ -62,7 +61,6 @@ from .transform import (
     CoverageError,
     FoldError,
     PushforwardCloud,
-    bisection_resample,
     graph_step,
     pushforward,
     resample,

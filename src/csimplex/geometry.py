@@ -10,18 +10,21 @@ coordinates s_i = m * (u_1 + ... + u_i): the dilated simplex becomes the
 region 0 <= s_1 <= ... <= s_{d-1} <= m, which is a union of complete Kuhn
 cells of the integer cube grid, so point location needs only floor/sort.
 
-The metrics between point sets are exact and linear in memory. The nearest
-point search behind the Hausdorff distance is pruned to a band: each query's
-distance to its same-index partner (for two vertex clouds of one grid, the
-radial gap at that vertex) bounds how far its nearest point can lie along the
-key coordinate, and only the points within that bound, widened by a relative
-margin against rounding, are compared (see nearest_distances). The
-Hausdorff distance needs only the largest nearest distance, so it solves rows
-in descending order of that bound and stops at the first whose bound cannot
-exceed the largest found: an exact early exit (Taha and Hanbury, IEEE TPAMI
-37(11), 2015; see hausdorff_points). The projection Lipschitz ratio prunes its
-pairs by grid buckets and the same exact early exit (see projection_ratio_max),
-and the dominance scan of weak unorderedness runs in row blocks.
+The metrics between point sets are exact and linear in memory, and each
+prunes its pairs with bounds it has already paid for. The nearest point search
+behind the Hausdorff distance is pruned to a band: each query's distance to its
+same-index partner (for two vertex clouds of one grid, the radial gap at that
+vertex), tightened by its distance to a fixed strided probe of the other set,
+bounds how far its nearest point can lie along the key coordinate, and only the
+points within that bound, widened by a relative margin against rounding, are
+compared (see nearest_distances). The Hausdorff distance needs only the largest
+nearest distance, so it solves rows in descending order of that bound and stops
+at the first whose bound cannot exceed the largest found: an exact early exit
+(Taha and Hanbury, IEEE TPAMI 37(11), 2015; see hausdorff_points). The
+projection Lipschitz ratio and the dominance scan of weak unorderedness share
+one grid of point buckets, and solve only the bucket pairs whose box bounds can
+reach the maximum or hold a dominated pair (Bentley, Weide and Yao, ACM TOMS
+6(4), 1980; see projection_ratio_max and is_weakly_unordered).
 """
 from __future__ import annotations
 
@@ -325,11 +328,12 @@ BAND_MARGIN = 1e-9
 # are scattered in key order, so a first block of 64 bands nearly all of b,
 # where on a converged iterate one row already settles the maximum.
 BAND_ROWS = 64
-# Rows per occupied bucket of the grid in projection_ratio_max. Larger buckets loosen
-# its bounds, so more pairs are solved; smaller ones make more bucket pairs to screen.
-# On converged 3-species surfaces at res 128 and 4-species at res 32, 4 rows took 0.50
-# and 0.43 s, 6 rows 0.53 and 0.55 s, 3 rows 0.55 and 0.48 s (medians of 7).
-RATIO_FILL = 4
+# Rows per occupied bucket of _buckets. Larger buckets loosen the bounds, so more pairs
+# are solved; smaller ones make more bucket pairs to screen. On converged 3-species
+# surfaces at res 128 and 4-species at res 32, projection_ratio_max and
+# is_weakly_unordered took 0.37 and 0.33 s at 4 rows, 0.31 and 0.29 s at 5 and at 6 rows
+# (medians of 15, 2-core x86_64).
+RATIO_FILL = 5
 
 
 def _sq_dists(p, q, buf=None) -> np.ndarray:
@@ -387,6 +391,14 @@ def _band_sq(a, b, key, bound) -> np.ndarray:
     return out
 
 
+def _probe_sq(a, b) -> np.ndarray:
+    """Squared distance from each row of a to its nearest in the probe b[::max(1, |b| // 64)]."""
+    probe = b[::max(1, b.shape[0] // 64)]  # at most 128 rows
+    rows = max(1, PAIR_BLOCK // probe.shape[0])
+    return np.concatenate([_sq_dists(a[s:s + rows, None], probe[None]).min(axis=1)
+                           for s in range(0, a.shape[0], rows)])
+
+
 def nearest_distances(a, b) -> np.ndarray:
     """Distance from each row of a to the nearest row of b.
 
@@ -397,11 +409,12 @@ def nearest_distances(a, b) -> np.ndarray:
 
     When |a| * |b| <= PAIR_BLOCK all pairs are solved in one block. Otherwise
     the search is pruned to a band (_band_sq):
-    - seed bound: row i of a gets r_i = |a_i - b_i|, its distance to the
-      same-index row of b (for two vertex clouds of one grid, the radial gap
-      at vertex i, so at most sup_gap); rows with no partner, and all rows
-      when b is not finite, get inf. The nearest row of b lies within r_i of
-      a_i, so its key differs from a_i's by at most r_i;
+    - seed bound: row i of a gets r_i, the smaller of |a_i - b_i|, its
+      distance to the same-index row of b (for two vertex clouds of one grid,
+      the radial gap at vertex i; inf with no partner), and its distance to
+      the probe b[::max(1, |b| // 64)], which bounds rows of unrelated index.
+      All rows get inf when b is not finite. The nearest row of b lies within
+      r_i of a_i, so its key differs from a_i's by at most r_i;
     - band rule: both sets are sorted on the key coordinate, the one in
       which b spreads most, and row i is compared only with the contiguous
       rows of b whose key lies within w_i = r_i + BAND_MARGIN * (r_i +
@@ -423,7 +436,8 @@ def nearest_distances(a, b) -> np.ndarray:
     n = min(na, nb)
     bound = np.full(na, np.inf)
     if np.all(np.isfinite(b)):  # a NaN in b reaches every minimum
-        bound[:n] = np.sqrt(_sq_dists(a[:n], b[:n]))
+        bound[:n] = _sq_dists(a[:n], b[:n])
+        bound = np.sqrt(np.minimum(bound, _probe_sq(a, b)))
     key = int(np.argmax(np.ptp(b, axis=0)))
     b = np.asfortranarray(b[np.argsort(b[:, key])])
     return np.sqrt(_band_sq(a, b, key, bound))
@@ -438,16 +452,21 @@ def _directed_hausdorff(a, b):
     seed[:n] = _sq_dists(a[:n], b[:n])
     visit = np.argsort(seed)[::-1]
     key = int(np.argmax(np.ptp(b, axis=0)))
-    b = np.asfortranarray(b[np.argsort(b[:, key])])
+    srt = np.asfortranarray(b[np.argsort(b[:, key])])
     h2 = 0.0
     start, size = 0, 1
     while start < visit.size:
         rows = visit[start:start + size]
-        start, size = start + size, min(2 * size, BAND_ROWS)
         rows = rows[seed[rows] > h2]  # min_i <= seed_i <= h2 cannot raise the maximum
         if rows.size == 0:
             break
-        h2 = max(h2, _band_sq(a[rows], b, key, np.sqrt(seed[rows])).max())
+        bound = seed[rows]
+        if start:  # after the first block, the probe drops rows whose minimum cannot exceed h2
+            bound = np.minimum(bound, _probe_sq(a[rows], b))
+            rows, bound = rows[bound > h2], bound[bound > h2]
+        start, size = start + size, min(2 * size, BAND_ROWS)
+        if rows.size:
+            h2 = max(h2, _band_sq(a[rows], srt, key, np.sqrt(bound)).max())
     return np.sqrt(h2)
 
 
@@ -461,8 +480,11 @@ def hausdorff_points(a, b) -> float:
     minimum; rows are solved in descending s_i, in blocks of 1, 2, 4, ... up
     to BAND_ROWS rows, by the band search of nearest_distances, until the
     next s_i <= H^2, the largest squared minimum so far, as no later row can
-    raise it. Squares are compared, so no sqrt rounding enters the test. Sets
-    with a non-finite coordinate solve every row.
+    raise it. After the first block, the probe of nearest_distances tightens
+    each s_i, and a row whose bound falls to H^2 or below is dropped: on sets
+    far apart, where every s_i is large, that skips almost every row. Squares
+    are compared, so no sqrt rounding enters the test. Sets with a non-finite
+    coordinate solve every row.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -475,40 +497,69 @@ def hausdorff_points(a, b) -> float:
 
 
 def _pair_ratios(pts, i, j) -> np.ndarray:
-    """|x_i - x_j| / |P(x_i - x_j)| for row pairs i < j; inf where the projection is <= 1e-300."""
-    diffs = pts[i] - pts[j]
-    proj = diffs - diffs.mean(axis=1, keepdims=True)
-    num = np.linalg.norm(diffs, axis=1)
-    den = np.linalg.norm(proj, axis=1)
+    """|x_i - x_j| / |P(x_i - x_j)| for row pairs i < j; inf where the projection is <= 1e-300.
+
+    Columns are gathered and summed one at a time, ((c0 + c1) + c2) ..., the order of
+    numpy's norm and mean over a short axis, so for d < 8 each ratio equals the row formula's.
+    """
+    diffs = [pts[i, k] - pts[j, k] for k in range(pts.shape[1])]
+    mean = sum(diffs) / len(diffs)
+    num = np.sqrt(sum(c * c for c in diffs))
+    den = np.sqrt(sum((c - mean) ** 2 for c in diffs))
     return np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf)
+
+
+def _buckets(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of grid (n, k) in buckets of a regular grid, about RATIO_FILL rows each.
+
+    Returns (perm, start, count, cell): bucket b holds rows perm[start[b]:][:count[b]]
+    in increasing order and lies in the integer cell (k,) cell[b].
+    """
+    n = grid.shape[0]
+    grid = grid - grid.min(axis=0)
+    unit, k = grid.max() or 1.0, grid.shape[1]
+    m = (n / RATIO_FILL) ** (1.0 / k)  # cells along the longest axis, were the box filled
+    for _ in range(2):  # then corrected once by the measured fill
+        side = max(1, int(m))
+        cells = np.minimum(grid * (side / unit), side - 1).astype(np.intp)
+        key = np.ravel_multi_index(cells.T, (side,) * k)
+        perm = np.argsort(key, kind="stable")
+        start, count = np.unique(key[perm], return_index=True, return_counts=True)[1:]
+        m *= (n / start.size / RATIO_FILL) ** (1.0 / k)
+    return perm, start, count, cells[perm[start]]
+
+
+def _row_pairs(buckets, pa, pb, budget):
+    """Row pairs of the bucket pairs (pa[k], pb[k]) of buckets = (perm, start, count), in order.
+
+    Yields blocks of budget pairs (k, i, j): each pair's bucket pair k and its rows' positions
+    in perm, i in bucket pa[k] and j, running fastest, in pb[k].
+    """
+    perm, start, count = buckets
+    sizes = count[pa] * count[pb]
+    ends = np.cumsum(sizes)
+    for pos in range(0, int(sizes.sum()), budget):
+        flat = np.arange(pos, min(pos + budget, ends[-1]))
+        k = np.searchsorted(ends, flat, side="right")
+        i, j = np.divmod(flat - (ends[k] - sizes[k]), count[pb[k]])
+        yield k, i + start[pa[k]], j + start[pb[k]]
 
 
 def _bucket_ratio_max(pts, buckets, pa, pb, bound, best):
     """best raised by the ratios of the row pairs of bucket pairs (pa[k], pb[k]), in order.
 
-    Bucket b holds rows perm[start[b]:][:count[b]] of buckets = (perm, start, count), and
-    paired with itself gives each of its pairs once. Pairs are solved PAIR_BLOCK // d at a
-    time, stopping at the first block whose first bucket pair has bound < best^2.
+    A bucket paired with itself gives each of its pairs once. Pairs are solved
+    PAIR_BLOCK // d at a time (_row_pairs), stopping at the first block whose first
+    bucket pair has bound < best^2.
     """
-    perm, start, count = buckets
-    sizes = count[pa] * count[pb]
-    ends = np.cumsum(sizes)
-    budget = max(1, PAIR_BLOCK // pts.shape[1])
-    for pos in range(0, int(sizes.sum()), budget):
-        flat = np.arange(pos, min(pos + budget, ends[-1]))
-        k = np.searchsorted(ends, flat, side="right")
+    for k, i, j in _row_pairs(buckets, pa, pb, max(1, PAIR_BLOCK // pts.shape[1])):
         if bound[k[0]] < best * best:
             break
-        i, j = np.divmod(flat - (ends[k] - sizes[k]), count[pb[k]])
-        i += start[pa[k]]
-        j += start[pb[k]]
         own = (pa[k] != pb[k]) | (i < j)
-        i, j = perm[i[own]], perm[j[own]]
+        i, j = buckets[0][i[own]], buckets[0][j[own]]
         ratios = _pair_ratios(pts, np.minimum(i, j), np.maximum(i, j))
         best = np.maximum(best, ratios.max(initial=0.0))
     return best
-
-
 def projection_ratio_max(pts) -> float:
     """Largest |x - y| / |P(x - y)| over all pairs of rows x, y, P the projection onto e-perp.
 
@@ -536,17 +587,8 @@ def projection_ratio_max(pts) -> float:
     q = pts - h[:, None]
     # a NaN scale fails the test too
     grid = q[:, :min(d - 1, 3)] if d > 1 and scale <= 1e150 else np.zeros((n, 1))
-    grid = grid - grid.min(axis=0)
-    unit, k = grid.max() or 1.0, grid.shape[1]
-    m = (n / RATIO_FILL) ** (1.0 / k)  # cells along the longest axis, were the box filled
-    for _ in range(2):  # then corrected once by the measured fill
-        side = max(1, int(m))
-        cells = np.minimum(grid * (side / unit), side - 1).astype(np.intp)
-        key = np.ravel_multi_index(cells.T, (side,) * k)
-        perm = np.argsort(key, kind="stable")
-        start, count = np.unique(key[perm], return_index=True, return_counts=True)[1:]
-        m *= (n / start.size / RATIO_FILL) ** (1.0 / k)
-    nb, cell = start.size, cells[perm[start]]
+    perm, start, count, cell = _buckets(grid)
+    nb, k = start.size, cell.shape[1]
     slack = BAND_MARGIN * scale + 1e-150
     qlo, qhi, hlo, hhi = (f.reduceat(v[perm], start, axis=0) + sign * slack
                           for v in (q, h) for f, sign in ((np.minimum, -1), (np.maximum, 1)))
@@ -578,6 +620,41 @@ def projection_ratio_max(pts) -> float:
     return float(best)
 
 
+def _dominated_pairs(p, tol_order) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (i, j) of p (n, s), in row-major order, where p_j - p_i > tol_order in every column.
+
+    Sets above one block of PAIR_BLOCK pairs are bucketed over q = p - mean. A bucket pair
+    (A, B) can hold such a pair only if max_B p_k - min_A p_k > tol_order in every column
+    k, an exact test since fl(x - y) is monotone in x and y. Bucket pairs are screened,
+    and the row pairs of those that pass solved, PAIR_BLOCK at a time.
+    """
+    n, s = p.shape
+    if n * n <= PAIR_BLOCK:  # one dense block
+        low = p[None, :, 0] - p[:, None, 0]
+        for k in range(1, s):
+            np.minimum(low, p[None, :, k] - p[:, None, k], out=low)
+        return np.nonzero(low > tol_order)
+    perm, start, count = _buckets((p - p.mean(axis=1, keepdims=True))[:, :min(s - 1, 3)])[:3]
+    lo, hi = (f.reduceat(p[perm], start, axis=0).T.copy() for f in (np.minimum, np.maximum))
+    found = []
+    rows = max(1, PAIR_BLOCK // start.size)
+    for first in range(0, start.size, rows):
+        a = np.arange(first, min(start.size, first + rows))
+        can = hi[0] - lo[0, a, None] > tol_order
+        for k in range(1, s):
+            can &= hi[k] - lo[k, a, None] > tol_order
+        ii, jj = np.nonzero(can)
+        for _, i, j in _row_pairs((perm, start, count), a[ii], jj, PAIR_BLOCK):
+            i, j = perm[i], perm[j]
+            low = p[j, 0] - p[i, 0]
+            for k in range(1, s):
+                np.minimum(low, p[j, k] - p[i, k], out=low)
+            found.append(np.stack([i, j])[:, low > tol_order])
+    i, j = np.concatenate(found or [np.empty((2, 0), dtype=np.intp)], axis=1)
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
 def is_weakly_unordered(manifold: RadialManifold, tol_order: float) -> list[tuple[int, int]]:
     """Vertex pairs with common support where one point strictly dominates the other.
 
@@ -585,9 +662,9 @@ def is_weakly_unordered(manifold: RadialManifold, tol_order: float) -> list[tupl
     j exceeds the point of i by more than tol_order in every support
     coordinate; an admissible manifold reports no pairs. Pairs come in
     row-major order within each support group, groups in increasing support
-    key. Each group is scanned in blocks of rows i of at most PAIR_BLOCK
-    pairs, keeping a running minimum of the coordinate differences, so memory
-    stays linear in the number of vertices.
+    key. A group above one block of PAIR_BLOCK pairs is bucketed, and only the
+    bucket pairs whose boxes can hold a dominated pair are solved
+    (_dominated_pairs). Memory stays linear in the number of vertices.
     """
     pts = vertex_points(manifold)
     supp = manifold.grid.lattice > 0
@@ -597,15 +674,8 @@ def is_weakly_unordered(manifold: RadialManifold, tol_order: float) -> list[tupl
         members = np.flatnonzero(keys == key)
         if members.size < 2:
             continue
-        p = pts[np.ix_(members, np.flatnonzero(supp[members[0]]))]
-        rows = max(1, PAIR_BLOCK // members.size)
-        for start in range(0, members.size, rows):
-            blk = p[start:start + rows]
-            low = p[None, :, 0] - blk[:, None, 0]
-            for k in range(1, p.shape[1]):
-                np.minimum(low, p[None, :, k] - blk[:, None, k], out=low)
-            i, j = np.nonzero(low > tol_order)
-            violations.extend(zip(members[start + i].tolist(), members[j].tolist()))
+        i, j = _dominated_pairs(pts[np.ix_(members, np.flatnonzero(supp[members[0]]))], tol_order)
+        violations.extend(zip(members[i].tolist(), members[j].tolist()))
     return violations
 
 

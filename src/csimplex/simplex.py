@@ -38,7 +38,6 @@ __all__ = [
     "VerificationReport",
     "ShadowResult",
     "compute_cs",
-    "iterate_manifold",
     "surface_distance",
     "induced_map",
     "gamma_membership",
@@ -187,26 +186,6 @@ def compute_cs(
         tolerance=tolerance,
         fold_message=fold_message,
     )
-
-
-def iterate_manifold(
-    kmap: KolmogorovMap,
-    seed_manifold: RadialManifold,
-    box_top: float,
-    step_tol: float = 1e-8,
-    max_iter: int = 10000,
-) -> tuple[RadialManifold, int, list]:
-    """Iterate one manifold until successive iterates differ by less than step_tol."""
-    current = seed_manifold
-    history: list[float] = []
-    for n in range(1, max_iter + 1):
-        nxt = graph_step(kmap, current, box_top)
-        step = sup_gap(nxt, current)
-        history.append(step)
-        current = nxt
-        if step < step_tol:
-            return current, n, history
-    return current, max_iter, history
 
 
 def surface_distance(sigma: RadialManifold, x):

@@ -32,8 +32,7 @@ multiple of the number of cells.
 
 Folding of the image tiling (two cells with opposite orientation) means the
 map stopped being injective on the surface at this resolution and is reported
-as an error rather than silently patched. For planar problems an independent
-bisection solver along the image polyline provides a cross-check.
+as an error rather than silently patched.
 """
 from __future__ import annotations
 
@@ -54,7 +53,6 @@ __all__ = [
     "PushforwardCloud",
     "pushforward",
     "resample",
-    "bisection_resample",
     "graph_step",
 ]
 
@@ -210,7 +208,7 @@ def _minor(edges: np.ndarray, rows: tuple, cols: tuple, memo: dict) -> np.ndarra
 
 
 def _cell_frames(
-    dirs: np.ndarray, cells: np.ndarray, m: int
+    dirs: np.ndarray, cells: np.ndarray, m: int, memo: dict | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each cell in the lattice coordinates s = m * cumsum(v)[:-1], and its volume.
 
@@ -219,7 +217,8 @@ def _cell_frames(
     (D, D, C), det(E) (C,) and vol = det([v_0 ... v_D]) = (-1)^(d+1) det(E) / m^D
     (C,), which the fold and DEGENERATE_VOLUME tests read. An edge is summed
     from the differences of its end directions, which are exact for close
-    directions, so a small cell keeps its relative accuracy.
+    directions, so a small cell keeps its relative accuracy. The Laplace minors
+    of det(E) go to memo, for _adjugate of the same edges to share.
     """
     d = dirs.shape[1]
     coords = np.ascontiguousarray(dirs.T)
@@ -233,20 +232,22 @@ def _cell_frames(
             edges[k, j] = diff if k == 0 else edges[k - 1, j] + diff
     edges *= m
     idx = tuple(range(d - 1))
-    det = _minor(edges, idx, idx, {})
+    det = _minor(edges, idx, idx, {} if memo is None else memo)
     vol = det * ((-1.0) ** (d + 1) / float(m) ** (d - 1))
     return origin, edges, det, vol
 
 
-def _adjugate(edges: np.ndarray) -> np.ndarray:
+def _adjugate(edges: np.ndarray, memo: dict | None = None) -> np.ndarray:
     """Adjugate (D, D, C) of a stack of D x D matrices (D, D, C), by cofactors.
 
     The matrix indices come first, so that every entry is a contiguous (C,)
-    array. Minors are shared between cofactors, one code path for every D.
+    array. Minors are shared between cofactors through memo, one code path for
+    every D; the memo of _cell_frames for the same edges saves the minors of
+    det(E) a second expansion.
     """
     D = edges.shape[0]
     idx = tuple(range(D))
-    memo: dict = {}
+    memo = {} if memo is None else memo
     adj = np.empty(edges.shape)
     for i, j in itertools.product(range(D), repeat=2):
         cof = _minor(edges, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:], memo)
@@ -314,7 +315,8 @@ def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
     grid = cloud.grid
     all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
     cells, parents, refined = _solve_cells(cloud)
-    origin, edges, det, vol = _cell_frames(all_dirs, cells, grid.resolution)
+    memo: dict = {}
+    origin, edges, det, vol = _cell_frames(all_dirs, cells, grid.resolution, memo)
 
     plain = ~refined
     rel = vol[plain] * grid.cell_orient[parents[plain]]
@@ -329,7 +331,7 @@ def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
     if not usable.any():
         raise CoverageError("all image cells degenerate")
     # degenerate cells keep their place but get no candidates and no inverse
-    inv = _adjugate(edges)
+    inv = _adjugate(edges, memo)
     np.divide(inv, det, out=inv, where=usable)
 
     tgt, cel, pts = _raster_pairs(grid, origin, edges, usable)
@@ -369,55 +371,6 @@ def resample(cloud: PushforwardCloud) -> RadialManifold:
     radii = 1.0 / (w / all_rads[cells]).sum(axis=1)
 
     # corners evolve by the exact scalar axis dynamics
-    corners = [grid.corner_index(i) for i in range(grid.dim)]
-    radii[corners] = cloud.radii[corners]
-    return RadialManifold(grid, radii)
-
-
-def bisection_resample(cloud: PushforwardCloud, tol: float = 1e-13) -> RadialManifold:
-    """Planar-only alternative solver: bisection along the image polyline.
-
-    Solves T(p) = u for p on the polyline through the image points without any
-    linear algebra, serving as an independent oracle for the tiling path.
-    """
-    grid = cloud.grid
-    if grid.dim != 2:
-        raise GridError("bisection resampling is a planar-only path")
-    order = np.argsort(grid.vertices[:, 0], kind="stable")
-    v1 = cloud.directions[order, 0]
-    if not np.all(np.diff(v1) > 0.0):
-        raise FoldError("image directions are not strictly monotone along the segment")
-    pts = cloud.points[order]
-
-    radii = np.empty(grid.n_vertices)
-    for t, u in enumerate(grid.vertices):
-        u1 = float(u[0])
-        j = int(np.searchsorted(v1, u1))
-        if j == 0:
-            radii[t] = pts[0].sum()
-            continue
-        if j >= v1.shape[0]:
-            radii[t] = pts[-1].sum()
-            continue
-        a, b = pts[j - 1], pts[j]
-
-        def gap(s: float) -> float:
-            p = (1.0 - s) * a + s * b
-            return p[0] / p.sum() - u1
-
-        lo, hi = 0.0, 1.0
-        glo = gap(lo)
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            gm = gap(mid)
-            if gm == 0.0 or hi - lo < tol:
-                break
-            if (gm > 0.0) == (glo > 0.0):
-                lo, glo = mid, gm
-            else:
-                hi = mid
-        s = 0.5 * (lo + hi)
-        radii[t] = float(((1.0 - s) * a + s * b).sum())
     corners = [grid.corner_index(i) for i in range(grid.dim)]
     radii[corners] = cloud.radii[corners]
     return RadialManifold(grid, radii)

@@ -1,0 +1,82 @@
+"""Test-only references for the graph transform.
+
+`bisection_resample` is an independent planar resample that solves along the
+image polyline by bisection, with no linear algebra, to cross-check the tiling
+of `transform.resample`. `iterate_manifold` iterates one manifold under
+`graph_step` until its steps are small, the single sequence that the sandwich
+of `simplex.compute_cs` brackets from both sides.
+"""
+import numpy as np
+
+from csimplex.geometry import GridError, RadialManifold, sup_gap
+from csimplex.maps import KolmogorovMap
+from csimplex.transform import FoldError, PushforwardCloud, graph_step
+
+
+def bisection_resample(cloud: PushforwardCloud, tol: float = 1e-13) -> RadialManifold:
+    """Planar-only alternative solver: bisection along the image polyline.
+
+    Solves T(p) = u for p on the polyline through the image points without any
+    linear algebra, serving as an independent oracle for the tiling path.
+    """
+    grid = cloud.grid
+    if grid.dim != 2:
+        raise GridError("bisection resampling is a planar-only path")
+    order = np.argsort(grid.vertices[:, 0], kind="stable")
+    v1 = cloud.directions[order, 0]
+    if not np.all(np.diff(v1) > 0.0):
+        raise FoldError("image directions are not strictly monotone along the segment")
+    pts = cloud.points[order]
+
+    radii = np.empty(grid.n_vertices)
+    for t, u in enumerate(grid.vertices):
+        u1 = float(u[0])
+        j = int(np.searchsorted(v1, u1))
+        if j == 0:
+            radii[t] = pts[0].sum()
+            continue
+        if j >= v1.shape[0]:
+            radii[t] = pts[-1].sum()
+            continue
+        a, b = pts[j - 1], pts[j]
+
+        def gap(s: float) -> float:
+            p = (1.0 - s) * a + s * b
+            return p[0] / p.sum() - u1
+
+        lo, hi = 0.0, 1.0
+        glo = gap(lo)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            gm = gap(mid)
+            if gm == 0.0 or hi - lo < tol:
+                break
+            if (gm > 0.0) == (glo > 0.0):
+                lo, glo = mid, gm
+            else:
+                hi = mid
+        s = 0.5 * (lo + hi)
+        radii[t] = float(((1.0 - s) * a + s * b).sum())
+    corners = [grid.corner_index(i) for i in range(grid.dim)]
+    radii[corners] = cloud.radii[corners]
+    return RadialManifold(grid, radii)
+
+
+def iterate_manifold(
+    kmap: KolmogorovMap,
+    seed_manifold: RadialManifold,
+    box_top: float,
+    step_tol: float = 1e-8,
+    max_iter: int = 10000,
+) -> tuple[RadialManifold, int, list]:
+    """Iterate one manifold until successive iterates differ by less than step_tol."""
+    current = seed_manifold
+    history: list[float] = []
+    for n in range(1, max_iter + 1):
+        nxt = graph_step(kmap, current, box_top)
+        step = sup_gap(nxt, current)
+        history.append(step)
+        current = nxt
+        if step < step_tol:
+            return current, n, history
+    return current, max_iter, history

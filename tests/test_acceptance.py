@@ -36,12 +36,12 @@ from csimplex.simplex import (
     compute_cs,
     gamma_membership,
     harnack_battery,
-    iterate_manifold,
     retrotone_battery,
     verify_cs,
 )
-from csimplex.transform import bisection_resample, graph_step, pushforward, resample
+from csimplex.transform import graph_step, pushforward, resample
 from spectral_oracles import spectral_radius
+from surface_oracles import bisection_resample, iterate_manifold
 
 
 def record(num: int, ok: bool, detail: str) -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from csimplex import geometry
-from csimplex.maps import leslie_gower, ricker2d
+from csimplex.maps import eval_F, leslie_gower, ricker2d
 from csimplex.simplex import compute_cs
 from csimplex.geometry import (
     GridError,
@@ -807,3 +807,84 @@ def test_manifold_rejects_bad_radii():
         RadialManifold(grid, np.zeros(grid.n_vertices))
     with pytest.raises(GridError):
         RadialManifold(grid, np.ones(3))
+
+
+def count_sq_pairs(monkeypatch):
+    """Point pairs whose squared distance _sq_dists computes, as a running count."""
+    pairs = [0]
+    sq_dists = geometry._sq_dists
+
+    def counted(p, q, buf=None):
+        pairs[0] += int(np.prod(np.broadcast_shapes(p.shape[:-1], q.shape[:-1])))
+        return sq_dists(p, q, buf)
+
+    monkeypatch.setattr(geometry, "_sq_dists", counted)
+    return pairs
+
+
+def test_hausdorff_probe_solves_few_pairs_on_the_initial_pair(monkeypatch):
+    # the sandwich's first pair lies far apart, so every seed bound is large and
+    # the seeds alone band nearly all of b (916,300 pairs here); the probe drops
+    # almost every row
+    grid = make_grid(3, 48)
+    lower = vertex_points(constant_manifold(grid, 0.5))
+    upper = vertex_points(box_boundary_manifold(grid, 2.0))
+    expected = broadcast_hausdorff(lower, upper)
+    pairs = count_sq_pairs(monkeypatch)
+    assert hausdorff_points(lower, upper) == expected
+    assert pairs[0] < 0.1 * 2 * grid.n_vertices ** 2
+    pairs[0] = 0
+    assert hausdorff_points(upper, lower) == expected
+    assert pairs[0] < 0.1 * 2 * grid.n_vertices ** 2
+
+
+def test_nearest_distances_with_unrelated_rows_equal_broadcast(monkeypatch):
+    # orbit points against a surface's vertices: a row's same-index partner is
+    # an unrelated point, so only the probe gives it a tight bound
+    grid = make_grid(3, 24)
+    kmap = lg(3, 0.3)
+    sigma = compute_cs(kmap, grid, 1.0, 0.5, tolerance=1e-6).sigma
+    orbit = [0.05 + 1.9 * RNG.random((60, 3))]
+    for _ in range(5):
+        orbit.append(eval_F(kmap, orbit[-1]))
+    orbit = np.concatenate(orbit)
+    vertices = vertex_points(sigma)
+    assert orbit.shape[0] * vertices.shape[0] > geometry.PAIR_BLOCK
+    to_vertices, to_orbit = broadcast_nearest(orbit, vertices), broadcast_nearest(vertices, orbit)
+    for block, rows in [(geometry.PAIR_BLOCK, geometry.BAND_ROWS), (97, 3), (1, 1)]:
+        monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+        monkeypatch.setattr(geometry, "BAND_ROWS", rows)
+        assert np.array_equal(nearest_distances(orbit, vertices), to_vertices)
+        assert np.array_equal(nearest_distances(vertices, orbit), to_orbit)
+
+
+def real_tol_order(sigma):
+    """The tolerance verify_cs gives is_weakly_unordered."""
+    return 2.0 * lipschitz_estimate(sigma) * grid_spacing(sigma.grid)
+
+
+@pytest.mark.parametrize("dim,m", [(2, 300), (3, 32), (4, 16)])
+def test_weakly_unordered_screen_equals_dense_on_converged_surfaces(dim, m):
+    kmap = ricker2d(0.5, 0.5, 0.5, 0.5) if dim == 2 else lg(dim, 0.3)
+    grid = make_grid(dim, m)
+    sigma = compute_cs(kmap, grid, 1.0 if dim > 2 else 0.25, 0.5, tolerance=1e-6).sigma
+    interior = np.count_nonzero(np.all(grid.lattice > 0, axis=1))
+    assert interior ** 2 > geometry.PAIR_BLOCK  # the bucket screen, not one dense block
+    for tol in (real_tol_order(sigma), 0.0, -1.0):
+        assert is_weakly_unordered(sigma, tol) == dense_weakly_unordered(sigma, tol)
+
+
+def test_weakly_unordered_screen_solves_few_pairs_when_converged(monkeypatch):
+    grid = make_grid(3, 48)
+    sigma = compute_cs(lg(3, 0.3), grid, 1.0, 0.5, tolerance=1e-6).sigma
+    solved = [0]
+    row_pairs = geometry._row_pairs
+
+    def counted(*args):
+        for k, i, j in row_pairs(*args):
+            solved[0] += i.size
+            yield k, i, j
+
+    monkeypatch.setattr(geometry, "_row_pairs", counted)
+    assert is_weakly_unordered(sigma, real_tol_order(sigma)) == []
+    assert solved[0] < 0.01 * grid.n_vertices ** 2

@@ -27,12 +27,12 @@ from csimplex.simplex import (
     gamma_membership,
     harnack_battery,
     induced_map,
-    iterate_manifold,
     retrotone_battery,
     shadow_point,
     surface_distance,
     verify_cs,
 )
+from surface_oracles import iterate_manifold
 
 COUPLED = ricker2d(0.5, 0.5, 0.5, 0.5)
 KAPPA, EPSILON = 0.25, 0.5

@@ -28,11 +28,11 @@ from csimplex.transform import (
     FoldError,
     PushforwardCloud,
     TrappingError,
-    bisection_resample,
     graph_step,
     pushforward,
     resample,
 )
+from surface_oracles import bisection_resample
 
 RNG = np.random.default_rng(33)
 
