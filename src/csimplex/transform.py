@@ -17,10 +17,13 @@ matrix E = [s_1 - s_0 ... s_D - s_0] (D = d - 1),
 
     w_{1..D} = adj(E) (s_t - s_0) / det(E),    w_0 = 1 - sum w_{1..D},
 
-with det(E) and adj(E) taken by Laplace expansion over arrays of all cells
-at once, one code path for every d and no LAPACK call. Since
-det(E) = (-1)^(d+1) m^D det([v_0 ... v_D]), the fold and degeneracy tests
-keep their direction-space meaning.
+with adj(E) taken by cofactors over arrays of all cells at once and det(E)
+from its first column, one pass per step for every d and no LAPACK call.
+Since det(E) = (-1)^(d+1) m^D det([v_0 ... v_D]), the fold test keeps its
+direction-space meaning, and a grid cell has |det(E)| = 1. A cell with
+|det(E)| below DEGENERATE_DET, a fraction of a grid cell at every
+resolution, gets no candidates; a target only such a cell would cover
+raises CoverageError.
 
 Point location is a cell-centric raster. The integer points in each cell's
 bounding box, widened by RASTER_MARGIN * m, are the only targets it is solved
@@ -37,7 +40,7 @@ as an error rather than silently patched.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +59,9 @@ __all__ = [
     "graph_step",
 ]
 
-DEGENERATE_VOLUME = 1e-14
+# |det(E)| below which an image cell is degenerate, in lattice units: a
+# grid cell has |det(E)| = 1 at every resolution.
+DEGENERATE_DET = 1e-9
 CONTAINMENT_TOL = 1e-9
 BOX_DRIFT_TOL = 1e-9
 # Widening of an image cell's bounding box, relative to the resolution m. A
@@ -90,19 +95,19 @@ class CoverageError(ResampleError):
 class PushforwardCloud:
     """Images of the grid vertices under the map, with radial split y = r v.
 
-    extra_* holds interior refinement samples for source cells whose image
-    became numerically degenerate; refined_cells maps such a cell index to the
-    row of its refinement point. The cloud holds no per-cell data: the tiling
-    solves its cells by cofactors in lattice coordinates (see _cell_frames).
+    The cloud holds no per-cell data: the tiling takes each image cell's
+    determinant and adjugate from one cofactor pass in lattice coordinates
+    (see _cell_frames). A cell below DEGENERATE_DET of a grid cell's volume
+    gets no candidates, and a target only such a cell would cover raises
+    CoverageError.
     """
 
     grid: BarycentricGrid
     points: np.ndarray
     directions: np.ndarray
     radii: np.ndarray
-    extra_directions: np.ndarray
-    extra_radii: np.ndarray
-    refined_cells: dict = field(default_factory=dict)
+
+    refined_cells = ()  # not a field; read only by perfbench's tracer
 
 
 def _push_points(kmap: KolmogorovMap, pts: np.ndarray, box_top: float | None) -> np.ndarray:
@@ -143,52 +148,7 @@ def pushforward(
     if not np.array_equal(imgs == 0.0, src == 0.0):  # pragma: no cover - defensive
         raise TransformError("support changed under the map")
     radii = imgs.sum(axis=1)
-    directions = imgs / radii[:, None]
-
-    extra_dirs = np.empty((0, grid.dim))
-    extra_rads = np.empty((0,))
-    refined: dict[int, int] = {}
-    if grid.cells.shape[0]:
-        vol = _cell_frames(directions, grid.cells, grid.resolution)[3]
-        bad = np.flatnonzero(np.abs(vol) < DEGENERATE_VOLUME)
-        if bad.size:
-            # refine once: push the source surface point over the cell barycenter
-            centers = manifold.grid.vertices[grid.cells[bad]].mean(axis=1)
-            center_radii = manifold.radii[grid.cells[bad]].mean(axis=1)
-            pts = _push_points(kmap, center_radii[:, None] * centers, box_top)
-            extra_rads = pts.sum(axis=1)
-            extra_dirs = pts / extra_rads[:, None]
-            refined = {int(c): k for k, c in enumerate(bad)}
-    return PushforwardCloud(
-        grid=grid,
-        points=imgs,
-        directions=directions,
-        radii=radii,
-        extra_directions=extra_dirs,
-        extra_radii=extra_rads,
-        refined_cells=refined,
-    )
-
-
-def _solve_cells(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell list for the coverage solve, with refined cells replaced by their subdivision.
-
-    Refined cell c becomes d sub-cells in its place, sub-cell k having vertex k
-    replaced by the refinement point of c.
-    """
-    grid = cloud.grid
-    n_cells, d = grid.cells.shape
-    centers = np.full(n_cells, -1)
-    for c, row in cloud.refined_cells.items():
-        centers[c] = cloud.directions.shape[0] + row
-    refined = centers >= 0
-    reps = np.where(refined, d, 1)
-    parents = np.repeat(np.arange(n_cells), reps)
-    cells = grid.cells[parents]
-    flags = refined[parents]
-    sub = np.arange(parents.size) - np.repeat(np.cumsum(reps) - reps, reps)
-    cells[flags, sub[flags]] = centers[parents[flags]]
-    return cells, parents, flags
+    return PushforwardCloud(grid=grid, points=imgs, directions=imgs / radii[:, None], radii=radii)
 
 
 def _minor(edges: np.ndarray, rows: tuple, cols: tuple, memo: dict) -> np.ndarray:
@@ -208,17 +168,19 @@ def _minor(edges: np.ndarray, rows: tuple, cols: tuple, memo: dict) -> np.ndarra
 
 
 def _cell_frames(
-    dirs: np.ndarray, cells: np.ndarray, m: int, memo: dict | None = None
+    dirs: np.ndarray, cells: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Each cell in the lattice coordinates s = m * cumsum(v)[:-1], and its volume.
+    """Each cell in the lattice coordinates s = m * cumsum(v)[:-1], by one cofactor pass.
 
     dirs (P, d) holds directions and cells (C, d) rows of dirs. Returns the
     origin s_0 (D, C) of each cell, its edge matrix E = [s_1 - s_0 ... s_D - s_0]
-    (D, D, C), det(E) (C,) and vol = det([v_0 ... v_D]) = (-1)^(d+1) det(E) / m^D
-    (C,), which the fold and DEGENERATE_VOLUME tests read. An edge is summed
-    from the differences of its end directions, which are exact for close
-    directions, so a small cell keeps its relative accuracy. The Laplace minors
-    of det(E) go to memo, for _adjugate of the same edges to share.
+    (D, D, C), the adjugate adj(E) (D, D, C) and det(E) (C,), which the fold
+    and DEGENERATE_DET tests read. The matrix indices come first, so that every
+    entry is a contiguous (C,) array; minors are shared between cofactors, and
+    det(E) = sum_j E[0, j] adj(E)[j, 0] is summed in the order of a Laplace
+    expansion along the first row. An edge is summed from the differences of
+    its end directions, which are exact for close directions, so a small cell
+    keeps its relative accuracy.
     """
     d = dirs.shape[1]
     coords = np.ascontiguousarray(dirs.T)
@@ -232,27 +194,15 @@ def _cell_frames(
             edges[k, j] = diff if k == 0 else edges[k - 1, j] + diff
     edges *= m
     idx = tuple(range(d - 1))
-    det = _minor(edges, idx, idx, {} if memo is None else memo)
-    vol = det * ((-1.0) ** (d + 1) / float(m) ** (d - 1))
-    return origin, edges, det, vol
-
-
-def _adjugate(edges: np.ndarray, memo: dict | None = None) -> np.ndarray:
-    """Adjugate (D, D, C) of a stack of D x D matrices (D, D, C), by cofactors.
-
-    The matrix indices come first, so that every entry is a contiguous (C,)
-    array. Minors are shared between cofactors through memo, one code path for
-    every D; the memo of _cell_frames for the same edges saves the minors of
-    det(E) a second expansion.
-    """
-    D = edges.shape[0]
-    idx = tuple(range(D))
-    memo = {} if memo is None else memo
+    memo: dict = {}
     adj = np.empty(edges.shape)
-    for i, j in itertools.product(range(D), repeat=2):
+    for i, j in itertools.product(idx, repeat=2):
         cof = _minor(edges, idx[:j] + idx[j + 1:], idx[:i] + idx[i + 1:], memo)
         adj[i, j] = -cof if (i + j) % 2 else cof
-    return adj
+    det = edges[0, 0] * adj[0, 0]
+    for j in idx[1:]:
+        det = det + edges[0, j] * adj[j, 0]
+    return origin, edges, adj, det
 
 
 def _weights(origin: np.ndarray, inv: np.ndarray, cel: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -313,25 +263,22 @@ def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
     lies in no image cell.
     """
     grid = cloud.grid
-    all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
-    cells, parents, refined = _solve_cells(cloud)
-    memo: dict = {}
-    origin, edges, det, vol = _cell_frames(all_dirs, cells, grid.resolution, memo)
+    cells = grid.cells
+    origin, edges, inv, det = _cell_frames(cloud.directions, cells, grid.resolution)
 
-    plain = ~refined
-    rel = vol[plain] * grid.cell_orient[parents[plain]]
-    oriented = rel[np.abs(vol[plain]) >= DEGENERATE_VOLUME]
+    usable = np.abs(det) >= DEGENERATE_DET
+    # det(E) / det([v_0 ... v_D]) is one constant for every cell, so a fold
+    # shows as mixed signs all the same
+    oriented = (det * grid.cell_orient)[usable]
     if oriented.size and oriented.min() < 0.0 < oriented.max():
         n_flip = int(min(np.sum(oriented < 0.0), np.sum(oriented > 0.0)))
         raise FoldError(
             f"image tiling folds: {n_flip} of {oriented.size} cells reversed orientation"
         )
 
-    usable = np.abs(vol) >= DEGENERATE_VOLUME
     if not usable.any():
         raise CoverageError("all image cells degenerate")
     # degenerate cells keep their place but get no candidates and no inverse
-    inv = _adjugate(edges, memo)
     np.divide(inv, det, out=inv, where=usable)
 
     tgt, cel, pts = _raster_pairs(grid, origin, edges, usable)
@@ -355,7 +302,7 @@ def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
         c = int(every[np.argmax(row)])
         raise CoverageError(
             f"target vertex {t} (u={grid.vertices[t]}) uncovered; nearest image cell "
-            f"{int(parents[c])} (cloud rows {cells[c].tolist()}) misses by {float(-row.max()):.3e}"
+            f"{c} (cloud rows {cells[c].tolist()}) misses by {float(-row.max()):.3e}"
         )
     return cells[cel[best]], alpha[:, best].T
 
@@ -367,8 +314,7 @@ def resample(cloud: PushforwardCloud) -> RadialManifold:
         return RadialManifold(grid, cloud.radii.copy())
 
     cells, w = _tile(cloud)
-    all_rads = np.concatenate([cloud.radii, cloud.extra_radii])
-    radii = 1.0 / (w / all_rads[cells]).sum(axis=1)
+    radii = 1.0 / (w / cloud.radii[cells]).sum(axis=1)
 
     # corners evolve by the exact scalar axis dynamics
     corners = [grid.corner_index(i) for i in range(grid.dim)]

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from csimplex.maps import (
 )
 from csimplex.transform import (
     CONTAINMENT_TOL,
-    DEGENERATE_VOLUME,
+    DEGENERATE_DET,
     CoverageError,
     FoldError,
     PushforwardCloud,
@@ -47,30 +48,6 @@ def identity_map(dim):
     return KolmogorovMap("identity", dim, {}, f, df)
 
 
-def loop_solve_cells(cloud):
-    """Per-cell loop form of the refined cell list (reference for the vectorised one)."""
-    grid = cloud.grid
-    n = cloud.directions.shape[0]
-    cell_rows, parents, refined_flags = [], [], []
-    for c, cell in enumerate(grid.cells):
-        if c in cloud.refined_cells:
-            for k in range(grid.dim):
-                sub = cell.copy()
-                sub[k] = n + cloud.refined_cells[c]
-                cell_rows.append(sub)
-                parents.append(c)
-                refined_flags.append(True)
-        else:
-            cell_rows.append(cell)
-            parents.append(c)
-            refined_flags.append(False)
-    return (
-        np.array(cell_rows, dtype=int),
-        np.array(parents, dtype=int),
-        np.array(refined_flags, dtype=bool),
-    )
-
-
 def dense_resample(cloud):
     """All-pairs solve of every target against every image cell (reference for the raster).
 
@@ -81,18 +58,14 @@ def dense_resample(cloud):
     """
     grid = cloud.grid
     d = grid.dim
-    all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
-    all_rads = np.concatenate([cloud.radii, cloud.extra_radii])
-    cells, parents, refined = loop_solve_cells(cloud)
-    origin, edges, det, vol = transform._cell_frames(all_dirs, cells, grid.resolution)
-    plain = ~refined
-    rel = vol[plain] * grid.cell_orient[parents[plain]]
-    oriented = rel[np.abs(vol[plain]) >= DEGENERATE_VOLUME]
+    origin, edges, adj, det = transform._cell_frames(cloud.directions, grid.cells, grid.resolution)
+    usable = np.abs(det) >= DEGENERATE_DET
+    oriented = (det * grid.cell_orient)[usable]
     if oriented.size and oriented.min() < 0.0 < oriented.max():
         raise FoldError("image tiling folds")
-    usable = np.abs(vol) >= DEGENERATE_VOLUME
-    cells, parents = cells[usable], parents[usable]
-    origin, inv = origin[:, usable], transform._adjugate(edges[:, :, usable]) / det[usable]
+    index = np.flatnonzero(usable)
+    cells = grid.cells[usable]
+    origin, inv = origin[:, usable], adj[:, :, usable] / det[usable]
     n_t, n_c = grid.n_vertices, cells.shape[0]
     pts = np.cumsum(grid.lattice, axis=1)[:, :-1].T
     tgt = np.repeat(np.arange(n_t), n_c)
@@ -106,11 +79,11 @@ def dense_resample(cloud):
         c = best[t]
         raise CoverageError(
             f"target vertex {t} (u={grid.vertices[t]}) uncovered; nearest image cell "
-            f"{int(parents[c])} (cloud rows {cells[c].tolist()}) misses by "
+            f"{int(index[c])} (cloud rows {cells[c].tolist()}) misses by "
             f"{float(-min_alpha[t, c]):.3e}"
         )
     w = alpha[:, np.arange(n_t), best].T
-    radii = 1.0 / (w / all_rads[cells[best]]).sum(axis=1)
+    radii = 1.0 / (w / cloud.radii[cells[best]]).sum(axis=1)
     for i in range(d):
         radii[grid.corner_index(i)] = cloud.radii[grid.corner_index(i)]
     return RadialManifold(grid, radii), cells[best]
@@ -123,16 +96,14 @@ def lapack_resample(cloud):
     in a cell with vertex directions V are inv(V) u.
     """
     grid = cloud.grid
-    all_dirs = np.vstack([cloud.directions, cloud.extra_directions])
-    all_rads = np.concatenate([cloud.radii, cloud.extra_radii])
-    cells = loop_solve_cells(cloud)[0]
-    mats = np.swapaxes(all_dirs[cells], 1, 2)
-    usable = np.abs(np.linalg.det(mats)) >= DEGENERATE_VOLUME
-    cells = cells[usable]
+    mats = np.swapaxes(cloud.directions[grid.cells], 1, 2)
+    # |det(E)| of a cell is m^D times its direction-space |det|
+    usable = grid.resolution ** (grid.dim - 1) * np.abs(np.linalg.det(mats)) >= DEGENERATE_DET
+    cells = grid.cells[usable]
     alpha = np.einsum("cij,tj->tci", np.linalg.inv(mats[usable]), grid.vertices)
     best = np.argmax(alpha.min(axis=2), axis=1)
     w = alpha[np.arange(grid.n_vertices), best]
-    radii = 1.0 / (w / all_rads[cells[best]]).sum(axis=1)
+    radii = 1.0 / (w / cloud.radii[cells[best]]).sum(axis=1)
     for i in range(grid.dim):
         radii[grid.corner_index(i)] = cloud.radii[grid.corner_index(i)]
     return radii
@@ -153,9 +124,6 @@ def perturbed_cloud(cloud, rng, scale):
         points=dirs * cloud.radii[:, None],
         directions=dirs,
         radii=cloud.radii,
-        extra_directions=cloud.extra_directions,
-        extra_radii=cloud.extra_radii,
-        refined_cells=cloud.refined_cells,
     )
 
 
@@ -315,9 +283,6 @@ def test_resample_detects_fold():
         points=cloud.points,
         directions=dirs,
         radii=cloud.radii,
-        extra_directions=cloud.extra_directions,
-        extra_radii=cloud.extra_radii,
-        refined_cells={},
     )
     with pytest.raises(FoldError):
         resample(folded)
@@ -335,9 +300,6 @@ def test_resample_detects_uncovered_target():
         points=shrunk * cloud.radii[:, None],
         directions=shrunk,
         radii=cloud.radii,
-        extra_directions=cloud.extra_directions,
-        extra_radii=cloud.extra_radii,
-        refined_cells={},
     )
     with pytest.raises(CoverageError):
         resample(broken)
@@ -380,25 +342,6 @@ def test_resample_consistent_on_cell_boundaries():
         assert radius_at(manifold, u) == pytest.approx(expected, abs=1e-10)
 
 
-def test_refined_cell_plumbing_keeps_values():
-    # a synthetic refinement of one cell must not change a flat surface
-    grid = make_grid(2, 6)
-    manifold = constant_manifold(grid, 0.9)
-    cloud = pushforward(identity_map(2), manifold)
-    center_dir = grid.vertices[grid.cells[0]].mean(axis=0)
-    refined = PushforwardCloud(
-        grid=cloud.grid,
-        points=cloud.points,
-        directions=cloud.directions,
-        radii=cloud.radii,
-        extra_directions=center_dir[None, :],
-        extra_radii=np.array([0.9]),
-        refined_cells={0: 0},
-    )
-    out = resample(refined)
-    np.testing.assert_allclose(out.radii, 0.9, atol=1e-12)
-
-
 def oracle_clouds(dim, m):
     rng = np.random.default_rng(100 + dim)
     grid = make_grid(dim, m)
@@ -425,31 +368,6 @@ def test_raster_matches_dense_oracle(dim, m):
         np.testing.assert_allclose(radii, lapack_resample(cloud), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("dim,m", [(2, 6), (3, 5), (4, 3)])
-def test_raster_matches_dense_oracle_on_refined_cells(dim, m):
-    grid = make_grid(dim, m)
-    rng = np.random.default_rng(7)
-    cloud = pushforward(identity_map(dim), RadialManifold(grid, 0.7 + 0.2 * rng.random(grid.n_vertices)))
-    picked = [0, grid.cells.shape[0] // 2, grid.cells.shape[0] - 1]
-    refined = PushforwardCloud(
-        grid=grid,
-        points=cloud.points,
-        directions=cloud.directions,
-        radii=cloud.radii,
-        extra_directions=grid.vertices[grid.cells[picked]].mean(axis=1),
-        extra_radii=np.array([0.8, 0.9, 1.0]),
-        refined_cells={c: k for k, c in enumerate(picked)},
-    )
-    for got, want in zip(transform._solve_cells(refined), loop_solve_cells(refined)):
-        assert np.array_equal(got, want)
-    expected, chosen = dense_resample(refined)
-    cells, _ = transform._tile(refined)
-    assert np.array_equal(cells, chosen)
-    radii = resample(refined).radii
-    np.testing.assert_allclose(radii, expected.radii, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(radii, lapack_resample(refined), rtol=0, atol=1e-12)
-
-
 def forbid_lapack(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK call in the graph step")
@@ -469,36 +387,6 @@ def test_graph_step_calls_no_lapack(dim, m, monkeypatch):
     np.testing.assert_allclose(out.radii, lapack, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("dim,m", [(2, 6), (3, 5), (4, 3)])
-def test_refined_cells_call_no_lapack(dim, m, monkeypatch):
-    grid = make_grid(dim, m)
-    rng = np.random.default_rng(11)
-    kmap = coupled_lg(dim)
-    manifold = RadialManifold(grid, 0.7 + 0.2 * rng.random(grid.n_vertices))
-    cloud = pushforward(kmap, manifold)
-    picked = [0, grid.cells.shape[0] // 2, grid.cells.shape[0] - 1]
-    centers = cloud.directions[grid.cells[picked]].mean(axis=1)
-    centers[0] = cloud.directions[grid.cells[0, 0]]  # a vertex: degenerate sub-cells
-    refined = dataclasses.replace(
-        cloud,
-        extra_directions=centers,
-        extra_radii=np.array([0.8, 0.9, 1.0]),
-        refined_cells={c: k for k, c in enumerate(picked)},
-    )
-    expected, chosen = dense_resample(refined)
-    lapack = lapack_resample(refined)
-    forbid_lapack(monkeypatch)
-    with monkeypatch.context() as patch:
-        # every image cell counts as degenerate: pushforward refines them all
-        patch.setattr(transform, "DEGENERATE_VOLUME", np.inf)
-        assert len(pushforward(kmap, manifold).refined_cells) == grid.cells.shape[0]
-    cells, _ = transform._tile(refined)
-    assert np.array_equal(cells, chosen)
-    radii = resample(refined).radii
-    np.testing.assert_allclose(radii, expected.radii, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(radii, lapack, rtol=0, atol=1e-12)
-
-
 def test_raster_coverage_error_matches_dense_oracle():
     grid = make_grid(2, 8)
     cloud = pushforward(identity_map(2), constant_manifold(grid, 1.0))
@@ -509,9 +397,6 @@ def test_raster_coverage_error_matches_dense_oracle():
         points=shrunk * cloud.radii[:, None],
         directions=shrunk,
         radii=cloud.radii,
-        extra_directions=cloud.extra_directions,
-        extra_radii=cloud.extra_radii,
-        refined_cells={},
     )
     with pytest.raises(CoverageError) as raster:
         resample(broken)
@@ -567,30 +452,27 @@ def test_cell_frames_match_lapack(dim, m):
     dirs = grid.vertices + noise / (3 * m)
     dirs /= dirs.sum(axis=1, keepdims=True)
     cells = grid.cells
-    origin, edges, det, vol = transform._cell_frames(dirs, cells, m)
+    origin, edges, adj, det = transform._cell_frames(dirs, cells, m)
     mats = np.swapaxes(dirs[cells], 1, 2)
     lapack = np.linalg.det(mats)
     scale = (-1) ** (dim + 1) * m ** (dim - 1)
     np.testing.assert_allclose(det / scale, lapack, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(vol, lapack, rtol=1e-12, atol=0)
     # targets inside each cell and up to a tenth of its size outside
     n = cells.shape[0]
     w_true = rng.dirichlet(np.ones(dim), size=n) * 1.2 - 0.2 / dim
     u = np.einsum("cij,cj->ci", mats, w_true)
     pts = m * np.cumsum(u, axis=1)[:, :-1].T
-    w = transform._weights(origin, transform._adjugate(edges) / det, np.arange(n), pts)
+    w = transform._weights(origin, adj / det, np.arange(n), pts)
     np.testing.assert_allclose(w.T, np.linalg.solve(mats, u[..., None])[..., 0], rtol=0, atol=1e-12)
 
 
 def exact_lattice_volume(v):
-    """det([v_0 ... v_D]) of one cell in exact rational arithmetic, in the lattice chart.
+    """det([v_0 ... v_D]) of one cell as an exact Fraction, in the lattice chart.
 
     The edges are the exact cumulative sums of the direction differences, so
     the value is that of the cell the float directions span within the plane
     sum(v) = 1, whatever rounding moved the directions off it.
     """
-    from fractions import Fraction
-
     d = v.shape[0]
     a = [[sum(Fraction(float(v[j, i])) - Fraction(float(v[0, i])) for i in range(k + 1))
           for j in range(1, d)] for k in range(d - 1)]
@@ -598,32 +480,103 @@ def exact_lattice_volume(v):
     for c in range(d - 1):  # Gaussian elimination
         p = next((r for r in range(c, d - 1) if a[r][c] != 0), None)
         if p is None:
-            return 0.0
+            return Fraction(0)
         if p != c:
             a[c], a[p], det = a[p], a[c], -det
         det *= a[c][c]
         for r in range(c + 1, d - 1):
             f = a[r][c] / a[c][c]
             a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return float(det)
+    return det
+
+
+def unit_lattice_cell(dim, m):
+    """Directions (dim, dim) of a grid cell at resolution m, whose |det(E)| is 1.
+
+    Its cumulative coordinates are s_0 = (1, 2, ..., D) plus the unit steps
+    e_1, e_1 + e_2, ..., the Kuhn cell of the identity permutation.
+    """
+    s = np.arange(1, dim) + np.tri(dim, dim - 1, -1)
+    k = np.diff(s, axis=1, prepend=0.0, append=float(m))
+    return k / m
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_cell_frames_classify_near_degenerate_cells(dim):
-    # random cells shrunk toward their centroid to volumes within a factor of
-    # ten of DEGENERATE_VOLUME on either side
+    # in lattice units, where a grid cell has |det(E)| = 1 at every m: random
+    # cells shrunk toward their centroid to within a factor of ten of
+    # DEGENERATE_DET on either side, and a grid cell shrunk to 1e-10 and to
+    # 1e-8 of its volume, classify alike at every resolution
     rng = np.random.default_rng(50 + dim)
-    m, n = 24, 300
-    dirs, cells = random_cells(rng, dim, n)
-    v = dirs[cells]
-    center = v.mean(axis=1, keepdims=True)
-    scale = DEGENERATE_VOLUME * 10.0 ** rng.uniform(-1.0, 1.0, n) / np.abs(np.linalg.det(v))
-    v = center + scale[:, None, None] ** (1.0 / (dim - 1)) * (v - center)
-    vol = transform._cell_frames(v.reshape(-1, dim), cells, m)[3]
-    exact = np.array([exact_lattice_volume(c) for c in v])
-    assert np.any(np.abs(exact) < DEGENERATE_VOLUME) and np.any(np.abs(exact) >= DEGENERATE_VOLUME)
-    clear = np.abs(np.abs(exact) / DEGENERATE_VOLUME - 1.0) > 1e-9
-    assert np.array_equal((np.abs(vol) < DEGENERATE_VOLUME)[clear],
-                          (np.abs(exact) < DEGENERATE_VOLUME)[clear])
-    np.testing.assert_allclose(vol, exact, rtol=1e-9, atol=0)
+    n, D = 300, dim - 1
+    for m in (6, 24, 256):
+        dirs, cells = random_cells(rng, dim, n)
+        v = dirs[cells]
+        center = v.mean(axis=1, keepdims=True)
+        scale = DEGENERATE_DET * 10.0 ** rng.uniform(-1.0, 1.0, n) / (m ** D * np.abs(np.linalg.det(v)))
+        v = center + scale[:, None, None] ** (1.0 / D) * (v - center)
+        det = transform._cell_frames(v.reshape(-1, dim), cells, m)[3]
+        exact = np.array([float(exact_lattice_volume(c) * (-1) ** (dim + 1) * m ** D) for c in v])
+        assert np.any(np.abs(exact) < DEGENERATE_DET) and np.any(np.abs(exact) >= DEGENERATE_DET)
+        clear = np.abs(np.abs(exact) / DEGENERATE_DET - 1.0) > 1e-9
+        assert np.array_equal((np.abs(det) < DEGENERATE_DET)[clear],
+                              (np.abs(exact) < DEGENERATE_DET)[clear])
+        np.testing.assert_allclose(det, exact, rtol=1e-9, atol=0)
 
+        cell = unit_lattice_cell(dim, m)
+        mid = cell.mean(axis=0)
+        shrunk = [cell] + [mid + f ** (1.0 / D) * (cell - mid) for f in (1e-10, 1e-8)]
+        det = transform._cell_frames(np.concatenate(shrunk), np.arange(3 * dim).reshape(3, dim), m)[3]
+        assert abs(det[0]) == 1.0, m
+        assert abs(det[1]) < DEGENERATE_DET <= abs(det[2]), m
+
+
+@pytest.mark.parametrize("dim,m", [(2, 16), (3, 8), (4, 5)])
+def test_graph_step_takes_one_cell_pass(dim, m, monkeypatch):
+    calls = []
+    frames = transform._cell_frames
+
+    def counted(*args):
+        calls.append(args)
+        return frames(*args)
+
+    monkeypatch.setattr(transform, "_cell_frames", counted)
+    kmap = coupled_lg(dim)
+    manifold = box_boundary_manifold(make_grid(dim, m), 2.0)
+    for step in (1, 2, 3):
+        manifold = graph_step(kmap, manifold, box_top=2.0)
+        assert len(calls) == step
+
+
+@pytest.mark.parametrize("dim,m,p,q", [(2, 8, (4, 4), (3, 5)), (3, 4, (1, 1, 2), (1, 2, 1))])
+def test_resample_succeeds_through_a_collapsed_cell(dim, m, p, q, monkeypatch):
+    # interior vertex p moves onto its neighbour q: the image cells holding
+    # both collapse, and the rest of p's convex star still tiles it
+    grid = make_grid(dim, m)
+    p, q = grid.vertex_index(p), grid.vertex_index(q)
+    rng = np.random.default_rng(60 + dim)
+    cloud = pushforward(identity_map(dim), RadialManifold(grid, 0.7 + 0.2 * rng.random(grid.n_vertices)))
+    dirs = cloud.directions.copy()
+    dirs[p] = dirs[q]
+    collapsed_cloud = dataclasses.replace(cloud, points=dirs * cloud.radii[:, None], directions=dirs)
+    collapsed = np.flatnonzero([p in c and q in c for c in grid.cells.tolist()])
+    assert collapsed.size == dim - 1
+    if dim == 2:
+        assert (p, q, collapsed.tolist()) == (4, 3, [3])
+
+    candidates = []
+    raster = transform._raster_pairs
+
+    def recorded(*args):
+        out = raster(*args)
+        candidates.append(out[1])
+        return out
+
+    monkeypatch.setattr(transform, "_raster_pairs", recorded)
+    radii = resample(collapsed_cloud).radii
+    assert len(candidates) == 1 and not np.isin(collapsed, candidates[0]).any()
+    expected, chosen = dense_resample(collapsed_cloud)
+    cells, _ = transform._tile(collapsed_cloud)
+    assert np.array_equal(cells, chosen)
+    np.testing.assert_allclose(radii, expected.radii, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(radii, lapack_resample(collapsed_cloud), rtol=0, atol=1e-12)
