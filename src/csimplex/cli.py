@@ -34,14 +34,9 @@ __all__ = ["main"]
 
 def _resolve_config(args) -> RunConfig:
     cfg = load_config(args.config)
-    if getattr(args, "resolution", None) is not None:
-        cfg = replace(cfg, resolution=args.resolution)
-    if getattr(args, "tolerance", None) is not None:
-        cfg = replace(cfg, tolerance=args.tolerance)
-    if getattr(args, "max_iter", None) is not None:
-        cfg = replace(cfg, max_iter=args.max_iter)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+    for name in ("resolution", "tolerance", "max_iter", "seed"):
+        if getattr(args, name, None) is not None:
+            cfg = replace(cfg, **{name: getattr(args, name)})
     out = getattr(args, "out", None) or os.environ.get("CSIMPLEX_OUT") or cfg.output
     cfg = replace(cfg, output=out)
     validate_config(cfg)

@@ -560,6 +560,8 @@ def _bucket_ratio_max(pts, buckets, pa, pb, bound, best):
         ratios = _pair_ratios(pts, np.minimum(i, j), np.maximum(i, j))
         best = np.maximum(best, ratios.max(initial=0.0))
     return best
+
+
 def projection_ratio_max(pts) -> float:
     """Largest |x - y| / |P(x - y)| over all pairs of rows x, y, P the projection onto e-perp.
 

@@ -9,7 +9,6 @@ tolerance.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -103,6 +102,11 @@ class ConvergenceReport:
         return out
 
 
+def _order_tolerance(manifold: RadialManifold) -> float:
+    """Slack of the order checks: twice the interpolation error, Lipschitz estimate × spacing."""
+    return 2.0 * lipschitz_estimate(manifold) * grid_spacing(manifold.grid)
+
+
 def compute_cs(
     kmap: KolmogorovMap,
     grid: BarycentricGrid,
@@ -164,9 +168,8 @@ def compute_cs(
         sigma = RadialManifold(
             grid, 0.5 * (lower.radii + upper.radii), "sigma", iterations
         )
-    ref = sigma if sigma is not None else lower
-    interp_error = lipschitz_estimate(ref) * grid_spacing(grid)
-    tol_order = 2.0 * interp_error
+    tol_order = _order_tolerance(sigma if sigma is not None else lower)
+    interp_error = tol_order / 2.0
     return ConvergenceReport(
         iterations=iterations,
         termination=termination,
@@ -370,154 +373,23 @@ class VerificationReport:
         return {**_field_dict(self), "passed": self.passed()}
 
 
-# numpy's Generator on PCG64 reads each double as (r >> 11)·2⁻⁵³ of one raw
-# 64-bit output r. integers(dim) reads 32-bit halves, the low half of a fresh raw
-# first, keeps its upper half buffered for the next integers call, and rejects a
-# half h while (h·dim) mod 2³² < 2³² mod dim (Lemire, ACM TOMS 29(1), 2019).
-_LOW32 = 0xFFFFFFFF
-
-
-def _pair_block(count: int, dim: int) -> int:
-    """Raw outputs that count ordered pairs read: their mean plus two standard deviations.
-
-    A pair reads 2·dim raws when dim = 1. Otherwise it reads 2·dim + 1, and Z
-    more on the support branch (probability 0.3): dim mask doubles take the
-    place of dim y doubles, max(M, 1) y doubles follow, where M ~ Bin(dim, ½)
-    counts the mask, and the integers draw reads at most one raw when M = 0.
-    The moments of Z below count that raw always, so they bound the true ones.
-    """
-    if dim == 1:
-        return 2 * count
-    ez = dim / 2 + 2.0 ** (1 - dim)
-    ez2 = dim * (dim + 1) / 4 + 2.0 ** (2 - dim)
-    mean, var = 2 * dim + 1 + 0.3 * ez, 0.3 * ez2 - (0.3 * ez) ** 2
-    return math.ceil(count * mean + 2.0 * math.sqrt(count * var))
-
-
-def _pair_tables(raw: np.ndarray, dim: int):
-    """Where an ordered pair drawn from each node of a raw block reads and ends.
-
-    Node 2p + h is a pair that starts at raw p, with h = 1 when a 32-bit half
-    is buffered. Returns the block's doubles u; its 32-bit halves, low first,
-    then two zeros; per raw p, pick (the pair draws an integer) and fresh (the
-    half its integers draw accepts when it reads fresh raws); and per node,
-    fits (the pair ends inside the block), succ (the node of the next pair; a
-    node that does not fit is its own successor) and first_y (its first raw
-    for y).
-    """
-    n = raw.size
-    u = (raw >> 11).astype(float) * 2.0**-53
-    halves = np.concatenate(
-        [np.column_stack((raw & _LOW32, raw >> 32)).ravel(), np.zeros(2, np.uint64)]
-    )
-    accepted = np.flatnonzero((halves[:-2] * dim) & _LOW32 >= (2**32 - dim) % dim)
-    accepted = np.append(accepted, 2 * n)  # Lemire's accepted halves, then 2n for none
-
-    p = np.arange(n + 1)
-    padded = np.concatenate([u, np.ones(2 * dim + 1)])  # reads past the block do not fit
-    if dim > 1:
-        branch = padded[p + dim] < 0.3
-        below = np.concatenate([[0], np.cumsum(padded < 0.5)])
-        hits = below[p + 2 * dim + 1] - below[p + dim + 1]
-    else:
-        branch, hits = np.zeros(n + 1, bool), np.zeros(n + 1, int)
-    pick = branch & (hits == 0)
-    draw = p + dim + (dim > 1) + dim * branch  # y's first raw, or the integers draw's
-    end = draw + np.where(branch, np.maximum(hits, 1), dim)
-    first_y = np.repeat(draw, 2)
-    fits = np.repeat(end <= n, 2)
-    succ = 2 * np.repeat(end, 2) + np.tile([0, 1], n + 1)
-    # node 2p + 1 of a pick takes the buffered half and leaves none
-    at = np.flatnonzero(pick)
-    succ[2 * at + 1] -= 1
-    # node 2p reads fresh halves up to the first accepted one, and buffers the
-    # upper half of its raw when that is a low half
-    fresh = np.zeros(n + 1, int)
-    fresh[at] = accepted[np.searchsorted(accepted, np.minimum(2 * draw[at], 2 * n))]
-    first_y[2 * at] = fresh[at] // 2 + 1
-    fits[2 * at] = first_y[2 * at] < n
-    succ[2 * at] = 2 * first_y[2 * at] + 2 + (fresh[at] % 2 == 0)
-    succ = np.where(fits, succ, np.arange(2 * n + 2))
-    return u, halves, pick, fresh, fits, succ, first_y
-
-
-def _walk(succ: np.ndarray, start: int, length: int) -> np.ndarray:
-    """The first length nodes of start, succ[start], succ[succ[start]], ... by pointer doubling."""
-    walk = np.empty(length, np.intp)
-    walk[0] = start
-    jump, have = succ, 1
-    while have < length:
-        take = min(have, length - have)
-        walk[have:have + take] = jump[walk[:take]]
-        have += take
-        if have < length:
-            jump = jump[jump]
-    return walk
-
-
-def _ordered_pairs(bitgen, count: int, dim: int, box_top: float) -> np.ndarray:
+def _ordered_pairs(rng, count: int, dim: int, box_top: float) -> np.ndarray:
     """Strictly ordered pairs with a common support inside the box, as (count, 2, dim).
 
-    Pair k is the x and y of the (k+1)-th of count successive draws from a
-    Generator on the PCG64 bit generator bitgen. Each draw reads
-    x = uniform(1e-6, box_top, dim); when dim > 1, a branch random(); on a
-    branch below 0.3, the support mask random(dim) < 0.5, with the coordinate
-    integers(dim) added when the mask is empty, and x set to 0 off the support;
-    then y = x + uniform(0, 1)·(box_top − x)·0.999 + 1e-9 on the support,
-    capped at box_top. The raws come from blocks of bitgen.random_raw, and
-    bitgen ends past the last block, not where the draws would leave it.
+    x is uniform on [1e-6, box_top)^dim. When dim > 1, 3 pairs in 10 keep a random
+    support: each coordinate with probability 1/2, one drawn coordinate when none is
+    kept, and x is 0 off it. On the support y = x + U·(box_top − x)·0.999 + 1e-9,
+    U uniform on [0, 1), capped at box_top; off it y = x = 0.
     """
-    if count == 0:
-        return np.empty((0, 2, dim))
-    state = bitgen.state
-    node, held = state["has_uint32"], state["uinteger"]
-    reject_below = (2**32 - dim) % dim
-    raw = np.empty(0, np.uint64)
-    parts = []
-    done = 0
-    while done < count:
-        raw = np.concatenate([raw, bitgen.random_raw(_pair_block(count - done, dim))])
-        u, halves, pick, fresh_at, fits, succ, first_y = _pair_tables(raw, dim)
-        while done < count:
-            walk = _walk(succ, node, count - done)
-            fit = walk[fits[walk]]  # a prefix: the first node that does not fit repeats
-            start = fit >> 1
-            picks = np.flatnonzero(pick[start])
-            buffered = (fit[picks] & 1) == 1
-            fresh = fresh_at[start[picks]]
-            # a pick's buffered half was kept by the pick before it, or held at the start
-            kept = np.concatenate([np.array([held], np.uint64), halves[fresh[:-1] + 1]])
-            half = np.where(buffered, kept, halves[fresh])
-            rejected = buffered & ((half * dim) & _LOW32 < reject_below)
-            stop = picks[np.argmax(rejected)] if rejected.any() else fit.size
-            emitted = picks < stop
-            index = np.full(stop, -1)
-            index[picks[emitted]] = (half[emitted] * dim) >> 32
-            parts.append((start[:stop], first_y[fit[:stop]], index))
-            done += stop
-            if emitted.any():
-                held = int(halves[fresh[emitted][-1] + 1])
-            if stop < fit.size:
-                # the buffered half was rejected: the pick goes on to fresh halves
-                node = 2 * int(start[stop])
-            elif fit.size < walk.size:
-                node = int(walk[fit.size])
-                break
-
-    start, y_start, index = (np.concatenate(a) for a in zip(*parts))
-    cols = np.arange(dim)
-    x = 1e-6 + (box_top - 1e-6) * u[start[:, None] + cols]
+    x = rng.uniform(1e-6, box_top, (count, dim))
     if dim > 1:
-        branch = u[start + dim] < 0.3
-        mask = np.ones((count, dim), bool)
-        mask[branch] = u[start[branch, None] + dim + 1 + cols] < 0.5
-        picked = index >= 0
-        mask[picked, index[picked]] = True
-        x[~mask] = 0.0
+        sparse = rng.random(count) < 0.3
+        keep = (rng.random((count, dim)) < 0.5) | ~sparse[:, None]
+        empty = np.flatnonzero(~keep.any(axis=1))
+        keep[empty, rng.integers(dim, size=empty.size)] = True
+        x[~keep] = 0.0
     support = x > 0.0
-    rank = np.maximum(np.cumsum(support, axis=1) - 1, 0)
-    draws = u[y_start[:, None] + rank]
-    y = np.where(support, x + draws * (box_top - x) * 0.999 + 1e-9, x)
+    y = np.where(support, x + rng.random((count, dim)) * (box_top - x) * 0.999 + 1e-9, x)
     return np.stack([x, np.minimum(y, box_top)], axis=1)
 
 
@@ -532,17 +404,11 @@ def harnack_battery(
 
     Returns (violations, pairs tested); a violation is a pair where the
     symmetrized order fails to grow by more than the margin under the map.
-
-    The pairs are those of sample_count successive scalar draws (x, then y;
-    see _ordered_pairs) from np.random.default_rng(seed), bit for bit, read
-    from blocks of its raw PCG64 stream. That rests on two rules of numpy's:
-    a double is the upper 53 bits of one raw output, and integers(dim) is
-    Lemire's method on 32-bit halves, which buffers the unused upper half.
-    The oracle test in tests/ compares the block draw with the scalar draws
-    and fails if numpy ever changes either rule.
+    The sample_count pairs are drawn together by _ordered_pairs from
+    np.random.default_rng(seed).
     """
-    bitgen = np.random.default_rng(seed).bit_generator
-    pairs = _ordered_pairs(bitgen, sample_count, kmap.dim, 1.0 + kappa)
+    rng = np.random.default_rng(seed)
+    pairs = _ordered_pairs(rng, sample_count, kmap.dim, 1.0 + kappa)
     images = eval_F(kmap, pairs)
     before = symmetrized_order(pairs[:, 0], pairs[:, 1])
     after = symmetrized_order(images[:, 0], images[:, 1])
@@ -630,7 +496,7 @@ def verify_cs(
     d = grid.dim
     box_top = 1.0 + kappa
     vacuous: list[str] = []
-    tol_order = 2.0 * lipschitz_estimate(sigma) * grid_spacing(grid)
+    tol_order = _order_tolerance(sigma)
 
     stepped = graph_step(kmap, sigma, box_top)
     invariance_residual = hausdorff_points(vertex_points(stepped), vertex_points(sigma))
