@@ -14,8 +14,9 @@ from dataclasses import replace
 import numpy as np
 
 from .assumptions import run_assumption_checks
-from .geometry import GridError, make_grid
+from .geometry import GridError, RadialManifold, make_grid
 from .io import (
+    SCHEMA,
     ConfigError,
     RunConfig,
     load_config,
@@ -32,18 +33,14 @@ from .transform import TransformError
 __all__ = ["main"]
 
 
-def _resolve_config(args) -> RunConfig:
+def _prologue(args) -> tuple[RunConfig, KolmogorovMap]:
+    """The config with the command line's overrides applied, and the map it names."""
     cfg = load_config(args.config)
-    for name in ("resolution", "tolerance", "max_iter", "seed"):
-        if getattr(args, name, None) is not None:
-            cfg = replace(cfg, **{name: getattr(args, name)})
-    out = getattr(args, "out", None) or os.environ.get("CSIMPLEX_OUT") or cfg.output
-    cfg = replace(cfg, output=out)
-    validate_config(cfg)
-    return cfg
-
-
-def _resolve_map(cfg: RunConfig) -> KolmogorovMap:
+    # each flag whose dest is a RunConfig field overrides that field
+    overrides = {attr: getattr(args, attr) for _, _, attr, _, _ in SCHEMA
+                 if getattr(args, attr, None) is not None}
+    out = args.out or os.environ.get("CSIMPLEX_OUT") or cfg.output
+    cfg = validate_config(replace(cfg, output=out, **overrides))
     try:
         kmap = make_map(cfg.map_name, cfg.map_params)
     except (KeyError, TypeError, ValueError) as exc:
@@ -54,7 +51,7 @@ def _resolve_map(cfg: RunConfig) -> KolmogorovMap:
         )
     if kmap.dim > cfg.dim_cap:
         raise ConfigError(f"map dimension {kmap.dim} exceeds the cap {cfg.dim_cap}")
-    return kmap
+    return cfg, kmap
 
 
 def _run_checks(kmap: KolmogorovMap, cfg: RunConfig):
@@ -67,13 +64,20 @@ def _run_checks(kmap: KolmogorovMap, cfg: RunConfig):
     )
 
 
+def _write_report(cfg: RunConfig, name: str, payload: dict) -> None:
+    write_json(os.path.join(cfg.output, name), {**payload, "config": cfg.echo()})
+
+
+def _load_sigma(args, cfg: RunConfig, kmap: KolmogorovMap) -> RadialManifold:
+    grid = make_grid(kmap.dim, cfg.resolution)
+    path = args.sigma or os.path.join(cfg.output, "sigma.csv")
+    return load_manifold_csv(path, grid, provenance="loaded")
+
+
 def cmd_check(args) -> int:
-    cfg = _resolve_config(args)
-    kmap = _resolve_map(cfg)
+    cfg, kmap = _prologue(args)
     report = _run_checks(kmap, cfg)
-    payload = report.to_dict()
-    payload["config"] = cfg.echo()
-    write_json(os.path.join(cfg.output, "assumptions.json"), payload)
+    _write_report(cfg, "assumptions.json", report.to_dict())
     print(f"as2 (unit axis fixed points): {'ok' if report.as2_ok else 'FAIL'}"
           f" (max deviation {report.as2_max_deviation:.3e})")
     print(f"as3 (competitive feedback):   {report.as3_mode}")
@@ -84,11 +88,9 @@ def cmd_check(args) -> int:
 
 
 def _compute(args, dump_iterates: bool) -> int:
-    cfg = _resolve_config(args)
-    kmap = _resolve_map(cfg)
+    cfg, kmap = _prologue(args)
     report = _run_checks(kmap, cfg)
-    write_json(os.path.join(cfg.output, "assumptions.json"),
-               {**report.to_dict(), "config": cfg.echo()})
+    _write_report(cfg, "assumptions.json", report.to_dict())
     if not report.passed:
         print("assumption checks failed; not computing", file=sys.stderr)
         return 1
@@ -111,9 +113,7 @@ def _compute(args, dump_iterates: bool) -> int:
         max_iter=cfg.max_iter,
         on_iteration=on_iteration,
     )
-    payload = result.to_dict()
-    payload["config"] = cfg.echo()
-    write_json(os.path.join(cfg.output, "convergence.json"), payload)
+    _write_report(cfg, "convergence.json", result.to_dict())
     if result.sigma is not None:
         save_manifold_csv(os.path.join(cfg.output, "sigma.csv"), result.sigma)
     else:
@@ -138,15 +138,12 @@ def cmd_export_iterates(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _resolve_config(args)
-    kmap = _resolve_map(cfg)
+    cfg, kmap = _prologue(args)
     report = _run_checks(kmap, cfg)
     if report.kappa is None:
         print("assumption checks failed; nothing to verify against", file=sys.stderr)
         return 1
-    grid = make_grid(kmap.dim, cfg.resolution)
-    sigma_path = args.sigma or os.path.join(cfg.output, "sigma.csv")
-    sigma = load_manifold_csv(sigma_path, grid, provenance="loaded")
+    sigma = _load_sigma(args, cfg, kmap)
     result = verify_cs(
         kmap,
         sigma,
@@ -161,10 +158,7 @@ def cmd_verify(args) -> int:
         invariance_max=cfg.invariance_max,
         attraction_min=cfg.attraction_min,
     )
-    payload = result.to_dict()
-    payload["passed"] = ok
-    payload["config"] = cfg.echo()
-    write_json(os.path.join(cfg.output, "verification.json"), payload)
+    _write_report(cfg, "verification.json", {**result.to_dict(), "passed": ok})
     print(f"invariance residual {result.invariance_residual:.3e}, "
           f"unordered violations {result.unorder_violations}, "
           f"harnack violations {result.harnack_samples}, "
@@ -174,21 +168,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _resolve_config(args)
-    kmap = _resolve_map(cfg)
+    cfg, kmap = _prologue(args)
     try:
         x0 = np.array([float(v) for v in args.x0.split(",")])
     except ValueError as exc:
         raise ConfigError(f"cannot parse --x0 '{args.x0}'") from exc
     if x0.shape != (kmap.dim,):
         raise ConfigError(f"--x0 needs {kmap.dim} coordinates")
-    grid = make_grid(kmap.dim, cfg.resolution)
-    sigma_path = args.sigma or os.path.join(cfg.output, "sigma.csv")
-    sigma = load_manifold_csv(sigma_path, grid, provenance="loaded")
-    steps = args.steps if args.steps is not None else cfg.horizon
-    traj, dists = attract_trajectory(kmap, sigma, x0, steps)
+    sigma = _load_sigma(args, cfg, kmap)
+    traj, dists = attract_trajectory(kmap, sigma, x0, cfg.horizon)
     save_trajectory_csv(os.path.join(cfg.output, "trajectory.csv"), traj, dists)
-    print(f"simulated {steps} steps; final distance to the surface {dists[-1]:.3e}")
+    print(f"simulated {cfg.horizon} steps; final distance to the surface {dists[-1]:.3e}")
     return 0
 
 
@@ -230,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="iterate a seed point and log its distance to the surface")
     common(p, resolution=True)
     p.add_argument("--x0", required=True, help="comma-separated start point")
-    p.add_argument("--steps", type=int, help="number of steps (default: verify.horizon)")
+    p.add_argument("--steps", dest="horizon", metavar="STEPS", type=int,
+                   help="number of steps (default: verify.horizon)")
     p.add_argument("--sigma", help="surface CSV (default: <out>/sigma.csv)")
     p.set_defaults(func=cmd_simulate)
     return parser

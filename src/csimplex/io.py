@@ -7,9 +7,10 @@ temp file plus rename.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,8 +28,6 @@ __all__ = [
     "sanitize",
 ]
 
-DIM_CAP = 4
-
 
 class ConfigError(ValueError):
     pass
@@ -37,7 +36,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     map_name: str
-    map_params: dict
+    map_params: dict = field(default_factory=dict)
     resolution: int = 64
     tolerance: float = 1e-6
     max_iter: int = 10000
@@ -45,7 +44,7 @@ class RunConfig:
     safety_margin: float = 0.02
     eps_tol: float = 0.01
     check_resolution: int | None = None
-    dim_cap: int = DIM_CAP
+    dim_cap: int = 4
     sample_count: int = 1000
     horizon: int = 200
     seed: int = 0
@@ -57,27 +56,39 @@ class RunConfig:
     declared_dim: int | None = None
 
     def echo(self) -> dict:
-        return {
-            "map": {"name": self.map_name, "params": self.map_params},
-            "grid": {"resolution": self.resolution},
-            "solver": {
-                "tolerance": self.tolerance,
-                "max_iter": self.max_iter,
-                "kappa_max": self.kappa_max,
-                "safety_margin": self.safety_margin,
-                "epsilon_tol": self.eps_tol,
-                "check_resolution": self.check_resolution,
-            },
-            "verify": {
-                "sample_count": self.sample_count,
-                "horizon": self.horizon,
-                "seed": self.seed,
-                "attraction_tol": self.attraction_tol,
-                "invariance_max": self.invariance_max,
-                "fixed_point_max": self.fixed_point_max,
-                "attraction_min": self.attraction_min,
-            },
-        }
+        """The map, grid, solver and verify sections, as written beside each result."""
+        sections = {}
+        for section, key, attr, _, _ in SCHEMA:
+            if section and attr != "declared_dim":  # map.dim is only checked against the map
+                sections.setdefault(section, {})[key] = getattr(self, attr)
+        return sections
+
+
+# One row per config key: (section, key, RunConfig field, type, lowest allowed
+# value); "" is the root. The defaults are RunConfig's. A key whose default is
+# None also takes null, and a null mapping means {}.
+SCHEMA = (
+    ("map", "name", "map_name", str, None),
+    ("map", "params", "map_params", dict, None),
+    ("map", "dim", "declared_dim", int, None),
+    ("grid", "resolution", "resolution", int, 2),
+    ("solver", "tolerance", "tolerance", float, math.ulp(0.0)),  # least positive double
+    ("solver", "max_iter", "max_iter", int, 1),
+    ("solver", "kappa_max", "kappa_max", float, 0.0),
+    ("solver", "safety_margin", "safety_margin", float, None),
+    ("solver", "epsilon_tol", "eps_tol", float, None),
+    ("solver", "check_resolution", "check_resolution", int, 2),
+    ("verify", "sample_count", "sample_count", int, 0),
+    ("verify", "horizon", "horizon", int, 0),
+    ("verify", "seed", "seed", int, 0),
+    ("verify", "attraction_tol", "attraction_tol", float, None),
+    ("verify", "invariance_max", "invariance_max", float, None),
+    ("verify", "fixed_point_max", "fixed_point_max", float, None),
+    ("verify", "attraction_min", "attraction_min", float, None),
+    ("", "dim_cap", "dim_cap", int, None),
+    ("", "output", "output", str, None),
+)
+_KINDS = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def _expect_mapping(obj, name: str) -> dict:
@@ -86,6 +97,25 @@ def _expect_mapping(obj, name: str) -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"section '{name}' must be a mapping")
     return obj
+
+
+def _checked(section: str, key: str, attr: str, kind: type, low, value):
+    """value cast to its key's type; ConfigError names the key if it is malformed."""
+    name = f"{section}.{key}".removeprefix(".")
+    if value is None and RunConfig.__dataclass_fields__[attr].default is None:
+        return None
+    if kind is dict:
+        return _expect_mapping(value, name)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        value = int(value)
+    elif kind is float and number and math.isfinite(value):
+        value = float(value)
+    elif not (kind is str and isinstance(value, str)):
+        raise ConfigError(f"{name} must be {_KINDS[kind]}, not {value!r}")
+    if low is not None and value < low:
+        raise ConfigError(f"{name} must be at least {low}")
+    return value
 
 
 def load_config(path: str) -> RunConfig:
@@ -98,54 +128,24 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a mapping")
-    map_block = _expect_mapping(raw.get("map"), "map")
-    if "name" not in map_block:
+    sections = dict.fromkeys(row[0] for row in SCHEMA if row[0])
+    values = {}
+    for section in ("", *sections):
+        block = _expect_mapping(raw.get(section), section) if section else raw
+        known = {key: attr for s, key, attr, _, _ in SCHEMA if s == section}
+        for key, value in block.items():
+            if key in known:
+                values[known[key]] = value
+            elif section or key not in sections:
+                raise ConfigError(f"{section}.{key} is not a config key".removeprefix("."))
+    if "map_name" not in values:
         raise ConfigError("config needs map.name")
-    grid = _expect_mapping(raw.get("grid"), "grid")
-    solver = _expect_mapping(raw.get("solver"), "solver")
-    verify = _expect_mapping(raw.get("verify"), "verify")
-    cfg = RunConfig(
-        map_name=str(map_block["name"]),
-        map_params=_expect_mapping(map_block.get("params"), "map.params"),
-        resolution=int(grid.get("resolution", 64)),
-        tolerance=float(solver.get("tolerance", 1e-6)),
-        max_iter=int(solver.get("max_iter", 10000)),
-        kappa_max=float(solver.get("kappa_max", 1.0)),
-        safety_margin=float(solver.get("safety_margin", 0.02)),
-        eps_tol=float(solver.get("epsilon_tol", 0.01)),
-        check_resolution=(
-            int(solver["check_resolution"]) if "check_resolution" in solver else None
-        ),
-        dim_cap=int(raw.get("dim_cap", DIM_CAP)),
-        sample_count=int(verify.get("sample_count", 1000)),
-        horizon=int(verify.get("horizon", 200)),
-        seed=int(verify.get("seed", 0)),
-        attraction_tol=float(verify.get("attraction_tol", 1e-3)),
-        invariance_max=float(verify.get("invariance_max", 0.05)),
-        fixed_point_max=float(verify.get("fixed_point_max", 1e-4)),
-        attraction_min=float(verify.get("attraction_min", 0.95)),
-        output=str(raw.get("output", "out")),
-        declared_dim=(int(map_block["dim"]) if "dim" in map_block else None),
-    )
-    validate_config(cfg)
-    return cfg
+    return validate_config(RunConfig(**values))
 
 
-def validate_config(cfg: RunConfig) -> None:
-    if cfg.resolution < 2:
-        raise ConfigError("grid.resolution must be at least 2")
-    if cfg.tolerance <= 0.0:
-        raise ConfigError("solver.tolerance must be positive")
-    if cfg.max_iter < 1:
-        raise ConfigError("solver.max_iter must be at least 1")
-    if cfg.check_resolution is not None and cfg.check_resolution < 2:
-        raise ConfigError("solver.check_resolution must be at least 2")
-    if not cfg.kappa_max >= 0.0:
-        raise ConfigError("solver.kappa_max must be nonnegative")
-    if cfg.sample_count < 0 or cfg.horizon < 0:
-        raise ConfigError("verify.sample_count and verify.horizon must be nonnegative")
-    if cfg.seed < 0:
-        raise ConfigError("verify.seed must be nonnegative")
+def validate_config(cfg: RunConfig) -> RunConfig:
+    """cfg with every value checked against SCHEMA and cast to its key's type."""
+    return replace(cfg, **{row[2]: _checked(*row, getattr(cfg, row[2])) for row in SCHEMA})
 
 
 def atomic_write_text(path: str, text: str) -> None:

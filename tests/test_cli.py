@@ -83,17 +83,42 @@ def test_config_errors_exit_2(tmp_path):
     ("check", {"solver": {"kappa_max": -0.5}}, []),
     ("verify", {"verify": {"seed": -1}}, []),
     ("verify", {}, ["--seed", "-3"]),
+    ("compute", {"grid": {"resolution": 16.7}}, []),
+    ("verify", {"verify": {"seed": 1.9}}, []),
+    ("check", {"grid": {"resolution": "abc"}}, []),
+    ("check", {"grid": {"resolution": None}}, []),
+    ("check", {"solver": {"max_iter": True}}, []),
+    ("check", {"solver": {"tolerance": float("inf")}}, []),
+    ("check", {"verify": {"attraction_min": float("nan")}}, []),
+    ("check", {"map": {"name": 3, "params": {}}}, []),
+    ("check", {"solvr": {"tolerance": 1e-9}}, []),
+    ("check", {"solver": {"tolerence": 1e-9}}, []),
+    ("check", {"outptu": "elsewhere"}, []),
+    ("compute", {}, ["--tolerance", "nan"]),
+    ("compute", {}, ["--tolerance", "inf"]),
+    ("simulate", {}, ["--x0", "0.2,0.1", "--steps", "-5"]),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, command, overrides, flags):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **overrides)
     args = [command, "--config", str(cfg_path)] + flags
-    if command == "verify":  # verify reaches its sampling only with a surface to load
+    if command in ("verify", "simulate"):  # both reach their work only with a surface to load
         sigma_path = tmp_path / "sigma.csv"
         save_manifold_csv(str(sigma_path), constant_manifold(make_grid(2, 16), 1.0))
         args += ["--sigma", str(sigma_path)]
     assert main(args) == 2
-    assert "config error" in capsys.readouterr().err
+    assert f"config error: {named_key(overrides, flags)}" in capsys.readouterr().err
+
+
+def named_key(overrides, flags):
+    """The key a bad value's error names: a flag's key, an unknown section, or section.key."""
+    if flags:
+        return {"--seed": "verify.seed", "--tolerance": "solver.tolerance",
+                "--steps": "verify.horizon"}[flags[-2]]
+    ((section, block),) = overrides.items()
+    if section not in ("map", "grid", "solver", "verify"):
+        return section
+    return f"{section}.{next(iter(block))}"
 
 
 def test_compute_verify_simulate_pipeline(tmp_path):
