@@ -120,7 +120,7 @@ def _compute(args, dump_iterates: bool) -> int:
         save_manifold_csv(os.path.join(cfg.output, "lower_partial.csv"), result.lower)
         save_manifold_csv(os.path.join(cfg.output, "upper_partial.csv"), result.upper)
     print(f"termination: {result.termination} after {result.iterations} iterations, "
-          f"gap {result.final_gap:.3e}, certified radial error {result.certified_error:.3e}")
+          f"gap {result.final_gap:.3e}, radial error estimate {result.certified_error:.3e}")
     if result.termination == "converged":
         return 0
     if result.termination == "fold_error":

@@ -21,10 +21,12 @@ compared (see nearest_distances). The Hausdorff distance needs only the largest
 nearest distance, so it solves rows in descending order of that bound and stops
 at the first whose bound cannot exceed the largest found: an exact early exit
 (Taha and Hanbury, IEEE TPAMI 37(11), 2015; see hausdorff_points). The
-projection Lipschitz ratio and the dominance scan of weak unorderedness share
-one grid of point buckets, and solve only the bucket pairs whose box bounds can
-reach the maximum or hold a dominated pair (Bentley, Weide and Yao, ACM TOMS
-6(4), 1980; see projection_ratio_max and is_weakly_unordered).
+dominance scan of weak unorderedness buckets the points on a grid and solves
+only the bucket pairs whose boxes can hold a dominated pair (Bentley, Weide and
+Yao, ACM TOMS 6(4), 1980; see is_weakly_unordered). The projection Lipschitz
+ratio is bounded, not searched: a pair ordered in no direction has ratio at
+most sqrt(d), so the same scan at zero tolerance flags the only pairs whose
+ratio is solved (see projection_ratio_bound).
 """
 from __future__ import annotations
 
@@ -53,7 +55,7 @@ __all__ = [
     "sup_gap",
     "hausdorff_points",
     "nearest_distances",
-    "projection_ratio_max",
+    "projection_ratio_bound",
     "is_weakly_unordered",
     "grid_spacing",
     "lipschitz_estimate",
@@ -328,10 +330,10 @@ BAND_MARGIN = 1e-9
 # are scattered in key order, so a first block of 64 bands nearly all of b,
 # where on a converged iterate one row already settles the maximum.
 BAND_ROWS = 64
-# Rows per occupied bucket of _buckets. Larger buckets loosen the bounds, so more pairs
-# are solved; smaller ones make more bucket pairs to screen. On converged 3-species
-# surfaces at res 128 and 4-species at res 32, projection_ratio_max and
-# is_weakly_unordered took 0.37 and 0.33 s at 4 rows, 0.31 and 0.29 s at 5 and at 6 rows
+# Rows per occupied bucket of _buckets, the grid of the dominance scan _dominated_pairs.
+# Larger buckets loosen the box test, so more pairs are solved; smaller ones make more
+# bucket pairs to screen. On converged 3-species surfaces at res 128 and 4-species at
+# res 32, is_weakly_unordered took 0.33 s at 4 rows, 0.29 s at 5 and at 6 rows
 # (medians of 15, 2-core x86_64).
 RATIO_FILL = 5
 
@@ -497,7 +499,7 @@ def hausdorff_points(a, b) -> float:
 
 
 def _pair_ratios(pts, i, j) -> np.ndarray:
-    """|x_i - x_j| / |P(x_i - x_j)| for row pairs i < j; inf where the projection is <= 1e-300.
+    """|x_i - x_j| / |P(x_i - x_j)| for row pairs (i, j); inf where the projection is <= 1e-300.
 
     Columns are gathered and summed one at a time, ((c0 + c1) + c2) ..., the order of
     numpy's norm and mean over a short axis, so for d < 8 each ratio equals the row formula's.
@@ -545,83 +547,6 @@ def _row_pairs(buckets, pa, pb, budget):
         yield k, i + start[pa[k]], j + start[pb[k]]
 
 
-def _bucket_ratio_max(pts, buckets, pa, pb, bound, best):
-    """best raised by the ratios of the row pairs of bucket pairs (pa[k], pb[k]), in order.
-
-    A bucket paired with itself gives each of its pairs once. Pairs are solved
-    PAIR_BLOCK // d at a time (_row_pairs), stopping at the first block whose first
-    bucket pair has bound < best^2.
-    """
-    for k, i, j in _row_pairs(buckets, pa, pb, max(1, PAIR_BLOCK // pts.shape[1])):
-        if bound[k[0]] < best * best:
-            break
-        own = (pa[k] != pb[k]) | (i < j)
-        i, j = buckets[0][i[own]], buckets[0][j[own]]
-        ratios = _pair_ratios(pts, np.minimum(i, j), np.maximum(i, j))
-        best = np.maximum(best, ratios.max(initial=0.0))
-    return best
-
-
-def projection_ratio_max(pts) -> float:
-    """Largest |x - y| / |P(x - y)| over all pairs of rows x, y, P the projection onto e-perp.
-
-    inf when two rows differ along e = (1, ..., 1) only. Exact: every pair solved uses the
-    arithmetic of _pair_ratios, taken as (i < j), and a maximum ignores the order of its
-    terms. Sets of at most PAIR_BLOCK // d pairs solve them in one block. Larger sets are
-    bucketed on a grid over q = x - h e (h the mean coordinate), about RATIO_FILL rows a
-    bucket; as ratio^2 = 1 + d dh^2 / |dq|^2, the (q, h) boxes of two buckets bound the
-    ratio^2 of their pairs. The pairs inside and between touching buckets seed best, the
-    largest ratio so far. The other bucket pairs are screened in blocks, and a block's
-    pairs with bound >= best^2 are solved in descending bound until one falls below
-    best^2. Boxes widen by BAND_MARGIN * max|x| + 1e-150, and bounds by the relative
-    BAND_MARGIN * (1 + sqrt(bound)), for rounding, underflow and the error of a computed
-    ratio, which grows with it. Memory stays linear in the number of rows. With a
-    non-finite coordinate, d < 2 or max|x| > 1e150, all rows share one bucket.
-    """
-    pts = np.asarray(pts, dtype=float)
-    n, d = pts.shape
-    if n < 2:
-        raise ValueError("the ratio needs two points")
-    if n * (n - 1) // 2 <= max(1, PAIR_BLOCK // d):
-        return float(_pair_ratios(pts, *np.triu_indices(n, 1)).max())
-    scale = np.abs(pts).max()
-    h = pts.mean(axis=1)
-    q = pts - h[:, None]
-    # a NaN scale fails the test too
-    grid = q[:, :min(d - 1, 3)] if d > 1 and scale <= 1e150 else np.zeros((n, 1))
-    perm, start, count, cell = _buckets(grid)
-    nb, k = start.size, cell.shape[1]
-    slack = BAND_MARGIN * scale + 1e-150
-    qlo, qhi, hlo, hhi = (f.reduceat(v[perm], start, axis=0) + sign * slack
-                          for v in (q, h) for f, sign in ((np.minimum, -1), (np.maximum, 1)))
-    best, rows = 0.0, max(1, PAIR_BLOCK // d // nb)
-    for seed in (True, False):
-        for s in range(0, nb, rows):
-            a = np.arange(s, min(nb, s + rows))[:, None]
-            b = np.arange(s, nb)
-            near = np.ones((a.size, b.size), dtype=bool)
-            for c in range(k):
-                near &= np.abs(cell[b, c] - cell[a, c]) <= 1
-            if seed:
-                ii, jj = np.nonzero(near & (b >= a))
-                w = np.full(ii.size, np.inf)
-            else:
-                gap2 = np.zeros(near.shape)
-                for c in range(d):
-                    gap = np.maximum(qlo[b, c] - qhi[a, c], qlo[a, c] - qhi[b, c])
-                    gap2 += np.maximum(gap, 0.0) ** 2
-                hspan = np.maximum(hhi[b] - hlo[a], hhi[a] - hlo[b])
-                with np.errstate(divide="ignore", over="ignore"):
-                    bound = 1.0 + d * (hspan * hspan / gap2)
-                bound *= 1.0 + BAND_MARGIN * (1.0 + np.sqrt(bound))
-                ii, jj = np.nonzero(~near & (b > a) & (bound >= best * best))
-                w = bound[ii, jj]
-            order = np.argsort(-w, kind="stable")
-            best = _bucket_ratio_max(pts, (perm, start, count), a[ii[order], 0], b[jj[order]],
-                                     w[order], best)
-    return float(best)
-
-
 def _dominated_pairs(p, tol_order) -> tuple[np.ndarray, np.ndarray]:
     """Rows (i, j) of p (n, s), in row-major order, where p_j - p_i > tol_order in every column.
 
@@ -636,7 +561,7 @@ def _dominated_pairs(p, tol_order) -> tuple[np.ndarray, np.ndarray]:
         for k in range(1, s):
             np.minimum(low, p[None, :, k] - p[:, None, k], out=low)
         return np.nonzero(low > tol_order)
-    perm, start, count = _buckets((p - p.mean(axis=1, keepdims=True))[:, :min(s - 1, 3)])[:3]
+    perm, start, count = _buckets((p - p.mean(axis=1, keepdims=True))[:, :min(s - 1, 3) or 1])[:3]
     lo, hi = (f.reduceat(p[perm], start, axis=0).T.copy() for f in (np.minimum, np.maximum))
     found = []
     rows = max(1, PAIR_BLOCK // start.size)
@@ -679,6 +604,31 @@ def is_weakly_unordered(manifold: RadialManifold, tol_order: float) -> list[tupl
         i, j = _dominated_pairs(pts[np.ix_(members, np.flatnonzero(supp[members[0]]))], tol_order)
         violations.extend(zip(members[i].tolist(), members[j].tolist()))
     return violations
+
+
+def projection_ratio_bound(pts) -> float:
+    """Upper bound of |x - y| / |P(x - y)| over all pairs of rows x, y, P the projection onto e-perp.
+
+    Let v = y - x with sum(v) >= 0. If some v_j <= 0, then sum_{i != j} v_i >= sum(v) >= 0,
+    Cauchy-Schwarz gives sum(v)^2 <= (d - 1) |v|^2, and |Pv|^2 = |v|^2 - sum(v)^2 / d >=
+    |v|^2 / d: the ratio is at most sqrt(d). The sign of a float difference is exact, so
+    every pair that the zero-tolerance scan _dominated_pairs(pts, 0.0) over all columns
+    does not flag in either order has such a coordinate. The bound is sqrt(d), raised by
+    the ratios of the flagged pairs (_pair_ratios: inf for pairs that differ along
+    e = (1, ..., 1) only), and inf when two rows coincide, the 0/0 of _pair_ratios. On an
+    unordered surface nothing is flagged and the bound is sqrt(d). Memory stays linear in
+    the number of rows.
+    """
+    pts = np.asarray(pts, dtype=float)
+    n, d = pts.shape
+    if n < 2:
+        raise ValueError("the ratio needs two points")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"row {np.argmin(np.isfinite(pts).all(axis=1))} is not finite")
+    srt = pts[np.lexsort(pts.T)]
+    if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
+        return np.inf
+    return float(_pair_ratios(pts, *_dominated_pairs(pts, 0.0)).max(initial=np.sqrt(d)))
 
 
 def _cell_pair_diffs(grid: BarycentricGrid):

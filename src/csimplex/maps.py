@@ -285,7 +285,14 @@ REGISTRY: dict[str, Callable[..., KolmogorovMap]] = {
 
 
 def make_map(name: str, params: dict | None = None) -> KolmogorovMap:
-    """Instantiate a registered map from a name and a parameter mapping."""
+    """Instantiate a registered map; a NaN or infinite numeric parameter raises ValueError."""
     if name not in REGISTRY:
         raise KeyError(f"unknown map '{name}'; known: {sorted(REGISTRY)}")
+    for key, value in (params or {}).items():
+        try:
+            finite = np.isfinite(np.asarray(value, dtype=float)).all()
+        except (TypeError, ValueError):  # not numeric: the map's own checks name it
+            continue
+        if not finite:
+            raise ValueError(f"map parameter {key} must be finite")
     return REGISTRY[name](**(params or {}))

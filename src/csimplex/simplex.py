@@ -23,7 +23,7 @@ from .geometry import (
     is_weakly_unordered,
     lipschitz_estimate,
     nearest_distances,
-    projection_ratio_max,
+    projection_ratio_bound,
     radius_at,
     sup_gap,
     symmetrized_order,
@@ -513,7 +513,7 @@ def verify_cs(
 
     lipschitz_bound = float(np.sqrt(1.0 + d))
     if grid.n_vertices >= 2:
-        lipschitz_ratio_max: float | None = projection_ratio_max(vertex_points(sigma))
+        lipschitz_ratio_max: float | None = projection_ratio_bound(vertex_points(sigma))
     else:
         lipschitz_ratio_max = None
         vacuous.append("lipschitz_ratio_max")

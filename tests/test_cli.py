@@ -110,6 +110,19 @@ def test_bad_config_values_exit_2(tmp_path, capsys, command, overrides, flags):
     assert f"config error: {named_key(overrides, flags)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,params,bad", [
+    ("ricker1d", {"lam": float("nan")}, "lam"),
+    ("ricker2d", {"r": float("inf"), "s": 0.5, "a": 0.5, "b": 0.5}, "r"),
+    ("leslie_gower", {"r": [1.0, 1.0], "A": [[1.0, float("inf")], [0.5, 1.0]]}, "A"),
+])
+def test_non_finite_map_parameters_exit_2(tmp_path, capsys, name, params, bad):
+    # json writes NaN and Infinity, and Python's json reads them back
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, map={"name": name, "params": params})
+    assert main(["check", "--config", str(cfg_path)]) == 2
+    assert f"config error: map parameter {bad} must be finite" in capsys.readouterr().err
+
+
 def named_key(overrides, flags):
     """The key a bad value's error names: a flag's key, an unknown section, or section.key."""
     if flags:

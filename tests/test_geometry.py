@@ -22,7 +22,7 @@ from csimplex.geometry import (
     nearest_distances,
     order_function,
     project_e_perp,
-    projection_ratio_max,
+    projection_ratio_bound,
     radial_project,
     radius_at,
     restricted_harnack,
@@ -627,13 +627,25 @@ def test_hausdorff_early_exit_solves_few_pairs_when_converged(monkeypatch):
     assert pairs[0] < 5000  # 2 * 1225 of them are the seed bounds
 
 
-def triu_ratio_max(pts):
+def triu_ratios(pts):
+    """Every pair's ratio |v| / |Pv| by the row formula, with its difference v, over i < j."""
     ii, jj = np.triu_indices(pts.shape[0], k=1)
     diffs = pts[ii] - pts[jj]
     proj = diffs - diffs.mean(axis=1, keepdims=True)
     num = np.linalg.norm(diffs, axis=1)
     den = np.linalg.norm(proj, axis=1)
-    return float(np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf).max())
+    return np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf), diffs
+
+
+def triu_ratio_max(pts):
+    return float(triu_ratios(pts)[0].max())
+
+
+def ordered_ratio_max(pts):
+    """sqrt(d), raised by the pairs the lemma leaves out: strictly ordered or coinciding rows."""
+    ratios, v = triu_ratios(pts)
+    left = np.all(v > 0, axis=1) | np.all(v < 0, axis=1) | np.all(v == 0, axis=1)
+    return float(ratios[left].max(initial=np.sqrt(pts.shape[1])))
 
 
 def converged_points(dim, m):
@@ -643,51 +655,62 @@ def converged_points(dim, m):
     return vertex_points(sigma)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf rows
+def decoupled_points(dim, m):
+    """Vertex points of the computed surface of decoupled Leslie-Gower (A = I), tol 1e-7."""
+    return vertex_points(compute_cs(lg(dim, 0.0), make_grid(dim, m), 1.0, 0.5, tolerance=1e-7).sigma)
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_projection_ratio_chunked_equals_triu(dim, monkeypatch):
+def test_projection_ratio_bound_equals_ordered_pair_max(dim, monkeypatch):
     pts = RNG.random((41, dim))
     along_e = pts.copy()
     along_e[3] = 0.25 * np.arange(dim)
     along_e[4] = along_e[3] + 0.5  # a pair that differs along (1, ..., 1) only
-    # small sets, so that every pair is the largest in some set
     small = list(RNG.random((30, 7, dim)))
     far_dup = RNG.random((300, dim))
     far_dup[-1] = far_dup[0]  # duplicate rows far apart in index
     e_pair = RNG.random((300, dim))
     e_pair[10] = 0.25 * np.arange(dim)
     e_pair[250] = e_pair[10] + 0.5  # an e-parallel pair, also far apart in index
-    nonfinite = RNG.random((300, dim))
-    nonfinite[5], nonfinite[77, -1] = np.nan, np.inf
     # uneven bucket fills: a dense cluster in a sparse halo
     uneven = np.concatenate([0.5 + 1e-3 * RNG.random((250, dim)), RNG.random((60, dim))])
-    large = [far_dup, e_pair, nonfinite, uneven]
-    if dim > 1:  # surfaces above one block: converged, the decoupled box and the flat simplex
+    sets = [pts, along_e, pts[:2], RNG.random((300, dim)), far_dup, e_pair, uneven] + small
+    if dim > 1:  # surfaces: converged, the decoupled box and the flat simplex
         m = {2: 300, 3: 24, 4: 12}[dim]
         grid = make_grid(dim, m)
-        large += [converged_points(dim, m), vertex_points(box_boundary_manifold(grid, 1.0)),
-                  vertex_points(constant_manifold(grid, 1.0))]
-        assert large[-3].shape[0] * (large[-3].shape[0] - 1) // 2 > geometry.PAIR_BLOCK // dim
-    # (PAIR_BLOCK, RATIO_FILL): the defaults, small blocks, one row per bucket and large buckets
-    fill = geometry.RATIO_FILL
-    for sets, settings in [
-        ([pts, along_e, pts[:2]] + small,
-         [(geometry.PAIR_BLOCK, fill), (50, 1), (3 * dim + 1, 40), (1, fill), (1, 1)]),
-        (large, [(geometry.PAIR_BLOCK, fill), (geometry.PAIR_BLOCK, 1), (997, 40), (397, fill)]),
-    ]:
-        for p in sets:
-            expected = triu_ratio_max(p)
-            for block, fill in settings:
-                monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
-                monkeypatch.setattr(geometry, "RATIO_FILL", fill)
-                assert projection_ratio_max(p) == expected
-    assert projection_ratio_max(along_e) == np.inf
-    assert projection_ratio_max(far_dup) == projection_ratio_max(e_pair) == np.inf
-    assert projection_ratio_max(nonfinite) == np.inf
+        sets += [converged_points(dim, m), vertex_points(box_boundary_manifold(grid, 1.0)),
+                 vertex_points(constant_manifold(grid, 1.0))]
+        assert sets[-3].shape[0] ** 2 > geometry.PAIR_BLOCK  # the bucketed scan
+    if dim in (3, 4):  # computed decoupled surfaces, where the zero-tolerance scan flags pairs
+        sets.append(decoupled_points(dim, {3: 16, 4: 8}[dim]))
+    for p in sets:
+        expected, dense = ordered_ratio_max(p), triu_ratio_max(p)
+        # (PAIR_BLOCK, RATIO_FILL): the defaults, and small values that force the bucketed scan
+        for block, fill in [(geometry.PAIR_BLOCK, geometry.RATIO_FILL), (geometry.PAIR_BLOCK, 1),
+                            (997, 40), (397, geometry.RATIO_FILL), (50, 1)]:
+            monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
+            monkeypatch.setattr(geometry, "RATIO_FILL", fill)
+            got = projection_ratio_bound(p)
+            assert got == expected
+            assert dense <= got * (1.0 + 1e-12)
+    for p in (along_e, far_dup, e_pair):
+        assert projection_ratio_bound(p) == np.inf
+
+
+def test_projection_ratio_bound_rejects_bad_input():
+    nonfinite = RNG.random((300, 3))
+    nonfinite[77, -1] = np.inf
+    with pytest.raises(ValueError, match="row 77"):
+        projection_ratio_bound(nonfinite)
+    nonfinite[5, 0] = np.nan
+    with pytest.raises(ValueError, match="row 5"):
+        projection_ratio_bound(nonfinite)
+    with pytest.raises(ValueError):
+        projection_ratio_bound(np.ones((1, 3)))
 
 
 def count_solved_pairs(monkeypatch):
-    """Row pairs whose ratio projection_ratio_max computes, as a running count."""
+    """Row pairs whose ratio projection_ratio_bound computes, as a running count."""
     solved = [0]
     pair_ratios = geometry._pair_ratios
 
@@ -699,58 +722,15 @@ def count_solved_pairs(monkeypatch):
     return solved
 
 
-def test_projection_ratio_solves_a_tied_bound(monkeypatch):
-    # one row per bucket and one pair per block; both pairs have ratio 1, below best = 1.5
-    pts = np.array([[0.0, 0.0, 0.0], [1.0, -1.0, 0.0], [0.0, 2.0, 0.0], [1.0, 1.0, 0.0]])
-    buckets = (np.arange(4), np.arange(4), np.ones(4, dtype=int))
-    pa, pb = np.array([0, 2]), np.array([1, 3])
-    monkeypatch.setattr(geometry, "PAIR_BLOCK", 3)
+@pytest.mark.parametrize("dim,m,flagged", [(3, 16, 18), (4, 8, 17)])
+def test_projection_ratio_bound_on_decoupled_surfaces(dim, m, flagged, monkeypatch):
+    # the computed surface is the unit box's boundary to rounding (d=3) or finding 1's
+    # wrong surface (d=4); both flag strictly ordered pairs, whose ratios stay below sqrt(d)
+    pts = decoupled_points(dim, m)
     solved = count_solved_pairs(monkeypatch)
-    # the first bound equals best^2 = 2.25: solved; the next is an ulp below: the search stops
-    bound = np.array([2.25, np.nextafter(2.25, 0.0)])
-    assert geometry._bucket_ratio_max(pts, buckets, pa, pb, bound, 1.5) == 1.5
-    assert solved[0] == 1
-    solved[0] = 0
-    assert geometry._bucket_ratio_max(pts, buckets, pa, pb, np.full(2, 2.25), 1.5) == 1.5
-    assert solved[0] == 2
-
-
-def tilted_lattice(dim, n, slope):
-    """Rows q + slope * q_0 * e over a dyadic n^(d-1) lattice of q in e-perp.
-
-    All pairs along q_0 have one ratio in exact arithmetic, so in one-row buckets the
-    computed ratios and the bounds of the screen tie up to rounding.
-    """
-    g = np.stack(np.meshgrid(*[np.arange(n) / n] * (dim - 1)), -1).reshape(-1, dim - 1)
-    q = np.concatenate([g, -g.sum(axis=1, keepdims=True)], axis=1)
-    return q + slope * q[:, :1]
-
-
-def test_projection_ratio_bounds_dominate_solved_pairs(monkeypatch):
-    # the screen's widened bound of a bucket pair is at least the square of every ratio
-    # computed in it; without the widening, thousands of tilted-lattice pairs exceed it
-    seen = []
-    bucket_max = geometry._bucket_ratio_max
-
-    def spy(pts, buckets, pa, pb, bound, best):
-        seen.append((buckets, pa, pb, bound))
-        return bucket_max(pts, buckets, pa, pb, bound, best)
-
-    monkeypatch.setattr(geometry, "_bucket_ratio_max", spy)
-    monkeypatch.setattr(geometry, "RATIO_FILL", 1)
-    for pts in (tilted_lattice(3, 16, 0.3), tilted_lattice(4, 8, 2.0), converged_points(3, 24)):
-        seen.clear()
-        assert projection_ratio_max(pts) == triu_ratio_max(pts)
-        checked = 0
-        for (perm, start, count), pa, pb, bound in seen:
-            for a, b, w in zip(pa, pb, bound):
-                if np.isfinite(w):  # seed pairs have no bound
-                    i, j = (x.ravel() for x in np.meshgrid(perm[start[a]:][:count[a]],
-                                                           perm[start[b]:][:count[b]]))
-                    r = geometry._pair_ratios(pts, np.minimum(i, j), np.maximum(i, j)).max()
-                    assert r * r <= w
-                    checked += 1
-        assert checked > 100
+    assert projection_ratio_bound(pts) == math.sqrt(dim) < math.sqrt(1 + dim)
+    assert solved[0] == flagged
+    assert triu_ratio_max(pts) <= math.sqrt(dim) * (1.0 + 1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -758,19 +738,18 @@ def lg3_res64_points():
     return converged_points(3, 64)
 
 
-def test_projection_ratio_solves_few_pairs_when_converged(lg3_res64_points, monkeypatch):
-    n = lg3_res64_points.shape[0]
+def test_projection_ratio_bound_solves_no_pair_when_converged(lg3_res64_points, monkeypatch):
     solved = count_solved_pairs(monkeypatch)
-    got = projection_ratio_max(lg3_res64_points)
-    assert 1.3 < got < 1.4  # 1.37: the all-pairs maximum on this surface
-    assert solved[0] < 0.15 * n * (n - 1) / 2
+    assert projection_ratio_bound(lg3_res64_points) == math.sqrt(3.0)
+    assert solved[0] == 0
+    assert triu_ratio_max(lg3_res64_points) < math.sqrt(3.0)  # 1.37: the all-pairs maximum
 
 
-def test_projection_ratio_memory_is_linear(lg3_res64_points):
+def test_projection_ratio_bound_memory_is_linear(lg3_res64_points):
     # all 2.3 million pairs at once would hold about 200 MB
     tracemalloc.start()
     try:
-        projection_ratio_max(lg3_res64_points)
+        projection_ratio_bound(lg3_res64_points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from csimplex.geometry import _pair_ratios  # noqa: E402
@@ -49,3 +51,17 @@ def test_pair_ratios_equal_row_formula_bit_for_bit(pts):
         got, expected = _pair_ratios(pts, i, j), row_ratios(pts, i, j)
     assert got.shape == expected.shape
     assert np.array_equal(got, expected, equal_nan=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=d, max_size=d),
+    min_size=2, max_size=2)))
+def test_unordered_pair_ratio_is_at_most_sqrt_d(pair):
+    # the lemma behind projection_ratio_bound: a pair strictly ordered in neither direction
+    # has |v| <= sqrt(d) |Pv|, so its computed ratio exceeds sqrt(d) by rounding only
+    pts = np.array(pair)
+    v = pts[1] - pts[0]
+    assume(not (np.all(v > 0) or np.all(v < 0)) and np.linalg.norm(v) > 1e-100)
+    ratio = _pair_ratios(pts, np.array([0]), np.array([1]))[0]
+    assert ratio <= math.sqrt(pts.shape[1]) * (1.0 + 1e-12)
