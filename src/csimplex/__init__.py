@@ -23,23 +23,16 @@ from .geometry import (
     RadialManifold,
     box_boundary_manifold,
     constant_manifold,
-    eval_radial,
     harnack,
     hausdorff_points,
     is_weakly_unordered,
     make_grid,
     order_function,
-    project_e_perp,
-    radial_project,
-    restricted_harnack,
     sup_gap,
 )
 from .maps import (
-    AxisMap,
     KolmogorovMap,
     MapDomainError,
-    axis_map,
-    eval_DF,
     eval_F,
     eval_Z,
     eval_df,
@@ -52,8 +45,6 @@ from .simplex import (
     attract_trajectory,
     compute_cs,
     gamma_membership,
-    induced_map,
-    shadow_point,
     surface_distance,
     verify_cs,
 )

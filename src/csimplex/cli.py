@@ -71,7 +71,7 @@ def _write_report(cfg: RunConfig, name: str, payload: dict) -> None:
 def _load_sigma(args, cfg: RunConfig, kmap: KolmogorovMap) -> RadialManifold:
     grid = make_grid(kmap.dim, cfg.resolution)
     path = args.sigma or os.path.join(cfg.output, "sigma.csv")
-    return load_manifold_csv(path, grid, provenance="loaded")
+    return load_manifold_csv(path, grid)
 
 
 def cmd_check(args) -> int:

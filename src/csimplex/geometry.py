@@ -41,13 +41,9 @@ __all__ = [
     "RadialManifold",
     "make_grid",
     "simplex_lattice",
-    "radial_project",
     "order_function",
     "symmetrized_order",
     "harnack",
-    "restricted_harnack",
-    "project_e_perp",
-    "eval_radial",
     "radius_at",
     "vertex_points",
     "box_boundary_manifold",
@@ -199,8 +195,6 @@ class RadialManifold:
 
     grid: BarycentricGrid
     radii: np.ndarray
-    provenance: str = ""
-    iteration: int = 0
 
     def __post_init__(self):
         radii = np.array(self.radii, dtype=float)  # own copy; manifolds are immutable values
@@ -210,17 +204,6 @@ class RadialManifold:
             raise GridError("radii do not match the grid")
         if not np.all(np.isfinite(radii)) or np.any(radii <= 0.0):
             raise ValueError("radii must be strictly positive and finite")
-
-
-def radial_project(x) -> np.ndarray:
-    """Direction x / ||x||_1 on the simplex of each row of x, shape (..., d); undefined at 0."""
-    x = np.asarray(x, dtype=float)
-    s = x.sum(axis=-1, keepdims=True)
-    bad = (s[..., 0] <= 0.0) | np.any(x < 0.0, axis=-1)
-    if np.any(bad):
-        row = "" if x.ndim == 1 else f" (row {np.flatnonzero(bad)[0]})"
-        raise ValueError(f"radial projection needs a nonzero nonnegative point{row}")
-    return x / s
 
 
 def order_function(x, y):
@@ -255,23 +238,6 @@ def harnack(x, y):
     return 1.0 - symmetrized_order(x, y)
 
 
-def restricted_harnack(x, y, support) -> float:
-    """Harnack distance after masking the coordinates outside the given support."""
-    x = np.asarray(x, dtype=float).copy()
-    y = np.asarray(y, dtype=float).copy()
-    mask = np.zeros(x.shape[0], dtype=bool)
-    mask[list(support)] = True
-    x[~mask] = 0.0
-    y[~mask] = 0.0
-    return harnack(x, y)
-
-
-def project_e_perp(x) -> np.ndarray:
-    """Projection of each row of x, shape (..., d), onto the hyperplane orthogonal to (1, ..., 1)."""
-    x = np.asarray(x, dtype=float)
-    return x - x.mean(axis=-1, keepdims=True)
-
-
 def radius_at(manifold: RadialManifold, u):
     """Interpolated radius R(u): a float for u of shape (d,), an (N,) array for (N, d)."""
     idx, w = manifold.grid.locate(u)
@@ -279,26 +245,20 @@ def radius_at(manifold: RadialManifold, u):
     return float(r) if r.ndim == 0 else r
 
 
-def eval_radial(manifold: RadialManifold, u) -> np.ndarray:
-    """Surface points R(u) * u with R interpolated over the containing cells."""
-    u = np.asarray(u, dtype=float)
-    return np.asarray(radius_at(manifold, u))[..., None] * u
-
-
 def vertex_points(manifold: RadialManifold) -> np.ndarray:
     """All vertex sample points R(u_i) u_i as an (N, d) array."""
     return manifold.radii[:, None] * manifold.grid.vertices
 
 
-def constant_manifold(grid: BarycentricGrid, value: float, provenance: str = "") -> RadialManifold:
-    return RadialManifold(grid, np.full(grid.n_vertices, float(value)), provenance)
+def constant_manifold(grid: BarycentricGrid, value: float) -> RadialManifold:
+    return RadialManifold(grid, np.full(grid.n_vertices, float(value)))
 
 
-def box_boundary_manifold(grid: BarycentricGrid, a: float, provenance: str = "") -> RadialManifold:
+def box_boundary_manifold(grid: BarycentricGrid, a: float) -> RadialManifold:
     """Boundary of the box [0, a]^d as a radial manifold: R(u) = a / max_i(u_i)."""
     if a <= 0.0:
         raise ValueError("box size must be positive")
-    return RadialManifold(grid, a / grid.vertices.max(axis=1), provenance)
+    return RadialManifold(grid, a / grid.vertices.max(axis=1))
 
 
 def sup_gap(a: RadialManifold, b: RadialManifold) -> float:

@@ -196,10 +196,15 @@ def save_manifold_csv(path: str, manifold: RadialManifold) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def load_manifold_csv(path: str, grid: BarycentricGrid, provenance: str = "") -> RadialManifold:
+def load_manifold_csv(path: str, grid: BarycentricGrid) -> RadialManifold:
+    """The manifold stored at path over grid; a malformed file raises GridError naming its fault.
+
+    Row widths are checked by one comma count per line, then every field is
+    converted by one array call, which rounds as float() does.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+            lines = [ln for ln in map(str.strip, fh) if ln]
     except FileNotFoundError as exc:
         raise ConfigError(f"manifold file not found: {path}") from exc
     expected_header = ",".join(f"u_{i + 1}" for i in range(grid.dim)) + ",R"
@@ -210,12 +215,12 @@ def load_manifold_csv(path: str, grid: BarycentricGrid, provenance: str = "") ->
         raise GridError(
             f"manifold has {len(body)} rows, grid expects {grid.n_vertices}"
         )
+    if any(ln.count(",") != grid.dim for ln in body):
+        raise GridError("manifold row width does not match the grid dimension")
     try:
-        data = np.array([[float(v) for v in ln.split(",")] for ln in body])
+        data = np.array(",".join(body).split(","), dtype=float).reshape(-1, grid.dim + 1)
     except ValueError as exc:
         raise GridError(f"manifold file has a non-numeric row: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != grid.dim + 1:
-        raise GridError("manifold row width does not match the grid dimension")
     if not np.max(np.abs(data[:, : grid.dim] - grid.vertices)) <= 1e-12:  # NaN fails too
         raise GridError("manifold directions do not match the grid lattice")
     radii = data[:, grid.dim]
@@ -223,7 +228,7 @@ def load_manifold_csv(path: str, grid: BarycentricGrid, provenance: str = "") ->
     if bad.size:
         raise GridError(f"manifold row {bad[0] + 1} has radius {float(radii[bad[0]])}; "
                         "radii must be positive and finite")
-    return RadialManifold(grid, radii, provenance)
+    return RadialManifold(grid, radii)
 
 
 def save_trajectory_csv(path: str, traj: np.ndarray, dists: np.ndarray) -> None:

@@ -1,4 +1,4 @@
-"""Kolmogorov maps F(x) = diag[x] f(x), their derivatives and axis restrictions.
+"""Kolmogorov maps F(x) = diag[x] f(x) and their derivatives.
 
 A map is described by its per-capita part f (componentwise positive on the
 working box) together with an optional analytic Jacobian of f; a central
@@ -24,13 +24,10 @@ import numpy as np
 __all__ = [
     "MapDomainError",
     "KolmogorovMap",
-    "AxisMap",
     "eval_f",
     "eval_F",
     "eval_df",
-    "eval_DF",
     "eval_Z",
-    "axis_map",
     "fd_jacobian",
     "beverton_holt",
     "atkinson_allen",
@@ -40,6 +37,10 @@ __all__ = [
     "REGISTRY",
     "make_map",
 ]
+
+
+# eval_Z raises below -FEEDBACK_TOL and clips the entries above it to 0 (rounding).
+FEEDBACK_TOL = 1e-9
 
 
 class MapDomainError(ValueError):
@@ -64,15 +65,6 @@ class KolmogorovMap:
     params: dict
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class AxisMap:
-    """Scalar restriction to the i-th axis: g(s) = f_i(s e_i), G(s) = s g(s)."""
-
-    index: int
-    g: Callable[[float], float]
-    G: Callable[[float], float]
 
 
 def _at(x: np.ndarray, bad: np.ndarray) -> str:
@@ -145,40 +137,19 @@ def eval_df(kmap: KolmogorovMap, x) -> np.ndarray:
     return _df(kmap, _check_input(kmap, x))
 
 
-def eval_DF(kmap: KolmogorovMap, x) -> np.ndarray:
-    """Jacobian of the full map, DF_ij = delta_ij f_i + x_i df_ij."""
-    x = _check_input(kmap, x)
-    return _f(kmap, x)[..., None] * np.eye(kmap.dim) + x[..., :, None] * _df(kmap, x)
-
-
-def eval_Z(kmap: KolmogorovMap, x, tol: float = 1e-9) -> np.ndarray:
+def eval_Z(kmap: KolmogorovMap, x) -> np.ndarray:
     """Nonnegative feedback matrix Z_ij = -x_i (df_ij) / f_i; row i vanishes with x_i."""
     x = _check_input(kmap, x)
     z = -(x[..., :, None] * _df(kmap, x)) / _f(kmap, x)[..., :, None]
     z = np.where((x == 0.0)[..., :, None], 0.0, z)
-    if z.size and z.min() < -tol:
-        neg = z.min(axis=(-2, -1)) < -tol
+    if z.size and z.min() < -FEEDBACK_TOL:
+        neg = z.min(axis=(-2, -1)) < -FEEDBACK_TOL
         zr = z[neg][0]
         i, j = np.unravel_index(np.argmin(zr), zr.shape)
         raise MapDomainError(
             f"{kmap.name}: negative feedback entry {zr[i, j]:.3e} at ({i},{j}), x={_at(x, neg)}"
         )
     return np.maximum(z, 0.0)
-
-
-def axis_map(kmap: KolmogorovMap, i: int) -> AxisMap:
-    if not 0 <= i < kmap.dim:
-        raise ValueError(f"axis index {i} out of range")
-    unit = np.zeros(kmap.dim)
-    unit[i] = 1.0
-
-    def g(s: float) -> float:
-        return float(eval_f(kmap, s * unit)[i])
-
-    def G(s: float) -> float:
-        return s * g(s)
-
-    return AxisMap(i, g, G)
 
 
 # ---------------------------------------------------------------------------

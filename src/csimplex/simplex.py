@@ -17,7 +17,7 @@ from .geometry import (
     BarycentricGrid,
     RadialManifold,
     box_boundary_manifold,
-    eval_radial,
+    constant_manifold,
     grid_spacing,
     hausdorff_points,
     is_weakly_unordered,
@@ -36,13 +36,10 @@ __all__ = [
     "EscapeError",
     "ConvergenceReport",
     "VerificationReport",
-    "ShadowResult",
     "compute_cs",
     "surface_distance",
-    "induced_map",
     "gamma_membership",
     "attract_trajectory",
-    "shadow_point",
     "harnack_battery",
     "retrotone_battery",
     "attraction_battery",
@@ -125,9 +122,8 @@ def compute_cs(
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
     box_top = 1.0 + kappa
-    n_pts = grid.n_vertices
-    lower = RadialManifold(grid, np.full(n_pts, float(epsilon)), "lower", 0)
-    upper = box_boundary_manifold(grid, box_top, "upper")
+    lower = constant_manifold(grid, epsilon)
+    upper = box_boundary_manifold(grid, box_top)
 
     gap_history = [sup_gap(lower, upper)]
     hausdorff_history = [hausdorff_points(vertex_points(lower), vertex_points(upper))]
@@ -165,9 +161,7 @@ def compute_cs(
     final_gap = gap_history[-1]
     sigma = None
     if termination != "fold_error":
-        sigma = RadialManifold(
-            grid, 0.5 * (lower.radii + upper.radii), "sigma", iterations
-        )
+        sigma = RadialManifold(grid, 0.5 * (lower.radii + upper.radii))
     tol_order = _order_tolerance(sigma if sigma is not None else lower)
     interp_error = tol_order / 2.0
     return ConvergenceReport(
@@ -213,12 +207,6 @@ def surface_distance(sigma: RadialManifold, x):
     return float(dist[0]) if x.ndim == 1 else dist
 
 
-def induced_map(kmap: KolmogorovMap, sigma: RadialManifold, u) -> np.ndarray:
-    """Dynamics on directions conjugate to the surface dynamics: T(F(R(u) u))."""
-    y = eval_F(kmap, eval_radial(sigma, u))
-    return y / y.sum()
-
-
 def gamma_membership(sigma: RadialManifold, x, tol: float) -> tuple[str, float]:
     """Classify x against the attractor [0,1]*Sigma: below, on, or above the surface.
 
@@ -255,77 +243,11 @@ def attract_trajectory(
     return traj, surface_distance(sigma, traj)
 
 
-@dataclass(frozen=True, eq=False)
-class ShadowResult:
-    point: np.ndarray
-    direction: np.ndarray
-    residual: float
-
-
 def _orbit_end(kmap: KolmogorovMap, x, n: int) -> np.ndarray:
     y = np.asarray(x, dtype=float)
     for _ in range(n):
         y = eval_F(kmap, y)
     return y
-
-
-def _golden_minimize(fun, n: int, iters: int = 60) -> np.ndarray:
-    """Golden-section minimisers on [0, 1] of n functions searched together.
-
-    fun maps an array s of shape (n,) to the n function values at s.
-    """
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.zeros(n), np.ones(n)
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        left = fc < fd  # the minimum lies in [a, d]: d becomes the new b
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        new = np.where(left, b - phi * (b - a), a + phi * (b - a))
-        f_new = fun(new)
-        c, d = np.where(left, new, d), np.where(left, c, new)
-        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
-    return 0.5 * (a + b)
-
-
-def shadow_point(
-    kmap: KolmogorovMap,
-    sigma: RadialManifold,
-    x0,
-    horizon: int,
-) -> ShadowResult:
-    """Point of the surface whose orbit shadows the orbit of x0.
-
-    Finite-horizon surrogate: minimise ||F^N(x0) - F^N(y)|| over the grid
-    vertices of the surface, then refine by golden-section search along the
-    chords to the neighbouring vertices.
-    """
-    grid = sigma.grid
-    target = _orbit_end(kmap, x0, horizon)
-    pts = vertex_points(sigma)
-    residuals = np.linalg.norm(_orbit_end(kmap, pts, horizon) - target, axis=1)
-    best = int(np.argmin(residuals))
-    best_dir = grid.vertices[best]
-    best_res = float(residuals[best])
-    if grid.dim == 1 or grid.cells.shape[0] == 0:
-        return ShadowResult(pts[best], best_dir, best_res)
-
-    star = grid.cells[np.any(grid.cells == best, axis=1)]
-    u0 = grid.vertices[best]
-    u1 = grid.vertices[np.setdiff1d(star, best)]
-
-    def res_at(s: np.ndarray) -> np.ndarray:
-        pts = eval_radial(sigma, (1.0 - s[:, None]) * u0 + s[:, None] * u1)
-        return np.linalg.norm(_orbit_end(kmap, pts, horizon) - target, axis=1)
-
-    s_best = _golden_minimize(res_at, u1.shape[0])
-    vals = res_at(s_best)
-    k = int(np.argmin(vals))
-    if vals[k] < best_res:
-        best_res = float(vals[k])
-        best_dir = (1.0 - s_best[k]) * u0 + s_best[k] * u1[k]
-    return ShadowResult(eval_radial(sigma, best_dir), best_dir, best_res)
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,6 +371,10 @@ def retrotone_battery(
     return _retrotone_counts(pairs, eval_F(kmap, pairs))
 
 
+# Least coordinate sum of an attraction seed: the origin is a repeller, not attracted.
+MIN_MASS = 0.1
+
+
 def attraction_battery(
     kmap: KolmogorovMap,
     sigma: RadialManifold,
@@ -457,9 +383,8 @@ def attraction_battery(
     horizon: int,
     tol: float,
     seed: int = 0,
-    min_mass: float = 0.1,
 ) -> tuple[int, int]:
-    """Monte Carlo attraction: seeds in the box with mass >= min_mass, distance after horizon steps.
+    """Monte Carlo attraction: seeds in the box with mass >= MIN_MASS, distance after horizon steps.
 
     Seeds are drawn in blocks of sample_count and iterated together.
 
@@ -470,7 +395,7 @@ def attraction_battery(
     seeds = np.empty((0, kmap.dim))
     while seeds.shape[0] < sample_count:
         block = rng.uniform(0.0, box_top, (sample_count, kmap.dim))
-        seeds = np.concatenate([seeds, block[block.sum(axis=1) >= min_mass]])
+        seeds = np.concatenate([seeds, block[block.sum(axis=1) >= MIN_MASS]])
     x = _orbit_end(kmap, seeds[:sample_count], horizon)
     failures = int(np.count_nonzero(surface_distance(sigma, x) >= tol))
     return failures, sample_count

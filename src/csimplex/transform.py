@@ -328,7 +328,4 @@ def graph_step(
     box_top: float | None = None,
 ) -> RadialManifold:
     """One application of the graph transform on the fixed grid."""
-    out = resample(pushforward(kmap, manifold, box_top))
-    return RadialManifold(
-        manifold.grid, out.radii, provenance=manifold.provenance, iteration=manifold.iteration + 1
-    )
+    return resample(pushforward(kmap, manifold, box_top))

@@ -18,6 +18,7 @@ from csimplex.maps import (
     atkinson_allen,
     beverton_holt,
     eval_F,
+    eval_f,
     leslie_gower,
     ricker1d,
     ricker2d,
@@ -183,9 +184,24 @@ def test_find_kappa_examples():
         find_kappa(ricker1d(1.5), 64, kappa_max=1.0)
 
 
+def lg(dim: int, offdiag: float):
+    """Leslie-Gower with unit rates, unit diagonal and one off-diagonal entry."""
+    return leslie_gower(np.ones(dim), np.where(np.eye(dim) > 0, 1.0, offdiag))
+
+
+WORKLOAD_MAPS = [ricker2d(0.5, 0.5, 0.5, 0.5), lg(3, 0.3), lg(3, 0.0), lg(4, 0.3)]  # benchmark, CI
+# every built-in family, with the two maps whose epsilon the one-point bound halves
+BUILTINS = [beverton_holt(), atkinson_allen(0.5), ricker1d(0.5), ricker2d(0.7, 0.3, 1.2, 0.8),
+            leslie_gower(), lg(2, 0.9), lg(3, 0.9)] + WORKLOAD_MAPS
+
+
 def test_find_epsilon_examples():
     assert find_epsilon(beverton_holt(), 0.01) == 0.5
     assert find_epsilon(ricker1d(0.5), 0.01) == 0.5
+    for kmap in WORKLOAD_MAPS:
+        assert find_epsilon(kmap, 0.01) == 0.5
+    assert find_epsilon(ricker2d(0.7, 0.3, 1.2, 0.8), 0.01) == 0.25
+    assert find_epsilon(lg(3, 0.9), 0.01) == 0.25
 
     def f(x):
         return np.ones_like(x)
@@ -193,6 +209,19 @@ def test_find_epsilon_examples():
     flat = KolmogorovMap("flat", 1, {}, f, None)
     with pytest.raises(AssumptionError):
         find_epsilon(flat, 0.01)
+
+
+@pytest.mark.parametrize("kmap", BUILTINS, ids=lambda k: f"{k.name}-{k.dim}")
+def test_find_epsilon_bounds_the_whole_simplex(kmap):
+    # under AS3 the one point epsilon * 1 bounds f from below on all of epsilon * Delta
+    tol = 0.01
+    assert check_as3(kmap, 1.0, 16).mode in ("strict", "weak")
+    eps = find_epsilon(kmap, tol)
+    rng = np.random.default_rng(17)
+    u = rng.dirichlet(np.ones(kmap.dim), 20000)
+    u[:kmap.dim] = np.eye(kmap.dim)
+    x = eps * np.vstack([u, rng.random((20000, 1)) * u])  # the face and the solid simplex
+    assert eval_f(kmap, x).min() >= 1.0 + tol
 
 
 def test_epsilon_repeller_property():

@@ -12,7 +12,6 @@ from csimplex.geometry import (
     GridError,
     box_boundary_manifold,
     constant_manifold,
-    eval_radial,
     grid_spacing,
     harnack,
     hausdorff_points,
@@ -21,11 +20,8 @@ from csimplex.geometry import (
     make_grid,
     nearest_distances,
     order_function,
-    project_e_perp,
     projection_ratio_bound,
-    radial_project,
     radius_at,
-    restricted_harnack,
     sup_gap,
     vertex_points,
     RadialManifold,
@@ -131,7 +127,7 @@ def test_locate_exact_at_vertices(dim, m):
     for i in range(grid.n_vertices):
         u = grid.vertices[i]
         assert radius_at(manifold, u) == pytest.approx(radii[i], abs=1e-13)
-        np.testing.assert_allclose(eval_radial(manifold, u), radii[i] * u, atol=1e-13)
+        np.testing.assert_allclose(radius_at(manifold, u) * u, radii[i] * u, atol=1e-13)
 
 
 @pytest.mark.parametrize("dim,m", [(2, 9), (3, 6), (4, 4)])
@@ -195,7 +191,7 @@ def test_locate_batch_equals_single_point_reference(dim, m):
     idx, w = grid.locate(u)
     manifold = RadialManifold(grid, 1.0 + RNG.random(grid.n_vertices))
     radii = radius_at(manifold, u)
-    points = eval_radial(manifold, u)
+    points = radius_at(manifold, u)[..., None] * u
     for k, row in enumerate(u):
         i1, w1 = loop_locate(grid, row)
         assert np.array_equal(idx[k], i1) and np.array_equal(w[k], w1)
@@ -209,24 +205,7 @@ def test_constant_manifold_interpolates_constant():
     manifold = constant_manifold(grid, 0.7)
     for _ in range(50):
         u = RNG.dirichlet(np.ones(3))
-        np.testing.assert_allclose(eval_radial(manifold, u), 0.7 * u, atol=1e-12)
-
-
-def test_radial_project():
-    np.testing.assert_allclose(radial_project([2.0, 2.0]), [0.5, 0.5])
-    np.testing.assert_allclose(radial_project([1.0, 0.0]), [1.0, 0.0])
-    np.testing.assert_allclose(radial_project([1.0, 3.0]), [0.25, 0.75])
-    with pytest.raises(ValueError):
-        radial_project([0.0, 0.0])
-    batch = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])  # whole-array sums are 0.286 and 0.714
-    got = radial_project(batch)
-    np.testing.assert_allclose(got.sum(axis=1), [1.0, 1.0], rtol=1e-15)
-    for row, direction in zip(batch, got):
-        assert direction.tobytes() == radial_project(row).tobytes()
-    with pytest.raises(ValueError, match="row 1"):
-        radial_project([[1.0, 2.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="row 0"):
-        radial_project([[1.0, -2.0], [1.0, 1.0]])
+        np.testing.assert_allclose(radius_at(manifold, u) * u, 0.7 * u, atol=1e-12)
 
 
 def test_order_function_examples():
@@ -297,40 +276,6 @@ def test_harnack_examples_and_properties():
         harnack([[1.0, 2.0], [0.0, 0.0]], [[2.0, 1.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match="row 0"):
         harnack([[1.0, 2.0], [1.0, 1.0]], [[0.0, 0.0], [1.0, 1.0]])
-
-
-def test_restricted_harnack():
-    x = np.array([1.0, 5.0])
-    y = np.array([2.0, 5.0])
-    assert restricted_harnack(x, y, [0, 1]) == pytest.approx(harnack(x, y))
-    assert restricted_harnack(x, y, [0]) == pytest.approx(0.5)
-    assert restricted_harnack(x, y, [1]) == pytest.approx(0.0)
-    with pytest.raises(ValueError):
-        restricted_harnack([0.0, 1.0], [0.0, 2.0], [0])
-
-
-def test_project_e_perp():
-    d = 5
-    np.testing.assert_allclose(project_e_perp(np.ones(d)), np.zeros(d), atol=1e-14)
-    np.testing.assert_allclose(project_e_perp([1.0, 0.0]), [0.5, -0.5], atol=1e-14)
-    for _ in range(100):
-        x = RNG.normal(size=d)
-        c = RNG.normal()
-        p = project_e_perp(x)
-        assert abs(p @ np.ones(d)) < 1e-12
-        np.testing.assert_allclose(project_e_perp(p), p, atol=1e-13)
-        np.testing.assert_allclose(project_e_perp(x + c), p, atol=1e-12)
-
-
-def test_project_e_perp_batch_equals_rows():
-    x = RNG.normal(size=(9, 4))
-    batch = project_e_perp(x)
-    np.testing.assert_allclose(batch.sum(axis=1), 0.0, atol=1e-14)
-    np.testing.assert_allclose(project_e_perp(np.arange(6.0).reshape(2, 3)), [[-1, 0, 1]] * 2)
-    for row, got in zip(x, batch):
-        assert np.array_equal(project_e_perp(row), got)
-        # a single point keeps the whole-array formula's bits
-        assert np.array_equal(project_e_perp(row), row - row.mean() * np.ones_like(row))
 
 
 @pytest.mark.parametrize("dim,m,a", [(2, 6, 1.0), (3, 5, 1.0), (3, 7, 2.5), (4, 4, 0.3)])

@@ -27,9 +27,7 @@ from csimplex.simplex import (
     compute_cs,
     gamma_membership,
     harnack_battery,
-    induced_map,
     retrotone_battery,
-    shadow_point,
     surface_distance,
     verify_cs,
 )
@@ -113,19 +111,6 @@ def test_compute_cs_max_iter_termination():
     assert res.lower is not None and res.upper is not None
 
 
-def test_induced_map_fixed_directions(coupled_run):
-    sigma = coupled_run.sigma
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = 1.0
-        np.testing.assert_allclose(induced_map(COUPLED, sigma, e), e, atol=1e-12)
-    diag = np.array([0.5, 0.5])
-    np.testing.assert_allclose(induced_map(COUPLED, sigma, diag), diag, atol=1e-9)
-    # one species: the only direction is fixed
-    res1 = compute_cs(beverton_holt(), make_grid(1, 1), 1.0, 0.5, tolerance=1e-9)
-    np.testing.assert_allclose(induced_map(beverton_holt(), res1.sigma, [1.0]), [1.0])
-
-
 def test_gamma_membership_scaling(coupled_run):
     res = coupled_run
     sigma = res.sigma
@@ -135,11 +120,9 @@ def test_gamma_membership_scaling(coupled_run):
         e = np.zeros(2)
         e[i] = 1.0
         assert gamma_membership(sigma, e, max(tol, 1e-3))[0] == "on"
-    from csimplex.geometry import eval_radial
-
     for _ in range(50):
         u = rng.dirichlet(np.ones(2))
-        point = eval_radial(sigma, u)
+        point = radius_at(sigma, u) * u
         assert gamma_membership(sigma, 0.5 * point, tol)[0] == "below"
         assert gamma_membership(sigma, 1.2 * point, tol)[0] == "above"
     with pytest.raises(ValueError):
@@ -220,29 +203,6 @@ def test_surface_distance_batch_equals_single_point_reference(dim, m):
     for k, row in enumerate(x):
         assert batch[k] == loop_surface_distance(sigma, row)
         assert surface_distance(sigma, row) == batch[k]
-
-
-def test_shadow_point_one_species():
-    kmap = beverton_holt()
-    res = compute_cs(kmap, make_grid(1, 1), 1.0, 0.5, tolerance=1e-9)
-    sp = shadow_point(kmap, res.sigma, np.array([0.3]), 30)
-    np.testing.assert_allclose(sp.point, res.sigma.radii)
-    orbit = np.array([0.3])
-    for _ in range(30):
-        orbit = eval_F(kmap, orbit)
-    assert sp.residual == pytest.approx(abs(orbit[0] - 1.0), abs=1e-12)
-
-
-def test_shadow_point_residual_decreases(coupled_run):
-    sigma = coupled_run.sigma
-    x0 = np.array([0.1, 0.1])
-    r10 = shadow_point(COUPLED, sigma, x0, 10).residual
-    r50 = shadow_point(COUPLED, sigma, x0, 50).residual
-    assert r50 < r10
-    assert r50 < 1e-6
-    # a vertex of the surface shadows itself
-    v = vertex_points(sigma)[5]
-    assert shadow_point(COUPLED, sigma, v, 10).residual < 1e-10
 
 
 def test_verify_cs_coupled(coupled_run):
@@ -363,7 +323,7 @@ def test_verify_cs_flags_perturbed_sigma(coupled_run):
     from csimplex.geometry import RadialManifold
 
     sigma = coupled_run.sigma
-    bloated = RadialManifold(sigma.grid, sigma.radii * 1.05, "perturbed")
+    bloated = RadialManifold(sigma.grid, sigma.radii * 1.05)
     rep = verify_cs(COUPLED, bloated, KAPPA, sample_count=200, horizon=100, seed=3)
     assert rep.invariance_residual > 0.0
     assert max(rep.fixed_point_residuals) > 1e-4
