@@ -25,9 +25,9 @@ from .geometry import (
     constant_manifold,
     harnack,
     hausdorff_points,
-    is_weakly_unordered,
     make_grid,
     order_function,
+    order_scan,
     sup_gap,
 )
 from .maps import (

@@ -21,12 +21,12 @@ compared (see nearest_distances). The Hausdorff distance needs only the largest
 nearest distance, so it solves rows in descending order of that bound and stops
 at the first whose bound cannot exceed the largest found: an exact early exit
 (Taha and Hanbury, IEEE TPAMI 37(11), 2015; see hausdorff_points). The
-dominance scan of weak unorderedness buckets the points on a grid and solves
-only the bucket pairs whose boxes can hold a dominated pair (Bentley, Weide and
-Yao, ACM TOMS 6(4), 1980; see is_weakly_unordered). The projection Lipschitz
-ratio is bounded, not searched: a pair ordered in no direction has ratio at
-most sqrt(d), so the same scan at zero tolerance flags the only pairs whose
-ratio is solved (see projection_ratio_bound).
+dominance scan buckets the points on a grid and solves only the bucket pairs
+whose boxes can hold a dominated pair (Bentley, Weide and Yao, ACM TOMS 6(4),
+1980; see _dominated_pairs). One zero-tolerance run of it over all vertex
+points answers both surface order checks (see order_scan): weak unorderedness
+of the interior, and the projection Lipschitz ratio, which is bounded, not
+searched, since a pair ordered in no direction has ratio at most sqrt(d).
 """
 from __future__ import annotations
 
@@ -51,8 +51,7 @@ __all__ = [
     "sup_gap",
     "hausdorff_points",
     "nearest_distances",
-    "projection_ratio_bound",
-    "is_weakly_unordered",
+    "order_scan",
     "grid_spacing",
     "lipschitz_estimate",
 ]
@@ -293,8 +292,8 @@ BAND_ROWS = 64
 # Rows per occupied bucket of _buckets, the grid of the dominance scan _dominated_pairs.
 # Larger buckets loosen the box test, so more pairs are solved; smaller ones make more
 # bucket pairs to screen. On converged 3-species surfaces at res 128 and 4-species at
-# res 32, is_weakly_unordered took 0.33 s at 4 rows, 0.29 s at 5 and at 6 rows
-# (medians of 15, 2-core x86_64).
+# res 32, the per-support scan of weak unorderedness took 0.33 s at 4 rows, 0.29 s at 5
+# and at 6 rows (medians of 15, 2-core x86_64).
 RATIO_FILL = 5
 
 
@@ -504,7 +503,19 @@ def _row_pairs(buckets, pa, pb, budget):
         flat = np.arange(pos, min(pos + budget, ends[-1]))
         k = np.searchsorted(ends, flat, side="right")
         i, j = np.divmod(flat - (ends[k] - sizes[k]), count[pb[k]])
-        yield k, i + start[pa[k]], j + start[pb[k]]
+        del flat  # a generator's locals stay alive while its caller works
+        i += start[pa[k]]
+        j += start[pb[k]]
+        yield k, i, j
+
+
+def _flagged(p, i, j, tol_order) -> np.ndarray:
+    """The row pairs (i, j) of p, as a (2, k) array, where p_j - p_i > tol_order in every column."""
+    low = p[j, 0] - p[i, 0]
+    for k in range(1, p.shape[1]):
+        np.minimum(low, p[j, k] - p[i, k], out=low)
+    keep = low > tol_order
+    return np.stack([i[keep], j[keep]])
 
 
 def _dominated_pairs(p, tol_order) -> tuple[np.ndarray, np.ndarray]:
@@ -532,89 +543,78 @@ def _dominated_pairs(p, tol_order) -> tuple[np.ndarray, np.ndarray]:
             can &= hi[k] - lo[k, a, None] > tol_order
         ii, jj = np.nonzero(can)
         for _, i, j in _row_pairs((perm, start, count), a[ii], jj, PAIR_BLOCK):
-            i, j = perm[i], perm[j]
-            low = p[j, 0] - p[i, 0]
-            for k in range(1, s):
-                np.minimum(low, p[j, k] - p[i, k], out=low)
-            found.append(np.stack([i, j])[:, low > tol_order])
+            # a call, so a block's temporaries are freed before the next block is built
+            found.append(_flagged(p, perm[i], perm[j], tol_order))
     i, j = np.concatenate(found or [np.empty((2, 0), dtype=np.intp)], axis=1)
     order = np.lexsort((j, i))
     return i[order], j[order]
 
 
-def is_weakly_unordered(manifold: RadialManifold, tol_order: float) -> list[tuple[int, int]]:
-    """Vertex pairs with common support where one point strictly dominates the other.
+def order_scan(manifold: RadialManifold, tol_order: float) -> tuple[list[tuple[int, int]], float]:
+    """Weak unorderedness and the projection Lipschitz bound of the vertex points, in one scan.
 
-    A pair (i, j) is reported when the points share a support and the point of
-    j exceeds the point of i by more than tol_order in every support
-    coordinate; an admissible manifold reports no pairs. Pairs come in
-    row-major order within each support group, groups in increasing support
-    key. A group above one block of PAIR_BLOCK pairs is bucketed, and only the
-    bucket pairs whose boxes can hold a dominated pair are solved
-    (_dominated_pairs). Memory stays linear in the number of vertices.
+    Returns (violations, ratio_bound). violations are the vertex pairs (i, j) with common
+    support where the point of j exceeds the point of i by more than tol_order >= 0 in
+    every support coordinate, in row-major order within each support group, groups in
+    increasing support key; an admissible manifold has none. ratio_bound bounds
+    |x - y| / |P(x - y)| over all pairs, P the projection onto e-perp: if v = y - x has
+    sum(v) >= 0 and some v_j <= 0, then sum_{i != j} v_i >= sum(v) >= 0, Cauchy-Schwarz
+    gives sum(v)^2 <= (d - 1) |v|^2, and |Pv|^2 = |v|^2 - sum(v)^2 / d >= |v|^2 / d. So
+    the bound is sqrt(d), raised by the ratios (_pair_ratios) of the strictly ordered pairs.
+
+    The sign of a float difference is exact, so one zero-tolerance _dominated_pairs scan
+    over all points and coordinates finds those pairs. It also gives the violations of
+    the interior, whose support is full: the flagged pairs of two interior points whose
+    least difference, as the scan computed it, exceeds tol_order. Only the small
+    proper-face groups are scanned again, on their support columns at tol_order. Memory
+    stays linear in the number of vertices; the points of a manifold are finite and
+    distinct.
     """
+    if tol_order < 0.0:
+        raise ValueError("tol_order must be nonnegative")
     pts = vertex_points(manifold)
     supp = manifold.grid.lattice > 0
     keys = supp @ (1 << np.arange(manifold.grid.dim))
+    interior = supp.all(axis=1)
+    by_key = np.argsort(keys, kind="stable")
     violations: list[tuple[int, int]] = []
-    for key in np.unique(keys):
-        members = np.flatnonzero(keys == key)
-        if members.size < 2:
-            continue
-        i, j = _dominated_pairs(pts[np.ix_(members, np.flatnonzero(supp[members[0]]))], tol_order)
-        violations.extend(zip(members[i].tolist(), members[j].tolist()))
-    return violations
+    for members in np.split(by_key, np.flatnonzero(np.diff(keys[by_key])) + 1):
+        if members.size > 1 and not interior[members[0]]:  # the interior, the largest key, is last
+            cols = np.flatnonzero(supp[members[0]])
+            i, j = _dominated_pairs(pts[np.ix_(members, cols)], tol_order)
+            violations.extend(zip(members[i].tolist(), members[j].tolist()))
+    i, j = _dominated_pairs(pts, 0.0)
+    keep = interior[i] & interior[j] & ((pts[j] - pts[i]).min(axis=1) > tol_order)
+    violations.extend(zip(i[keep].tolist(), j[keep].tolist()))
+    return violations, float(_pair_ratios(pts, i, j).max(initial=np.sqrt(pts.shape[1])))
 
 
-def projection_ratio_bound(pts) -> float:
-    """Upper bound of |x - y| / |P(x - y)| over all pairs of rows x, y, P the projection onto e-perp.
+def _edges(grid: BarycentricGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell edge once, as (vertex a, vertex b, length |u_a - u_b|).
 
-    Let v = y - x with sum(v) >= 0. If some v_j <= 0, then sum_{i != j} v_i >= sum(v) >= 0,
-    Cauchy-Schwarz gives sum(v)^2 <= (d - 1) |v|^2, and |Pv|^2 = |v|^2 - sum(v)^2 / d >=
-    |v|^2 / d: the ratio is at most sqrt(d). The sign of a float difference is exact, so
-    every pair that the zero-tolerance scan _dominated_pairs(pts, 0.0) over all columns
-    does not flag in either order has such a coordinate. The bound is sqrt(d), raised by
-    the ratios of the flagged pairs (_pair_ratios: inf for pairs that differ along
-    e = (1, ..., 1) only), and inf when two rows coincide, the 0/0 of _pair_ratios. On an
-    unordered surface nothing is flagged and the bound is sqrt(d). Memory stays linear in
-    the number of rows.
+    The edges of the Kuhn cells are the pairs s, s + delta of the ordered
+    region with delta a nonzero vector of {0, 1}^(d-1); the region is convex,
+    so each such pair lies in a cell. The one-point simplex has none.
     """
-    pts = np.asarray(pts, dtype=float)
-    n, d = pts.shape
-    if n < 2:
-        raise ValueError("the ratio needs two points")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError(f"row {np.argmin(np.isfinite(pts).all(axis=1))} is not finite")
-    srt = pts[np.lexsort(pts.T)]
-    if np.any(np.all(srt[1:] == srt[:-1], axis=1)):
-        return np.inf
-    return float(_pair_ratios(pts, *_dominated_pairs(pts, 0.0)).max(initial=np.sqrt(d)))
-
-
-def _cell_pair_diffs(grid: BarycentricGrid):
-    for i, j in itertools.combinations(range(grid.dim), 2):
-        yield grid.cells[:, i], grid.cells[:, j]
+    m, tab = grid.resolution, grid.s_table
+    a, b = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for delta in itertools.product((0, 1), repeat=grid.dim - 1):
+        if any(delta):
+            lo = tab[tuple(slice(0, m + 1 - k) for k in delta)]
+            hi = tab[tuple(slice(k, m + 1) for k in delta)]
+            both = (lo >= 0) & (hi >= 0)
+            a.append(lo[both])
+            b.append(hi[both])
+    a, b = np.concatenate(a), np.concatenate(b)
+    return a, b, np.linalg.norm(grid.vertices[a] - grid.vertices[b], axis=1)
 
 
 def grid_spacing(grid: BarycentricGrid) -> float:
     """Longest edge of any cell (zero for the one-point simplex)."""
-    if grid.cells.shape[0] == 0:
-        return 0.0
-    h = 0.0
-    for ia, ib in _cell_pair_diffs(grid):
-        e = np.linalg.norm(grid.vertices[ia] - grid.vertices[ib], axis=1)
-        h = max(h, float(e.max()))
-    return h
+    return float(_edges(grid)[2].max(initial=0.0))
 
 
 def lipschitz_estimate(manifold: RadialManifold) -> float:
     """Empirical Lipschitz bound of the radius over all cell edges."""
-    grid = manifold.grid
-    if grid.cells.shape[0] == 0:
-        return 0.0
-    lip = 0.0
-    for ia, ib in _cell_pair_diffs(grid):
-        e = np.linalg.norm(grid.vertices[ia] - grid.vertices[ib], axis=1)
-        dr = np.abs(manifold.radii[ia] - manifold.radii[ib])
-        lip = max(lip, float((dr / e).max()))
-    return lip
+    a, b, e = _edges(manifold.grid)
+    return float((np.abs(manifold.radii[a] - manifold.radii[b]) / e).max(initial=0.0))

@@ -20,10 +20,9 @@ from .geometry import (
     constant_manifold,
     grid_spacing,
     hausdorff_points,
-    is_weakly_unordered,
     lipschitz_estimate,
     nearest_distances,
-    projection_ratio_bound,
+    order_scan,
     radius_at,
     sup_gap,
     symmetrized_order,
@@ -427,21 +426,17 @@ def verify_cs(
     invariance_residual = hausdorff_points(vertex_points(stepped), vertex_points(sigma))
 
     if d > 1:
-        unorder: int | None = len(is_weakly_unordered(sigma, tol_order))
+        violations, lipschitz_ratio_max = order_scan(sigma, tol_order)
+        unorder: int | None = len(violations)
     else:
-        unorder = None
-        vacuous.append("unorder_violations")
+        unorder = lipschitz_ratio_max = None
+        vacuous.extend(["unorder_violations", "lipschitz_ratio_max"])
 
     fixed_point_residuals = [
         abs(float(sigma.radii[grid.corner_index(i)]) - 1.0) for i in range(d)
     ]
 
     lipschitz_bound = float(np.sqrt(1.0 + d))
-    if grid.n_vertices >= 2:
-        lipschitz_ratio_max: float | None = projection_ratio_bound(vertex_points(sigma))
-    else:
-        lipschitz_ratio_max = None
-        vacuous.append("lipschitz_ratio_max")
 
     if sample_count > 0:
         harnack_viol, harnack_pairs = harnack_battery(kmap, kappa, sample_count, seed)

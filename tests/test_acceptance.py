@@ -18,8 +18,8 @@ from csimplex.geometry import (
     box_boundary_manifold,
     constant_manifold,
     hausdorff_points,
-    is_weakly_unordered,
     make_grid,
+    order_scan,
     sup_gap,
     vertex_points,
 )
@@ -150,7 +150,7 @@ def test_criterion_05_coupled_landmarks(coupled_run):
     status, margin = gamma_membership(result.sigma, np.array([2 / 3, 2 / 3]), 1e-3)
     stepped = graph_step(kmap, result.sigma, 1.0 + report.kappa)
     invariance = hausdorff_points(vertex_points(stepped), vertex_points(result.sigma))
-    violations = len(is_weakly_unordered(result.sigma, result.tol_order))
+    violations = len(order_scan(result.sigma, result.tol_order)[0])
     ok = (
         corner_err < 1e-4
         and status == "on"

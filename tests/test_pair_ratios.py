@@ -58,7 +58,7 @@ def test_pair_ratios_equal_row_formula_bit_for_bit(pts):
     st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=d, max_size=d),
     min_size=2, max_size=2)))
 def test_unordered_pair_ratio_is_at_most_sqrt_d(pair):
-    # the lemma behind projection_ratio_bound: a pair strictly ordered in neither direction
+    # the lemma behind order_scan's ratio bound: a pair strictly ordered in neither direction
     # has |v| <= sqrt(d) |Pv|, so its computed ratio exceeds sqrt(d) by rounding only
     pts = np.array(pair)
     v = pts[1] - pts[0]
