@@ -23,8 +23,8 @@ from .geometry import (
     RadialManifold,
     box_boundary_manifold,
     constant_manifold,
-    harnack,
-    hausdorff_points,
+    harnack_distance,
+    hausdorff_bound,
     make_grid,
     order_function,
     order_scan,

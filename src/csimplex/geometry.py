@@ -10,28 +10,31 @@ coordinates s_i = m * (u_1 + ... + u_i): the dilated simplex becomes the
 region 0 <= s_1 <= ... <= s_{d-1} <= m, which is a union of complete Kuhn
 cells of the integer cube grid, so point location needs only floor/sort.
 
-The metrics between point sets are exact and linear in memory, and each
-prunes its pairs with bounds it has already paid for. The nearest point search
-behind the Hausdorff distance is pruned to a band: each query's distance to its
-same-index partner (for two vertex clouds of one grid, the radial gap at that
-vertex), tightened by its distance to a fixed strided probe of the other set,
-bounds how far its nearest point can lie along the key coordinate, and only the
-points within that bound, widened by a relative margin against rounding, are
-compared (see nearest_distances). The Hausdorff distance needs only the largest
-nearest distance, so it solves rows in descending order of that bound and stops
-at the first whose bound cannot exceed the largest found: an exact early exit
-(Taha and Hanbury, IEEE TPAMI 37(11), 2015; see hausdorff_points). The
-dominance scan buckets the points on a grid and solves only the bucket pairs
-whose boxes can hold a dominated pair (Bentley, Weide and Yao, ACM TOMS 6(4),
-1980; see _dominated_pairs). One zero-tolerance run of it over all vertex
-points answers both surface order checks (see order_scan): weak unorderedness
-of the interior, and the projection Lipschitz ratio, which is bounded, not
-searched, since a pair ordered in no direction has ratio at most sqrt(d).
+The two metrics between manifolds of one grid are single passes over the
+vertices. Both compare the points R(u) u and R'(u) u of one ray. The Harnack
+distance of such a pair is 1 - min(R/R', R'/R), and a ratio of two positive
+affine functions on a cell takes its extremes at the vertices, so the vertex
+maximum is the exact supremum over the two surfaces (see harnack_distance).
+The Hausdorff distance is bounded by the largest vertex gap, weighted by the
+norm of the directions it can reach (see hausdorff_bound). The nearest point
+search from arbitrary points to a vertex cloud is exact and pruned to a band:
+each query's distance to its same-index partner, tightened by its distance to
+a fixed strided probe of the other set, bounds how far its nearest point can
+lie along the key coordinate, and only the points within that bound, widened
+by a relative margin against rounding, are compared (see nearest_distances).
+The dominance scan buckets the points on a grid and solves only the bucket
+pairs whose boxes can hold a dominated pair (Bentley, Weide and Yao, ACM TOMS
+6(4), 1980; see _dominated_pairs). One zero-tolerance run of it over all
+vertex points answers both surface order checks (see order_scan): weak
+unorderedness of the interior, and the projection Lipschitz ratio, which is
+bounded, not searched, since a pair ordered in no direction has ratio at most
+sqrt(d).
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,13 +46,13 @@ __all__ = [
     "simplex_lattice",
     "order_function",
     "symmetrized_order",
-    "harnack",
     "radius_at",
     "vertex_points",
     "box_boundary_manifold",
     "constant_manifold",
     "sup_gap",
-    "hausdorff_points",
+    "hausdorff_bound",
+    "harnack_distance",
     "nearest_distances",
     "order_scan",
     "grid_spacing",
@@ -117,6 +120,41 @@ class BarycentricGrid:
 
     def compatible(self, other: "BarycentricGrid") -> bool:
         return self.dim == other.dim and self.resolution == other.resolution
+
+    @cached_property
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each cell edge once, as (vertex a, vertex b, length |u_a - u_b|); built once per grid.
+
+        The edges of the Kuhn cells are the pairs s, s + delta of the ordered
+        region with delta a nonzero vector of {0, 1}^(d-1); the region is convex,
+        so each such pair lies in a cell. The one-point simplex has none.
+        """
+        m, tab = self.resolution, self.s_table
+        a, b = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for delta in itertools.product((0, 1), repeat=self.dim - 1):
+            if any(delta):
+                lo = tab[tuple(slice(0, m + 1 - k) for k in delta)]
+                hi = tab[tuple(slice(k, m + 1) for k in delta)]
+                both = (lo >= 0) & (hi >= 0)
+                a.append(lo[both])
+                b.append(hi[both])
+        a, b = np.concatenate(a), np.concatenate(b)
+        return a, b, np.linalg.norm(self.vertices[a] - self.vertices[b], axis=1)
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """Per vertex k, the largest |v| over v_k and the vertices of the cells around k.
+
+        Those vertices are k's neighbours along the cell edges. Every direction u
+        of a cell around k has |u| <= reach[k], the norm being convex. Built once
+        per grid; see hausdorff_bound.
+        """
+        norms = np.linalg.norm(self.vertices, axis=1)
+        a, b, _ = self.edges
+        reach = norms.copy()
+        np.maximum.at(reach, a, norms[b])
+        np.maximum.at(reach, b, norms[a])
+        return reach
 
     def locate(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Containing cells of directions u as (vertex indices, barycentric weights).
@@ -223,20 +261,6 @@ def symmetrized_order(x, y):
     return float(t) if t.ndim == 0 else t
 
 
-def harnack(x, y):
-    """Harnack distance 1 - min(order both ways); 0 at equal points, 1 on disjoint supports.
-
-    x and y have shape (..., d); a float for a single pair, else one value per row.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    zero = ~np.any(x > 0.0, axis=-1) | ~np.any(y > 0.0, axis=-1)
-    if np.any(zero):
-        row = "" if zero.ndim == 0 else f" (row {np.flatnonzero(zero)[0]})"
-        raise ValueError(f"harnack distance needs nonzero points{row}")
-    return 1.0 - symmetrized_order(x, y)
-
-
 def radius_at(manifold: RadialManifold, u):
     """Interpolated radius R(u): a float for u of shape (d,), an (N,) array for (N, d)."""
     idx, w = manifold.grid.locate(u)
@@ -267,11 +291,37 @@ def sup_gap(a: RadialManifold, b: RadialManifold) -> float:
     return float(np.max(np.abs(a.radii - b.radii)))
 
 
+def hausdorff_bound(a: RadialManifold, b: RadialManifold) -> float:
+    """Upper bound of the Hausdorff distance of two piecewise-linear surfaces on one grid.
+
+    The point R(u) u of one surface, u in a cell, has the partner R'(u) u on the
+    other, at distance |R(u) - R'(u)| |u|. Both factors are at most their vertex
+    maxima over the cell, so max_k |R_k - R'_k| * grid.reach[k] bounds every such
+    distance, both ways. It is at most sup_gap, and at least the Hausdorff
+    distance of the two vertex clouds; for d = 1 it is |R - R'|.
+    """
+    if not a.grid.compatible(b.grid):
+        raise GridError("manifolds live on different grids")
+    return float(np.max(np.abs(a.radii - b.radii) * a.grid.reach))
+
+
+def harnack_distance(a: RadialManifold, b: RadialManifold) -> float:
+    """Largest Harnack distance between the points R(u) u and R'(u) u of a ray, over all u.
+
+    The points of one ray are ordered both ways with factors R/R' and R'/R, so their
+    Harnack distance is 1 - min(R/R', R'/R). Over a cell, a ratio of two positive
+    affine functions takes its extremes at the vertices, so the vertex maximum is
+    exact for the two piecewise-linear surfaces.
+    """
+    if not a.grid.compatible(b.grid):
+        raise GridError("manifolds live on different grids")
+    return float(1.0 - np.minimum(a.radii / b.radii, b.radii / a.radii).min())
+
+
 # Elements in one block of a pairwise computation: each temporary stays near
-# half a MB, whatever the number of points. Among 2^14 ... 2^22 this block
-# timed fastest, or within 12% of it, for the all-pairs Hausdorff distance of
-# two sets of 1225 to 8385 points; the band search of nearest_distances timed
-# within 10% of its best at 2^15 and 2^16 on the same sets.
+# half a MB, whatever the number of points. The band search of
+# nearest_distances timed within 10% of its best at 2^15 and 2^16 on sets of
+# 1225 to 8385 points.
 PAIR_BLOCK = 1 << 16
 
 
@@ -282,12 +332,10 @@ BAND_MARGIN = 1e-9
 # Most rows of a in one block of the band search. The union of a block's bands
 # grows by about one row of b per row of a, so larger blocks solve more pairs
 # that no row needs, and much smaller ones pay a block's fixed cost (a dozen
-# numpy calls) too often. Over the 23 Hausdorff distances of a 3-species run
-# at res 48 (medians of 9), 64 and 128 rows took 0.15 s, 32 rows 0.18 s, and
-# blocks capped by PAIR_BLOCK alone 0.18 s. The early exit of
-# _directed_hausdorff grows its blocks 1, 2, 4, ... up to this cap: its rows
-# are scattered in key order, so a first block of 64 bands nearly all of b,
-# where on a converged iterate one row already settles the maximum.
+# numpy calls) too often. For the distances of the attraction battery from
+# 3-species orbit ends to the surface (200 ends against 1225 vertices at res
+# 48, 1000 against 8385 at res 128; medians of 15), 64 rows took 0.99 and
+# 11.2 ms, 16 rows 1.48 and 13.3 ms, and 256 rows 0.88 and 10.4 ms.
 BAND_ROWS = 64
 # Rows per occupied bucket of _buckets, the grid of the dominance scan _dominated_pairs.
 # Larger buckets loosen the box test, so more pairs are solved; smaller ones make more
@@ -402,59 +450,6 @@ def nearest_distances(a, b) -> np.ndarray:
     key = int(np.argmax(np.ptp(b, axis=0)))
     b = np.asfortranarray(b[np.argsort(b[:, key])])
     return np.sqrt(_band_sq(a, b, key, bound))
-
-
-def _directed_hausdorff(a, b):
-    """max_i min_j |a_i - b_j| by exact early exit; see hausdorff_points."""
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        return nearest_distances(a, b).max()
-    n = min(a.shape[0], b.shape[0])
-    seed = np.full(a.shape[0], np.inf)  # squared; rows with no partner come first
-    seed[:n] = _sq_dists(a[:n], b[:n])
-    visit = np.argsort(seed)[::-1]
-    key = int(np.argmax(np.ptp(b, axis=0)))
-    srt = np.asfortranarray(b[np.argsort(b[:, key])])
-    h2 = 0.0
-    start, size = 0, 1
-    while start < visit.size:
-        rows = visit[start:start + size]
-        rows = rows[seed[rows] > h2]  # min_i <= seed_i <= h2 cannot raise the maximum
-        if rows.size == 0:
-            break
-        bound = seed[rows]
-        if start:  # after the first block, the probe drops rows whose minimum cannot exceed h2
-            bound = np.minimum(bound, _probe_sq(a[rows], b))
-            rows, bound = rows[bound > h2], bound[bound > h2]
-        start, size = start + size, min(2 * size, BAND_ROWS)
-        if rows.size:
-            h2 = max(h2, _band_sq(a[rows], srt, key, np.sqrt(bound)).max())
-    return np.sqrt(h2)
-
-
-def hausdorff_points(a, b) -> float:
-    """Symmetric Hausdorff distance of two finite point sets, Euclidean norm.
-
-    Exact: equal to the broadcast formula bit for bit. Sets with |a| * |b|
-    <= PAIR_BLOCK take both directions from one dense block. Otherwise each
-    direction max_i min_j |a_i - b_j| exits early: row i's squared distance
-    s_i to the same-index row of b (inf with no partner) bounds its squared
-    minimum; rows are solved in descending s_i, in blocks of 1, 2, 4, ... up
-    to BAND_ROWS rows, by the band search of nearest_distances, until the
-    next s_i <= H^2, the largest squared minimum so far, as no later row can
-    raise it. After the first block, the probe of nearest_distances tightens
-    each s_i, and a row whose bound falls to H^2 or below is dropped: on sets
-    far apart, where every s_i is large, that skips almost every row. Squares
-    are compared, so no sqrt rounding enters the test. Sets with a non-finite
-    coordinate solve every row.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("distance to an empty set")
-    if a.shape[0] * b.shape[0] <= PAIR_BLOCK:
-        d2 = _sq_dists(a[:, None], b[None])
-        return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
-    return float(max(_directed_hausdorff(a, b), _directed_hausdorff(b, a)))
 
 
 def _pair_ratios(pts, i, j) -> np.ndarray:
@@ -589,32 +584,12 @@ def order_scan(manifold: RadialManifold, tol_order: float) -> tuple[list[tuple[i
     return violations, float(_pair_ratios(pts, i, j).max(initial=np.sqrt(pts.shape[1])))
 
 
-def _edges(grid: BarycentricGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each cell edge once, as (vertex a, vertex b, length |u_a - u_b|).
-
-    The edges of the Kuhn cells are the pairs s, s + delta of the ordered
-    region with delta a nonzero vector of {0, 1}^(d-1); the region is convex,
-    so each such pair lies in a cell. The one-point simplex has none.
-    """
-    m, tab = grid.resolution, grid.s_table
-    a, b = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for delta in itertools.product((0, 1), repeat=grid.dim - 1):
-        if any(delta):
-            lo = tab[tuple(slice(0, m + 1 - k) for k in delta)]
-            hi = tab[tuple(slice(k, m + 1) for k in delta)]
-            both = (lo >= 0) & (hi >= 0)
-            a.append(lo[both])
-            b.append(hi[both])
-    a, b = np.concatenate(a), np.concatenate(b)
-    return a, b, np.linalg.norm(grid.vertices[a] - grid.vertices[b], axis=1)
-
-
 def grid_spacing(grid: BarycentricGrid) -> float:
     """Longest edge of any cell (zero for the one-point simplex)."""
-    return float(_edges(grid)[2].max(initial=0.0))
+    return float(grid.edges[2].max(initial=0.0))
 
 
 def lipschitz_estimate(manifold: RadialManifold) -> float:
     """Empirical Lipschitz bound of the radius over all cell edges."""
-    a, b, e = _edges(manifold.grid)
+    a, b, e = manifold.grid.edges
     return float((np.abs(manifold.radii[a] - manifold.radii[b]) / e).max(initial=0.0))

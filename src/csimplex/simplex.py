@@ -19,7 +19,8 @@ from .geometry import (
     box_boundary_manifold,
     constant_manifold,
     grid_spacing,
-    hausdorff_points,
+    harnack_distance,
+    hausdorff_bound,
     lipschitz_estimate,
     nearest_distances,
     order_scan,
@@ -62,7 +63,8 @@ class ConvergenceReport:
     termination: str  # converged | max_iter | fold_error
     final_gap: float
     gap_history: list
-    hausdorff_history: list
+    hausdorff_bound_history: list
+    harnack_history: list
     lower_min_steps: list
     upper_max_steps: list
     sandwich_mins: list
@@ -125,7 +127,8 @@ def compute_cs(
     upper = box_boundary_manifold(grid, box_top)
 
     gap_history = [sup_gap(lower, upper)]
-    hausdorff_history = [hausdorff_points(vertex_points(lower), vertex_points(upper))]
+    hausdorff_bound_history = [hausdorff_bound(lower, upper)]
+    harnack_history = [harnack_distance(lower, upper)]
     lower_min_steps: list[float] = []
     upper_max_steps: list[float] = []
     sandwich_mins: list[float] = []
@@ -148,9 +151,8 @@ def compute_cs(
         sandwich_mins.append(float((upper.radii - lower.radii).min()))
         gap = sup_gap(lower, upper)
         gap_history.append(gap)
-        hausdorff_history.append(
-            hausdorff_points(vertex_points(lower), vertex_points(upper))
-        )
+        hausdorff_bound_history.append(hausdorff_bound(lower, upper))
+        harnack_history.append(harnack_distance(lower, upper))
         if on_iteration is not None:
             on_iteration(n, lower, upper)
         if gap < tolerance:
@@ -168,7 +170,8 @@ def compute_cs(
         termination=termination,
         final_gap=final_gap,
         gap_history=gap_history,
-        hausdorff_history=hausdorff_history,
+        hausdorff_bound_history=hausdorff_bound_history,
+        harnack_history=harnack_history,
         lower_min_steps=lower_min_steps,
         upper_max_steps=upper_max_steps,
         sandwich_mins=sandwich_mins,
@@ -423,7 +426,7 @@ def verify_cs(
     tol_order = _order_tolerance(sigma)
 
     stepped = graph_step(kmap, sigma, box_top)
-    invariance_residual = hausdorff_points(vertex_points(stepped), vertex_points(sigma))
+    invariance_residual = hausdorff_bound(stepped, sigma)
 
     if d > 1:
         violations, lipschitz_ratio_max = order_scan(sigma, tol_order)

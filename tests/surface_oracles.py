@@ -4,11 +4,14 @@
 image polyline by bisection, with no linear algebra, to cross-check the tiling
 of `transform.resample`. `iterate_manifold` iterates one manifold under
 `graph_step` until its steps are small, the single sequence that the sandwich
-of `simplex.compute_cs` brackets from both sides.
+of `simplex.compute_cs` brackets from both sides. `harnack` and
+`vertex_hausdorff` are the point-set metrics, by their definitions, against
+which the vertex passes `geometry.harnack_distance` and
+`geometry.hausdorff_bound` are checked.
 """
 import numpy as np
 
-from csimplex.geometry import GridError, RadialManifold, sup_gap
+from csimplex.geometry import GridError, RadialManifold, sup_gap, symmetrized_order
 from csimplex.maps import KolmogorovMap
 from csimplex.transform import FoldError, PushforwardCloud, graph_step
 
@@ -80,3 +83,27 @@ def iterate_manifold(
         if step < step_tol:
             return current, n, history
     return current, max_iter, history
+
+
+def harnack(x, y):
+    """Harnack distance 1 - min(order both ways); 0 at equal points, 1 on disjoint supports.
+
+    x and y have shape (..., d); a float for a single pair, else one value per row.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    zero = ~np.any(x > 0.0, axis=-1) | ~np.any(y > 0.0, axis=-1)
+    if np.any(zero):
+        row = "" if zero.ndim == 0 else f" (row {np.flatnonzero(zero)[0]})"
+        raise ValueError(f"harnack distance needs nonzero points{row}")
+    return 1.0 - symmetrized_order(x, y)
+
+
+def vertex_hausdorff(a, b) -> float:
+    """Exact Hausdorff distance of two point sets by the broadcast formula, 256 rows at a time."""
+    def directed(p, q):
+        return max(np.sqrt(((p[s:s + 256, None] - q[None]) ** 2).sum(axis=-1)).min(axis=1).max()
+                   for s in range(0, p.shape[0], 256))
+
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    return float(max(directed(a, b), directed(b, a)))

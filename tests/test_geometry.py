@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -5,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csimplex import geometry
+from csimplex import geometry, simplex
 from csimplex.maps import eval_F, leslie_gower, ricker2d
 from csimplex.simplex import compute_cs
 from csimplex.geometry import (
@@ -13,8 +14,8 @@ from csimplex.geometry import (
     box_boundary_manifold,
     constant_manifold,
     grid_spacing,
-    harnack,
-    hausdorff_points,
+    harnack_distance,
+    hausdorff_bound,
     lipschitz_estimate,
     make_grid,
     nearest_distances,
@@ -25,6 +26,7 @@ from csimplex.geometry import (
     vertex_points,
     RadialManifold,
 )
+from surface_oracles import harnack, vertex_hausdorff
 
 RNG = np.random.default_rng(20240817)
 
@@ -441,11 +443,22 @@ def test_sup_gap():
 
 
 def test_hausdorff_examples():
-    assert hausdorff_points([[0.0]], [[0.0]]) == 0.0
-    assert hausdorff_points([[0.0]], [[1.0]]) == 1.0
-    assert hausdorff_points([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
-    a = RNG.random((40, 3))
-    assert hausdorff_points(a, a) == 0.0
+    g1, g3 = make_grid(1, 1), make_grid(3, 6)
+    assert hausdorff_bound(constant_manifold(g1, 1.0), constant_manifold(g1, 1.5)) == 0.5
+    box = box_boundary_manifold(g3, 1.0)
+    assert hausdorff_bound(box, box) == 0.0
+    # a constant gap: the corners, at |u| = 1, are the farthest partners
+    assert hausdorff_bound(constant_manifold(g3, 1.0), constant_manifold(g3, 1.25)) == 0.25
+    # a gap at the centre only: its partners reach no farther than the ring (3, 2, 1) / 6
+    centre = g3.vertex_index((2, 2, 2))
+    bump = np.ones(g3.n_vertices)
+    bump[centre] = 1.5
+    bound = hausdorff_bound(constant_manifold(g3, 1.0), RadialManifold(g3, bump))
+    assert bound == 0.5 * g3.reach[centre] == pytest.approx(0.5 * math.sqrt(14) / 6, rel=1e-15)
+    with pytest.raises(GridError):
+        hausdorff_bound(box, constant_manifold(make_grid(3, 5), 1.0))
+    with pytest.raises(GridError):
+        harnack_distance(box, constant_manifold(make_grid(2, 6), 1.0))
 
 
 def broadcast_sq_dists(a, b):
@@ -454,15 +467,13 @@ def broadcast_sq_dists(a, b):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_hausdorff_chunked_equals_broadcast(dim, monkeypatch):
+    # the nearest distances both ways, whose maxima are the directed Hausdorff distances
     for na, nb in [(37, 23), (700, 450)]:
         a, b = RNG.random((na, dim)), RNG.random((nb, dim))
         d2 = broadcast_sq_dists(a, b)
-        expected = float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
         # the default block, and blocks that split |a| and |b| unevenly
         for block in (geometry.PAIR_BLOCK, 5 * nb + 4, 7 * na - 1, 1):
             monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
-            assert hausdorff_points(a, b) == expected
-            assert hausdorff_points(b, a) == expected
             assert np.array_equal(nearest_distances(a, b), np.sqrt(d2.min(axis=1)))
             assert np.array_equal(nearest_distances(b, a), np.sqrt(d2.min(axis=0)))
 
@@ -471,15 +482,19 @@ def broadcast_nearest(a, b):
     return np.sqrt(broadcast_sq_dists(a, b).min(axis=1))
 
 
-def iterate_pairs(kmap, dim, m, kappa, epsilon):
-    """Vertex clouds of every (lower, upper) pair of a compute_cs run."""
-    pairs = []
-
-    def keep(n, lower, upper):
-        pairs.append((vertex_points(lower), vertex_points(upper)))
-
-    compute_cs(kmap, make_grid(dim, m), kappa, epsilon, tolerance=1e-6, on_iteration=keep)
+def sandwich(kmap, dim, m, kappa, epsilon):
+    """Every (lower, upper) pair of a compute_cs run, the initial pair first."""
+    grid = make_grid(dim, m)
+    pairs = [(constant_manifold(grid, epsilon), box_boundary_manifold(grid, 1.0 + kappa))]
+    compute_cs(kmap, grid, kappa, epsilon, tolerance=1e-6,
+               on_iteration=lambda n, lower, upper: pairs.append((lower, upper)))
     return pairs
+
+
+def iterate_pairs(kmap, dim, m, kappa, epsilon):
+    """Vertex clouds of every (lower, upper) pair of a compute_cs run after the initial one."""
+    pairs = sandwich(kmap, dim, m, kappa, epsilon)[1:]
+    return [(vertex_points(lower), vertex_points(upper)) for lower, upper in pairs]
 
 
 def lg(dim, offdiag):
@@ -513,7 +528,6 @@ def test_nearest_band_equals_broadcast(dim, monkeypatch):
         cases += [(lower, upper), (upper, lower)]
     for a_, b_ in cases:
         to_b, to_a = broadcast_nearest(a_, b_), broadcast_nearest(b_, a_)
-        expected = float(max(to_b.max(), to_a.max()))
         na, nb = a_.shape[0], b_.shape[0]
         # the default block, one pair, and blocks that split the sets unevenly
         for block, rows in [(geometry.PAIR_BLOCK, geometry.BAND_ROWS), (1, geometry.BAND_ROWS),
@@ -522,107 +536,53 @@ def test_nearest_band_equals_broadcast(dim, monkeypatch):
             monkeypatch.setattr(geometry, "BAND_ROWS", rows)
             assert np.array_equal(nearest_distances(a_, b_), to_b, equal_nan=True)
             assert np.array_equal(nearest_distances(b_, a_), to_a, equal_nan=True)
-            got = hausdorff_points(a_, b_)
-            assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
-def broadcast_hausdorff(a, b):
-    return float(max(broadcast_nearest(a, b).max(), broadcast_nearest(b, a).max()))
-
-
-def count_solved_rows(monkeypatch):
-    """Rows of a that the band search of the Hausdorff early exit solves, as a running count."""
-    solved = [0]
-    band_sq = geometry._band_sq
-
-    def counted(a, *args):
-        solved[0] += a.shape[0]
-        return band_sq(a, *args)
-
-    monkeypatch.setattr(geometry, "_band_sq", counted)
-    return solved
-
-
-@pytest.mark.parametrize("dim,m", [(2, 300), (3, 24), (4, 12)])
-def test_hausdorff_early_exit_equals_broadcast_on_iterates(dim, m):
+@functools.cache
+def sandwich_of(dim):
+    """The sandwich pairs of Leslie-Gower (d=1; d=3 at res 24, d=4 at res 12) and Ricker (d=2, res 300)."""
+    if dim == 1:
+        return sandwich(lg(1, 0.0), 1, 1, 1.0, 0.5)
+    m = {2: 300, 3: 24, 4: 12}[dim]
     kmap = ricker2d(0.5, 0.5, 0.5, 0.5) if dim == 2 else lg(dim, 0.3 if dim == 3 else 0.2)
-    pairs = iterate_pairs(kmap, dim, m, 1.0 if dim > 2 else 0.25, 0.5)
-    rng = np.random.default_rng(dim)
-    for lower, upper in pairs:
-        assert lower.shape[0] ** 2 > geometry.PAIR_BLOCK  # the early exit, not the dense block
-        expected = broadcast_hausdorff(lower, upper)
-        # a permuted b: the seed bounds belong to unrelated rows
-        shuffled = upper[rng.permutation(upper.shape[0])]
-        for a_, b_ in [(lower, upper), (upper, lower), (lower, shuffled), (shuffled, lower)]:
-            assert hausdorff_points(a_, b_) == expected
+    return sandwich(kmap, dim, m, 1.0 if dim > 2 else 0.25, 0.5)
 
 
-def test_hausdorff_early_exit_edge_cases(monkeypatch):
-    a = RNG.random((300, 3))
-    coarse = RNG.integers(0, 3, (300, 3)) / 2.0  # duplicate points, tied seeds and minima
-    nonfinite = a.copy()
-    nonfinite[5, 1], nonfinite[9, 2] = np.nan, np.inf
-    cases = [
-        (a, a), (a, a + 1e-3), (a, a[::-1].copy()), (coarse, coarse[RNG.permutation(300)]),
-        (coarse, RNG.integers(0, 3, (280, 3)) / 2.0),
-        (a, RNG.random((260, 3))), (RNG.random((260, 3)), a),  # unequal sizes, both orders
-        (a, RNG.random((40, 3)) + 5.0),  # rows with no partner solve against all of b
-        (nonfinite, a), (a, nonfinite), (nonfinite[:, :1], a[:, :1]),
-    ]
-    for a_, b_ in cases:
-        expected = broadcast_hausdorff(a_, b_)
-        # the default block, and one small enough that every case exits early
-        for block, rows in [(geometry.PAIR_BLOCK, geometry.BAND_ROWS), (97, 3), (97, 1)]:
-            monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
-            monkeypatch.setattr(geometry, "BAND_ROWS", rows)
-            got = hausdorff_points(a_, b_)
-            assert got == expected or (np.isnan(got) and np.isnan(expected))
+def probe_directions(grid):
+    """Every cell barycentre and edge midpoint of a grid."""
+    a, b, _ = grid.edges
+    return np.concatenate([grid.vertices[grid.cells].mean(axis=1),
+                           0.5 * (grid.vertices[a] + grid.vertices[b])])
 
 
-def test_hausdorff_early_exit_stops_at_a_tied_bound(monkeypatch):
-    # rows by descending seed: row 0 (seed 100, minimum 9 at b_2), row 1 (seed
-    # and minimum 9, equal to H^2 after row 0: skipped), row 2 (seed 1/4)
-    a = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 3.5]])
-    b = np.array([[10.0, 0.0], [50.0, 3.0], [0.0, 3.0]])
-    monkeypatch.setattr(geometry, "BAND_ROWS", 1)
-    solved = count_solved_rows(monkeypatch)
-    assert geometry._directed_hausdorff(a, b) == 3.0
-    assert solved[0] == 1
-    # row 1 one ulp farther: its bound exceeds H^2, and it raises the maximum
-    far = b.copy()
-    far[1, 1] = np.nextafter(3.0, 4.0)
-    expected = float(broadcast_nearest(a, far).max())
-    assert expected > 3.0
-    solved[0] = 0
-    assert geometry._directed_hausdorff(a, far) == expected
-    assert solved[0] == 2
+@pytest.mark.parametrize("dim,m", [(1, 1), (2, 300), (3, 24), (4, 12)])
+def test_hausdorff_bound_brackets_vertex_hausdorff_on_iterates(dim, m):
+    pairs = sandwich_of(dim)
+    assert pairs[0][0].grid.resolution == m
+    for lower, upper in pairs:  # far apart at first, converged at last
+        bound = hausdorff_bound(lower, upper)
+        assert vertex_hausdorff(vertex_points(lower), vertex_points(upper)) <= bound
+        assert bound <= sup_gap(lower, upper)
+        if dim == 1:
+            assert bound == abs(upper.radii[0] - lower.radii[0])
+            continue
+        u = probe_directions(lower.grid)
+        partner = np.abs(radius_at(lower, u) - radius_at(upper, u)) * np.linalg.norm(u, axis=1)
+        assert partner.max() <= bound
 
 
-def test_hausdorff_early_exit_solves_few_rows_when_converged(monkeypatch):
-    pairs = iterate_pairs(lg(3, 0.3), 3, 64, 1.0, 0.5)
-    solved = count_solved_rows(monkeypatch)
-    for lower, upper in pairs[-3:]:
-        expected = max(nearest_distances(lower, upper).max(), nearest_distances(upper, lower).max())
-        solved[0] = 0
-        assert hausdorff_points(lower, upper) == expected
-        assert solved[0] < 0.05 * (lower.shape[0] + upper.shape[0])
-
-
-def test_hausdorff_early_exit_solves_few_pairs_when_converged(monkeypatch):
-    # blocks grow from one row: a first block of BAND_ROWS rows scattered in key
-    # order would band nearly all of b, about 115,000 pairs here
-    lower, upper = iterate_pairs(lg(3, 0.3), 3, 48, 1.0, 0.5)[-1]
-    pairs = [0]
-    sq_dists = geometry._sq_dists
-
-    def counted(p, q, buf=None):
-        pairs[0] += int(np.prod(np.broadcast_shapes(p.shape[:-1], q.shape[:-1])))
-        return sq_dists(p, q, buf)
-
-    expected = max(nearest_distances(lower, upper).max(), nearest_distances(upper, lower).max())
-    monkeypatch.setattr(geometry, "_sq_dists", counted)
-    assert hausdorff_points(lower, upper) == expected
-    assert pairs[0] < 5000  # 2 * 1225 of them are the seed bounds
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_harnack_distance_equals_oracle_on_iterates(dim):
+    ulp = np.spacing(1.0)
+    for lower, upper in sandwich_of(dim):
+        got = harnack_distance(lower, upper)
+        at_vertices = harnack(vertex_points(lower), vertex_points(upper))
+        assert abs(got - at_vertices.max()) <= 4 * ulp
+        assert got == harnack_distance(upper, lower)
+        if dim > 1:
+            u = lower.grid.vertices[lower.grid.cells].mean(axis=1)
+            dense = harnack(radius_at(lower, u)[:, None] * u, radius_at(upper, u)[:, None] * u)
+            assert dense.max() <= got + 4 * ulp
 
 
 def triu_ratios(pts):
@@ -756,8 +716,8 @@ def test_sup_gap_dominates_hausdorff():
         rb = 0.5 + RNG.random(grid.n_vertices)
         a = RadialManifold(grid, ra)
         b = RadialManifold(grid, rb)
-        dh = hausdorff_points(vertex_points(a), vertex_points(b))
-        assert dh <= sup_gap(a, b) + 1e-12
+        bound = hausdorff_bound(a, b)
+        assert vertex_hausdorff(vertex_points(a), vertex_points(b)) <= bound <= sup_gap(a, b)
 
 
 def test_spacing_and_lipschitz():
@@ -776,13 +736,42 @@ def test_spacing_and_lipschitz():
 def test_edges_are_the_cell_edges():
     for dim, m in itertools.product(range(1, 5), range(1, 7)):
         grid = make_grid(dim, m)
-        a, b, e = geometry._edges(grid)
+        a, b, e = grid.edges
         pairs = [tuple(sorted(p)) for p in zip(a.tolist(), b.tolist())]
         cell_pairs = {tuple(sorted(p)) for cell in grid.cells.tolist()
                       for p in itertools.combinations(cell, 2)}
         assert len(pairs) == len(set(pairs)) == len(cell_pairs)  # each edge once
         assert set(pairs) == cell_pairs
         assert np.array_equal(e, np.linalg.norm(grid.vertices[a] - grid.vertices[b], axis=1))
+
+
+def test_reach_is_the_largest_norm_around_each_vertex():
+    for dim, m in itertools.product(range(1, 5), range(1, 6)):
+        grid = make_grid(dim, m)
+        norms = np.linalg.norm(grid.vertices, axis=1)
+        want = norms.copy()  # a vertex with no cell (d=1) reaches itself
+        for cell in grid.cells:
+            want[cell] = np.maximum(want[cell], norms[cell].max())
+        assert np.array_equal(grid.reach, want)
+    assert make_grid(1, 1).reach.tolist() == [1.0]
+
+
+def test_order_tolerance_builds_the_edges_once(monkeypatch):
+    built = []
+    edges = geometry.BarycentricGrid.edges.func
+
+    def counted(grid):
+        built.append(grid)
+        return edges(grid)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(geometry.BarycentricGrid, "edges")
+    monkeypatch.setattr(geometry.BarycentricGrid, "edges", prop)
+    sigma = converged_sigma(3, 12)  # compute_cs takes its tol_order from the edges
+    assert len(built) == 1
+    h, lip = per_cell_spacing_and_lipschitz(sigma)
+    assert simplex._order_tolerance(sigma) == 2.0 * lip * h
+    assert built == [sigma.grid]
 
 
 def per_cell_spacing_and_lipschitz(manifold):
@@ -808,35 +797,6 @@ def test_manifold_rejects_bad_radii():
         RadialManifold(grid, np.zeros(grid.n_vertices))
     with pytest.raises(GridError):
         RadialManifold(grid, np.ones(3))
-
-
-def count_sq_pairs(monkeypatch):
-    """Point pairs whose squared distance _sq_dists computes, as a running count."""
-    pairs = [0]
-    sq_dists = geometry._sq_dists
-
-    def counted(p, q, buf=None):
-        pairs[0] += int(np.prod(np.broadcast_shapes(p.shape[:-1], q.shape[:-1])))
-        return sq_dists(p, q, buf)
-
-    monkeypatch.setattr(geometry, "_sq_dists", counted)
-    return pairs
-
-
-def test_hausdorff_probe_solves_few_pairs_on_the_initial_pair(monkeypatch):
-    # the sandwich's first pair lies far apart, so every seed bound is large and
-    # the seeds alone band nearly all of b (916,300 pairs here); the probe drops
-    # almost every row
-    grid = make_grid(3, 48)
-    lower = vertex_points(constant_manifold(grid, 0.5))
-    upper = vertex_points(box_boundary_manifold(grid, 2.0))
-    expected = broadcast_hausdorff(lower, upper)
-    pairs = count_sq_pairs(monkeypatch)
-    assert hausdorff_points(lower, upper) == expected
-    assert pairs[0] < 0.1 * 2 * grid.n_vertices ** 2
-    pairs[0] = 0
-    assert hausdorff_points(upper, lower) == expected
-    assert pairs[0] < 0.1 * 2 * grid.n_vertices ** 2
 
 
 def test_nearest_distances_with_unrelated_rows_equal_broadcast(monkeypatch):

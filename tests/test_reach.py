@@ -19,7 +19,6 @@ ALLOWED = {
     "simplex.gamma_membership": "membership in [0, 1] * Sigma, an acceptance criterion",
     "assumptions.jury_condition_ricker2d": "closed-form spectral oracle for ricker2d",
     "maps.fd_jacobian": "Jacobian of a map without df, and the oracle of the analytic ones",
-    "geometry.harnack": "the paper's metric; verify uses its symmetrized order directly",
 }
 
 TINY = {"grid": {"resolution": 4}, "solver": {"check_resolution": 8},
@@ -31,8 +30,8 @@ MAPS = {  # name: (params, dimension)
     "ricker2d": ({"r": 0.5, "s": 0.5, "a": 0.5, "b": 0.5}, 2),
     "leslie_gower": ({}, 2),
 }
-# large enough for the banded nearest-point and Hausdorff searches and the bucketed
-# dominance scan (more than PAIR_BLOCK pairs)
+# large enough for the banded nearest-point search and the bucketed dominance scan
+# (more than PAIR_BLOCK pairs)
 LG3 = {"map": {"name": "leslie_gower", "params": {
            "r": [1.0] * 3, "A": [[1.0 if i == j else 0.3 for j in range(3)] for i in range(3)]}},
        "grid": {"resolution": 48}, "verify": {"sample_count": 100}}

@@ -6,7 +6,7 @@ from csimplex.geometry import (
     RadialManifold,
     box_boundary_manifold,
     constant_manifold,
-    hausdorff_points,
+    hausdorff_bound,
     make_grid,
     radius_at,
     sup_gap,
@@ -62,8 +62,7 @@ def test_compute_cs_decoupled_reproduces_box_boundary():
     res = compute_cs(kmap, grid, 0.5, 0.5, tolerance=1e-6)
     assert res.termination == "converged"
     oracle = box_boundary_manifold(grid, 1.0)
-    dh = hausdorff_points(vertex_points(res.sigma), vertex_points(oracle))
-    assert dh < 3.0 / 32
+    assert hausdorff_bound(res.sigma, oracle) < 3.0 / 32
 
 
 def test_compute_cs_coupled_corners_and_fixed_point(coupled_run):
@@ -355,7 +354,7 @@ def test_invariance_residual_shrinks_with_spacing():
         grid = make_grid(2, m)
         res = compute_cs(COUPLED, grid, KAPPA, EPSILON, tolerance=1e-10, max_iter=2000)
         stepped = graph_step(COUPLED, res.sigma, 1.0 + KAPPA)
-        residual = hausdorff_points(vertex_points(stepped), vertex_points(res.sigma))
+        residual = hausdorff_bound(stepped, res.sigma)
         assert residual <= 0.1 * grid_spacing(grid)
         residuals[m] = residual
     assert residuals[16] <= residuals[8] + 1e-9
@@ -387,8 +386,7 @@ def test_three_species_decoupled_box_boundary():
         res = compute_cs(kmap, grid, 1.0, 0.5, tolerance=1e-7)
         assert res.termination == "converged"
         box = box_boundary_manifold(grid, 1.0)
-        dh = hausdorff_points(vertex_points(res.sigma), vertex_points(box))
-        assert dh < 3.0 / m
+        assert hausdorff_bound(res.sigma, box) < 3.0 / m
         # matched ridge direction (1/4, 3/8, 3/8): the radial kink
         ridge = grid.vertex_index((m // 4, 3 * m // 8, 3 * m // 8))
         errs[m] = abs(res.sigma.radii[ridge] - box.radii[ridge])
