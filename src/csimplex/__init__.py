@@ -11,7 +11,6 @@ from .assumptions import (
     AssumptionError,
     AssumptionReport,
     check_as2,
-    check_as3,
     check_as4,
     find_epsilon,
     find_kappa,
@@ -34,7 +33,6 @@ from .maps import (
     KolmogorovMap,
     MapDomainError,
     eval_F,
-    eval_Z,
     eval_df,
     eval_f,
     make_map,

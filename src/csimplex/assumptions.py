@@ -6,8 +6,10 @@ robust to the sampling. The module also selects the margin kappa of the
 trapping box [0, 1+kappa]^d and the inner radius epsilon of the starting
 manifold epsilon * Delta.
 
-The spectral scan takes the exact maximum of rho(Z) over its grid without
-eigen-solving every point. Z is nonnegative, so by Perron-Frobenius each
+One scan per box grid (check_as4) evaluates Df once on every grid point and f
+once on all but the origin, and yields AS3 and AS4 together on (N,) or
+(d, d, N) long axes. It takes the exact maximum of rho(Z) without
+eigen-solving every point: Z is nonnegative, so by Perron-Frobenius each
 point's radius lies between max(min row sum, min column sum) and
 min(max row sum, max column sum). Only the candidates whose upper bound
 reaches the largest lower bound can attain the maximum; they alone go to one
@@ -15,11 +17,13 @@ batched eigensolve, which yields each radius bit for bit as a full scan would.
 """
 from __future__ import annotations
 
+import contextlib
+import functools
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .maps import KolmogorovMap, eval_Z, eval_df, eval_f
+from .maps import KolmogorovMap, MapDomainError, _at, eval_df, eval_f
 
 __all__ = [
     "AssumptionError",
@@ -28,7 +32,6 @@ __all__ = [
     "As4Result",
     "AssumptionReport",
     "check_as2",
-    "check_as3",
     "check_as4",
     "jury_condition_ricker2d",
     "find_kappa",
@@ -44,6 +47,8 @@ EPSILON_HALVINGS = 40  # find_epsilon tries 2^-k for k = 1 ... EPSILON_HALVINGS
 # moves a computed row or column sum, and the eigensolver's backward error a
 # computed radius, by a few ulps (about 1e-16 relative), far less than this.
 RHO_BOUND_MARGIN = 1e-9
+# _feedback raises below -FEEDBACK_TOL and clips the entries above it to 0 (rounding).
+FEEDBACK_TOL = 1e-9
 
 
 class AssumptionError(RuntimeError):
@@ -54,7 +59,6 @@ class AssumptionError(RuntimeError):
 class As2Result:
     ok: bool
     max_deviation: float
-    deviations: list
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,6 @@ class As3Result:
     worst_value: float
     worst_entry: tuple
     worst_point: list
-    worst_diagonal: float
 
 
 @dataclass(frozen=True)
@@ -76,70 +79,76 @@ class As4Result:
 
 def check_as2(kmap: KolmogorovMap, tol: float = 1e-9) -> As2Result:
     """Each axis must carry its fixed point at the unit: f_i(e_i) = 1."""
-    devs = [float(v) for v in np.abs(np.diagonal(eval_f(kmap, np.eye(kmap.dim))) - 1.0)]
-    worst = max(devs)
-    return As2Result(worst < tol, worst, devs)
+    worst = float(np.abs(np.diagonal(eval_f(kmap, np.eye(kmap.dim))) - 1.0).max())
+    return As2Result(worst < tol, worst)
 
 
 def _box_points(top: float, resolution: int, dim: int) -> np.ndarray:
+    """The grid on [0, top]^dim in C order, origin first, as an (N, dim) view of (dim, N) columns."""
     axes = [np.linspace(0.0, top, resolution)] * dim
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(dim, -1).T
 
 
-def check_as3(kmap: KolmogorovMap, rect_top: float, resolution: int) -> As3Result:
-    """Sign pattern of the per-capita Jacobian on the rectangle [0, rect_top]^d.
-
-    strict: all entries negative; weak: all nonpositive with negative
-    diagonal; fail otherwise, with the worst entry and its location.
-    """
-    pts = _box_points(rect_top, resolution, kmap.dim)
-    jacs = eval_df(kmap, pts)
-    worst = int(np.argmax(jacs.max(axis=(1, 2))))  # first point attaining the largest entry
-    i, j = np.unravel_index(np.argmax(jacs[worst]), jacs.shape[1:])
-    worst_value = float(jacs[worst, i, j])
-    worst_entry = (int(i), int(j))
-    worst_point = pts[worst]
-    worst_diag = float(np.diagonal(jacs, axis1=1, axis2=2).max())
-    if worst_value < 0.0:
-        mode = "strict"
-    elif worst_value <= 1e-12 and worst_diag < 0.0:
-        mode = "weak"
-    else:
-        mode = "fail"
-    return As3Result(mode, worst_value, worst_entry, list(worst_point), worst_diag)
+def _sign_pattern(jac: np.ndarray, pts: np.ndarray) -> As3Result:
+    """AS3 from the scan's Jacobians read as (N,) slices, with the worst entry and its point."""
+    d = pts.shape[1]
+    top = functools.reduce(np.maximum, [jac[:, i, j] for i in range(d) for j in range(d)])
+    worst = int(np.argmax(top))  # first point attaining the largest entry
+    i, j = np.unravel_index(np.argmax(jac[worst]), (d, d))
+    value = float(jac[worst, i, j])
+    diag = float(functools.reduce(np.maximum, [jac[:, k, k] for k in range(d)]).max())
+    # strict: all negative; weak: all nonpositive with a negative diagonal
+    mode = "strict" if value < 0.0 else "weak" if value <= 1e-12 and diag < 0.0 else "fail"
+    return As3Result(mode, value, (int(i), int(j)), list(pts[worst]))
 
 
-def check_as4(
-    kmap: KolmogorovMap,
-    kappa: float,
-    resolution: int,
-    margin: float = SAFETY_MARGIN,
-) -> As4Result:
-    """Spectral radius of the feedback matrix below 1 - margin on the box grid."""
+def _feedback(kmap: KolmogorovMap, x: np.ndarray, f: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """Feedback matrices Z_ij = -x_i Df_ij / f_i (0 where x_i = 0) as (d, d, *batch); see FEEDBACK_TOL."""
+    d = x.shape[-1]
+    z = np.empty((d, d) + x.shape[:-1])
+    for i in range(d):
+        for j in range(d):
+            np.multiply(x[..., i], jac[..., i, j], out=z[i, j, ...])
+        np.divide(z[i], f[..., i], out=z[i])
+    np.negative(z, out=z)
+    np.copyto(z, 0.0, where=np.moveaxis(x == 0.0, -1, 0)[:, None])
+    if z.size and z.min() < -FEEDBACK_TOL:
+        neg = z.min(axis=(0, 1)) < -FEEDBACK_TOL
+        zr = z[(slice(None), slice(None)) + tuple(np.argwhere(neg)[0])]
+        i, j = np.unravel_index(np.argmin(zr), zr.shape)
+        raise MapDomainError(f"{kmap.name}: negative feedback entry {zr[i, j]:.3e} at ({i},{j}), "
+                             f"x={_at(x, neg)}")
+    return np.maximum(z, 0.0, out=z)
+
+
+def check_as4(kmap: KolmogorovMap, kappa: float, resolution: int,
+              margin: float = SAFETY_MARGIN) -> tuple[As3Result, As4Result]:
+    """AS3, and AS4 (radius below 1 - margin), on the grid of [0, 1+kappa]^d from one Df and one f call."""
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
     pts = _box_points(1.0 + kappa, resolution, kmap.dim)
-    pts = pts[pts.any(axis=1)]  # the origin carries no feedback
-    worst, max_rho = _max_radius(eval_Z(kmap, pts))
-    return As4Result(max_rho < 1.0 - margin, max_rho, [float(v) for v in pts[worst]], margin)
+    jac = eval_df(kmap, pts)
+    worst, max_rho = _max_radius(_feedback(kmap, pts[1:], eval_f(kmap, pts[1:]), jac[1:]))
+    as4 = As4Result(max_rho < 1.0 - margin, max_rho, [float(v) for v in pts[1 + worst]], margin)
+    return _sign_pattern(jac, pts), as4
 
 
 def _max_radius(z: np.ndarray) -> tuple[int, float]:
-    """First index attaining the largest spectral radius of a nonnegative (N, d, d) stack, and that radius.
+    """First index attaining the largest spectral radius of a nonnegative (d, d, N) stack, and that radius.
 
     Each radius lies between lower = max(min row sum, min column sum) and
     upper = min(max row sum, max column sum). A matrix with
     upper * (1 + RHO_BOUND_MARGIN) < max(lower) has a smaller radius than the
-    one attaining max(lower), so only the others are eigen-solved. The sums are
-    taken from (N,) slices: a reduction over a short trailing axis is slow.
+    one attaining max(lower), so only the others go, as a (C, d, d) stack, to the eigensolver.
     """
-    d = z.shape[-1]
-    rows = [sum(z[:, i, j] for j in range(d)) for i in range(d)]
-    cols = [sum(z[:, i, j] for i in range(d)) for j in range(d)]
-    upper = np.minimum(np.maximum.reduce(rows), np.maximum.reduce(cols))
-    lower = np.maximum(np.minimum.reduce(rows), np.minimum.reduce(cols))
+    rows, cols = z[:, 0].copy(), z[0].copy()  # (d, N): row i's and column j's sums at each point
+    for k in range(1, z.shape[0]):
+        rows += z[:, k]
+        cols += z[k]
+    upper = np.minimum(rows.max(axis=0), cols.max(axis=0))
+    lower = np.maximum(rows.min(axis=0), cols.min(axis=0))
     cand = np.flatnonzero(upper * (1.0 + RHO_BOUND_MARGIN) >= lower.max())
-    rho = np.abs(np.linalg.eigvals(z[cand])).max(axis=1)
+    rho = np.abs(np.linalg.eigvals(z[:, :, cand].transpose(2, 0, 1))).max(axis=1)
     best = int(np.argmax(rho))  # candidates keep scan order, so this is the first maximum
     return int(cand[best]), float(rho[best])
 
@@ -150,22 +159,18 @@ def jury_condition_ricker2d(r: float, s: float, a: float, b: float) -> bool:
     return r + s < mid < 2.0
 
 
-def find_kappa(
-    kmap: KolmogorovMap,
-    resolution: int,
-    kappa_max: float = 1.0,
-    margin: float = SAFETY_MARGIN,
-) -> tuple[float, As4Result]:
+def find_kappa(kmap: KolmogorovMap, resolution: int, kappa_max: float = 1.0,
+               margin: float = SAFETY_MARGIN) -> tuple[float, tuple[As3Result, As4Result]]:
     """Largest margin in the geometric scan {kappa_max, kappa_max/2, ...} passing the spectral check.
 
-    Returns the margin with the spectral check that accepted it. Passing
-    regions are nested in kappa, so scanning from above is sound.
+    Returns the margin with the (AS3, AS4) scan of the box that accepted it.
+    Passing regions are nested in kappa, so scanning from above is sound.
     """
     for j in range(KAPPA_LEVELS + 1):
         kappa = kappa_max / 2.0**j
-        as4 = check_as4(kmap, kappa, resolution, margin)
-        if as4.ok:
-            return kappa, as4
+        scan = check_as4(kmap, kappa, resolution, margin)
+        if scan[1].ok:
+            return kappa, scan
     raise AssumptionError(
         f"spectral condition fails even at kappa = {kappa_max / 2.0 ** KAPPA_LEVELS:g}"
     )
@@ -177,7 +182,7 @@ def find_epsilon(kmap: KolmogorovMap, tol: float = 0.01) -> float:
     Every x in epsilon * Delta has x <= epsilon * 1, and under AS3 f does not
     increase in any coordinate, so f(x) >= f(epsilon * 1): one evaluation per
     halving bounds the whole set. The bound holds only as far as AS3 does, and
-    AS3 is itself a sampled check (check_as3).
+    AS3 is itself a sampled check (check_as4).
     """
     eps = 1.0
     for _ in range(EPSILON_HALVINGS):
@@ -191,11 +196,7 @@ def find_epsilon(kmap: KolmogorovMap, tol: float = 0.01) -> float:
 
 def default_resolution(dim: int) -> int:
     """Grid points per edge for the assumption scans; cost grows as resolution^dim."""
-    if dim <= 2:
-        return 64
-    if dim == 3:
-        return 24
-    return 12
+    return 64 if dim <= 2 else 24 if dim == 3 else 12
 
 
 @dataclass(frozen=True)
@@ -219,13 +220,8 @@ class AssumptionReport:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.as2_ok
-            and self.as3_mode in ("strict", "weak")
-            and self.as4_ok
-            and self.kappa is not None
-            and self.epsilon is not None
-        )
+        return (self.as2_ok and self.as3_mode in ("strict", "weak") and self.as4_ok
+                and self.kappa is not None and self.epsilon is not None)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -244,21 +240,14 @@ def run_assumption_checks(
     """Full certification pass: axis fixed points, Jacobian signs, spectral margin, kappa, epsilon."""
     resolution = resolution or default_resolution(kmap.dim)
     as2 = check_as2(kmap)
-    base = check_as4(kmap, 0.0, resolution, margin)
-    kappa: float | None = None
-    epsilon: float | None = None
-    as4 = base
-    if base.ok:
-        try:
-            kappa, as4 = find_kappa(kmap, resolution, kappa_max, margin)
-        except AssumptionError:
-            kappa = None
-    as3 = check_as3(kmap, 1.0 + (kappa or 0.0), resolution)
-    if base.ok and as2.ok and as3.mode in ("strict", "weak"):
-        try:
+    as3, as4 = check_as4(kmap, 0.0, resolution, margin)
+    base_ok, kappa, epsilon = as4.ok, None, None
+    if base_ok:
+        with contextlib.suppress(AssumptionError):
+            kappa, (as3, as4) = find_kappa(kmap, resolution, kappa_max, margin)  # AS3 of that box
+    if base_ok and as2.ok and as3.mode in ("strict", "weak"):
+        with contextlib.suppress(AssumptionError):
             epsilon = find_epsilon(kmap, eps_tol)
-        except AssumptionError:
-            epsilon = None
     return AssumptionReport(
         map_name=kmap.name,
         map_params=dict(kmap.params),

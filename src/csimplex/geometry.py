@@ -21,7 +21,7 @@ search from arbitrary points to a vertex cloud is exact and pruned to a band:
 each query's distance to its same-index partner, tightened by its distance to
 a fixed strided probe of the other set, bounds how far its nearest point can
 lie along the key coordinate, and only the points within that bound, widened
-by a relative margin against rounding, are compared (see nearest_distances).
+by a relative margin, are compared, unless all pairs cost less (see nearest_distances).
 The dominance scan buckets the points on a grid and solves only the bucket
 pairs whose boxes can hold a dominated pair (Bentley, Weide and Yao, ACM TOMS
 6(4), 1980; see _dominated_pairs). One zero-tolerance run of it over all
@@ -369,10 +369,11 @@ def _sq_dists(p, q, buf=None) -> np.ndarray:
     return d2
 
 
-def _band_sq(a, b, key, bound) -> np.ndarray:
+def _band_sq(a, b, key, bound, limit) -> np.ndarray | None:
     """Squared nearest distances from the rows of a to b, by the band rules of nearest_distances.
 
     b is sorted on its column key, in Fortran order; bound[i] >= row i's distance (inf, NaN: none).
+    Returns None, having solved nothing, when the bands would solve more than limit pairs.
     """
     order = np.argsort(a[:, key])
     a, bound = a[order], bound[order]
@@ -382,9 +383,7 @@ def _band_sq(a, b, key, bound) -> np.ndarray:
     lo = np.searchsorted(b[:, key], a[:, key] - width, side="left")
     hi = np.searchsorted(b[:, key], a[:, key] + width, side="right")
     lo[whole], hi[whole] = 0, b.shape[0]
-    out = np.empty(a.shape[0])
-    buf = np.empty((2, max(PAIR_BLOCK, b.shape[0])))  # a block is within PAIR_BLOCK, or one row
-    start = 0
+    blocks, start = [], 0  # blocks: (first row, rows, band start, band end)
     while start < a.shape[0]:
         # the union of the bands grows with the rows; the first row's band caps them
         cap = max(1, PAIR_BLOCK // max(1, hi[start] - lo[start]))
@@ -393,18 +392,23 @@ def _band_sq(a, b, key, bound) -> np.ndarray:
         e = np.maximum.accumulate(hi[start:stop])
         fits = np.arange(1, stop - start + 1) * (e - s) <= PAIR_BLOCK
         rows = max(1, int(np.count_nonzero(fits)))
-        blk = slice(start, start + rows)
-        band = b[None, s[rows - 1]:e[rows - 1]]
-        out[order[blk]] = _sq_dists(a[blk, None], band, buf).min(axis=1)
+        blocks.append((start, rows, s[rows - 1], e[rows - 1]))
         start += rows
+    if sum(rows * int(e - s) for _, rows, s, e in blocks) > limit:
+        return None
+    out = np.empty(a.shape[0])
+    buf = np.empty((2, max(PAIR_BLOCK, b.shape[0])))  # a block is within PAIR_BLOCK, or one row
+    for start, rows, s, e in blocks:
+        blk = slice(start, start + rows)
+        out[order[blk]] = _sq_dists(a[blk, None], b[None, s:e], buf).min(axis=1)
     return out
 
 
-def _probe_sq(a, b) -> np.ndarray:
-    """Squared distance from each row of a to its nearest in the probe b[::max(1, |b| // 64)]."""
-    probe = b[::max(1, b.shape[0] // 64)]  # at most 128 rows
-    rows = max(1, PAIR_BLOCK // probe.shape[0])
-    return np.concatenate([_sq_dists(a[s:s + rows, None], probe[None]).min(axis=1)
+def _nearest_sq(a, q) -> np.ndarray:
+    """Squared distance from each row of a to its nearest row of q (inf for none), in PAIR_BLOCK blocks."""
+    rows = max(1, PAIR_BLOCK // max(1, q.shape[0]))
+    buf = np.empty((2, rows * q.shape[0]))
+    return np.concatenate([_sq_dists(a[s:s + rows, None], q[None], buf).min(axis=1, initial=np.inf)
                            for s in range(0, a.shape[0], rows)])
 
 
@@ -433,7 +437,8 @@ def nearest_distances(a, b) -> np.ndarray:
       difference below 2.2e-162 whose square underflows to zero;
     - sorted rows of a are taken in blocks of at most BAND_ROWS rows, whose
       rows times the union of their bands is at most PAIR_BLOCK (or one row,
-      if its band alone is larger).
+      if its band alone is larger); when that makes more pairs than a has with the
+      rows of b outside the probe (a far from b), those are solved instead.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     b = np.atleast_2d(np.asarray(b, dtype=float))
@@ -444,12 +449,16 @@ def nearest_distances(a, b) -> np.ndarray:
         return np.sqrt(_sq_dists(a[:, None], b[None]).min(axis=1))
     n = min(na, nb)
     bound = np.full(na, np.inf)
+    rest = b  # the rows of b outside the probe
     if np.all(np.isfinite(b)):  # a NaN in b reaches every minimum
+        step = max(1, nb // 64)  # a probe of at most 128 rows
         bound[:n] = _sq_dists(a[:n], b[:n])
-        bound = np.sqrt(np.minimum(bound, _probe_sq(a, b)))
+        bound = np.minimum(bound, _nearest_sq(a, b[::step]))
+        rest = np.delete(b, np.s_[::step], axis=0)
     key = int(np.argmax(np.ptp(b, axis=0)))
     b = np.asfortranarray(b[np.argsort(b[:, key])])
-    return np.sqrt(_band_sq(a, b, key, bound))
+    sq = _band_sq(a, b, key, np.sqrt(bound), na * rest.shape[0])
+    return np.sqrt(np.minimum(bound, _nearest_sq(a, rest)) if sq is None else sq)
 
 
 def _pair_ratios(pts, i, j) -> np.ndarray:

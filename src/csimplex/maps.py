@@ -16,7 +16,9 @@ shape (d,). A custom map indexes coordinates as x[..., i]:
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -27,7 +29,6 @@ __all__ = [
     "eval_f",
     "eval_F",
     "eval_df",
-    "eval_Z",
     "fd_jacobian",
     "beverton_holt",
     "atkinson_allen",
@@ -39,10 +40,6 @@ __all__ = [
 ]
 
 
-# eval_Z raises below -FEEDBACK_TOL and clips the entries above it to 0 (rounding).
-FEEDBACK_TOL = 1e-9
-
-
 class MapDomainError(ValueError):
     """The map was evaluated where its defining inequalities fail."""
 
@@ -52,12 +49,8 @@ class KolmogorovMap:
     """Per-capita part f of a map of dimension d, with its optional Jacobian df.
 
     f maps points of shape (..., d) to (..., d) and df maps them to
-    (..., d, d), row by row, for any leading batch shape. With arrays r of
-    shape (d,) and A of shape (d, d), Leslie-Gower competition reads:
-
-        def f(x):
-            return (1.0 + r) / (1.0 + (A @ x[..., None])[..., 0])
-        kmap = KolmogorovMap("lg", len(r), {}, f)
+    (..., d, d), row by row, for any leading batch shape (see the module
+    docstring for an example).
     """
 
     name: str
@@ -135,21 +128,6 @@ def fd_jacobian(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray, dim: in
 def eval_df(kmap: KolmogorovMap, x) -> np.ndarray:
     """Jacobian of the per-capita part, analytic when available."""
     return _df(kmap, _check_input(kmap, x))
-
-
-def eval_Z(kmap: KolmogorovMap, x) -> np.ndarray:
-    """Nonnegative feedback matrix Z_ij = -x_i (df_ij) / f_i; row i vanishes with x_i."""
-    x = _check_input(kmap, x)
-    z = -(x[..., :, None] * _df(kmap, x)) / _f(kmap, x)[..., :, None]
-    z = np.where((x == 0.0)[..., :, None], 0.0, z)
-    if z.size and z.min() < -FEEDBACK_TOL:
-        neg = z.min(axis=(-2, -1)) < -FEEDBACK_TOL
-        zr = z[neg][0]
-        i, j = np.unravel_index(np.argmin(zr), zr.shape)
-        raise MapDomainError(
-            f"{kmap.name}: negative feedback entry {zr[i, j]:.3e} at ({i},{j}), x={_at(x, neg)}"
-        )
-    return np.maximum(z, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -234,13 +212,38 @@ def leslie_gower(r=(1.0, 1.0), A=((1.0, 0.5), (0.5, 1.0))) -> KolmogorovMap:
     if np.any(r <= 0.0) or np.any(A < 0.0):
         raise ValueError("need r > 0 and A >= 0 entrywise")
 
-    # A @ x[..., None] runs one matrix-vector product per point, like A @ x;
-    # x @ A.T would round differently in the last bit
+    num, at = 1.0 + r, A.T.copy()  # at[j] is column j of A
+    rows, nums = A.tolist(), num.tolist()
+
+    def denominators(x):
+        """1 + (A x)_i shaped (d, *reversed batch), with 1 + r and the columns of A shaped alike.
+
+        A_ij x_j is summed left to right over j with no BLAS call, so a point
+        rounds alike in any batch, and each ufunc spans the whole batch.
+        """
+        pad = (1,) * (x.ndim - 1)
+        cols, xt = at.reshape(at.shape + pad), x.T
+        t = cols[0] * xt[0]
+        for j in range(1, d):
+            t += cols[j] * xt[j]
+        t += 1.0
+        return t, num.reshape((d,) + pad), cols
+
     def f(x):
-        return (1.0 + r) / (1.0 + (A @ x[..., None])[..., 0])
+        if x.ndim == 1:  # one point: d Python float sums cost less than the array calls
+            xs = x.tolist()  # reduce adds left to right; sum() compensates from Python 3.12
+            return np.array([n / (1.0 + reduce(operator.add, map(operator.mul, row, xs)))
+                             for n, row in zip(nums, rows)])
+        t, n, _ = denominators(x)
+        out = np.empty(x.shape)
+        np.divide(n, t, out=out.T)
+        return out
 
     def df(x):
-        return -((1.0 + r) / (1.0 + (A @ x[..., None])[..., 0]) ** 2)[..., None] * A
+        t, n, cols = denominators(x)
+        np.divide(n, np.multiply(t, t, out=t), out=t)
+        np.negative(t, out=t)  # -(1 + r_i) / (1 + (A x)_i)^2
+        return (cols * t).T
 
     params = {"r": r.tolist(), "A": A.tolist()}
     return KolmogorovMap("leslie_gower", d, params, f, df)

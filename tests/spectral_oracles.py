@@ -1,13 +1,15 @@
-"""Test-only references for the spectral condition AS4.
+"""Test-only references for the sign pattern AS3 and the spectral condition AS4.
 
-`spectral_radius` and `power_radius` cross-check the dense eigensolve, and
-`dense_check_as4` is the full scan that `assumptions.check_as4` prunes: it
-eigen-solves the feedback matrix at every grid point.
+`spectral_radius` and `power_radius` cross-check the dense eigensolve.
+`dense_check_as3` and `dense_check_as4` are the two separate scans that
+`assumptions.check_as4` fuses: the first reads the Jacobian at every grid
+point as (N, d, d) blocks, the second forms the feedback matrix the same way
+and eigen-solves it at every grid point but the origin.
 """
 import numpy as np
 
-from csimplex.assumptions import SAFETY_MARGIN, As4Result, _box_points
-from csimplex.maps import eval_Z
+from csimplex.assumptions import SAFETY_MARGIN, As3Result, As4Result, _box_points
+from csimplex.maps import eval_df, eval_f
 
 
 class PowerIterationError(RuntimeError):
@@ -55,11 +57,40 @@ def dense_radius(z: np.ndarray) -> tuple[int, float]:
     return worst, float(rho[worst])
 
 
+def dense_check_as3(kmap, rect_top: float, resolution: int) -> As3Result:
+    """Sign pattern of the per-capita Jacobian on the rectangle [0, rect_top]^d.
+
+    strict: all entries negative; weak: all nonpositive with negative
+    diagonal; fail otherwise, with the worst entry and its location.
+    """
+    pts = _box_points(rect_top, resolution, kmap.dim)
+    jacs = eval_df(kmap, pts)
+    worst = int(np.argmax(jacs.max(axis=(1, 2))))  # first point attaining the largest entry
+    i, j = np.unravel_index(np.argmax(jacs[worst]), jacs.shape[1:])
+    worst_value = float(jacs[worst, i, j])
+    worst_entry = (int(i), int(j))
+    worst_point = pts[worst]
+    worst_diag = float(np.diagonal(jacs, axis1=1, axis2=2).max())
+    if worst_value < 0.0:
+        mode = "strict"
+    elif worst_value <= 1e-12 and worst_diag < 0.0:
+        mode = "weak"
+    else:
+        mode = "fail"
+    return As3Result(mode, worst_value, worst_entry, list(worst_point))
+
+
+def dense_feedback(kmap, x) -> np.ndarray:
+    """Feedback matrices Z_ij = -x_i Df_ij / f_i as (..., d, d) blocks, row i zero where x_i = 0."""
+    z = -(x[..., :, None] * eval_df(kmap, x)) / eval_f(kmap, x)[..., :, None]
+    return np.maximum(np.where((x == 0.0)[..., :, None], 0.0, z), 0.0)
+
+
 def dense_check_as4(kmap, kappa: float, resolution: int, margin: float = SAFETY_MARGIN) -> As4Result:
-    """check_as4 by a dense eigensolve of the feedback matrix at every grid point."""
+    """The AS4 half of check_as4 by a dense eigensolve of the feedback matrix at every grid point."""
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
     pts = _box_points(1.0 + kappa, resolution, kmap.dim)
     pts = pts[pts.any(axis=1)]  # the origin carries no feedback
-    worst, max_rho = dense_radius(eval_Z(kmap, pts))
+    worst, max_rho = dense_radius(dense_feedback(kmap, pts))
     return As4Result(max_rho < 1.0 - margin, max_rho, [float(v) for v in pts[worst]], margin)

@@ -1,3 +1,6 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ from csimplex import assumptions
 from csimplex.assumptions import (
     AssumptionError,
     check_as2,
-    check_as3,
     check_as4,
     default_resolution,
     find_epsilon,
@@ -15,6 +17,7 @@ from csimplex.assumptions import (
 )
 from csimplex.maps import (
     KolmogorovMap,
+    MapDomainError,
     atkinson_allen,
     beverton_holt,
     eval_F,
@@ -23,7 +26,7 @@ from csimplex.maps import (
     ricker1d,
     ricker2d,
 )
-from spectral_oracles import dense_check_as4, power_radius, spectral_radius
+from spectral_oracles import dense_check_as3, dense_check_as4, power_radius, spectral_radius
 
 RNG = np.random.default_rng(101)
 
@@ -68,45 +71,70 @@ def test_check_as2():
 
 
 def test_check_as3_modes():
-    assert check_as3(ricker2d(0.5, 0.5, 0.5, 0.5), 1.1, 16).mode == "strict"
-    assert check_as3(ricker2d(0.5, 0.5, 0.0, 0.0), 1.1, 16).mode == "weak"
-    assert check_as3(beverton_holt(), 2.0, 64).mode == "strict"
+    # the AS3 half of the scan on [0, 1 + kappa]^d
+    assert check_as4(ricker2d(0.5, 0.5, 0.5, 0.5), 0.1, 16)[0].mode == "strict"
+    assert check_as4(ricker2d(0.5, 0.5, 0.0, 0.0), 0.1, 16)[0].mode == "weak"
+    assert check_as4(beverton_holt(), 1.0, 64)[0].mode == "strict"
 
     def f(x):
         return np.stack(
             [np.exp(1.0 - x[..., 0] + 0.1 * x[..., 1]), np.exp(1.0 - x[..., 1])], axis=-1
         )
 
+    # mutualism: the scan stops at the negative feedback entry, the Jacobian oracle names it
     bad = KolmogorovMap("mutualist", 2, {}, f, None)
-    res = check_as3(bad, 1.0, 8)
+    with pytest.raises(MapDomainError, match="negative feedback entry"):
+        check_as4(bad, 0.0, 8)
+    res = dense_check_as3(bad, 1.0, 8)
     assert res.mode == "fail"
     assert res.worst_value > 0.0
     assert res.worst_entry == (0, 1)
 
+    # a positive entry on the face x_0 = 0 only, where row 0 of Z vanishes, fails AS3 alone
+    def df(x):
+        jac = -0.5 * np.exp(0.5 * (1.0 - x))[..., None] * np.eye(2)
+        jac[..., 0, 1] = np.where(x[..., 0] == 0.0, 0.1, 0.0)
+        return jac
+
+    face = KolmogorovMap("face", 2, {}, lambda x: np.exp(0.5 * (1.0 - x)), df)
+    as3, as4 = check_as4(face, 0.0, 8)
+    assert (as3.mode, as3.worst_value, as3.worst_entry, as3.worst_point) == ("fail", 0.1, (0, 1), [0.0, 0.0])
+    assert as4.ok
+
 
 def test_check_as4_examples():
-    res = check_as4(ricker1d(0.5), 0.5, 64)
+    res = check_as4(ricker1d(0.5), 0.5, 64)[1]
     assert res.ok
     assert res.max_rho == pytest.approx(0.75, abs=1e-12)
     assert res.argmax_point[0] == pytest.approx(1.5)
 
-    res = check_as4(ricker1d(1.5), 0.1, 64)
+    res = check_as4(ricker1d(1.5), 0.1, 64)[1]
     assert not res.ok
     assert res.max_rho > 1.0
 
-    assert check_as4(ricker2d(0.5, 0.5, 0.5, 0.5), 0.05, 32).ok
+    assert check_as4(ricker2d(0.5, 0.5, 0.5, 0.5), 0.05, 32)[1].ok
 
 
 def test_check_as4_monotone_in_kappa():
     kmap = ricker2d(0.5, 0.5, 0.5, 0.5)
-    big = check_as4(kmap, 0.25, 24)
-    small = check_as4(kmap, 0.1, 24)
+    big = check_as4(kmap, 0.25, 24)[1]
+    small = check_as4(kmap, 0.1, 24)[1]
     assert big.ok and small.ok
     assert small.max_rho <= big.max_rho + 1e-12
 
 
 def lg(dim, offdiag):
     return leslie_gower((1.0,) * dim, np.eye(dim) + offdiag * (1.0 - np.eye(dim)))
+
+
+def dense_scan(kmap, kappa, resolution):
+    """The (AS3, AS4) pair of check_as4 from the two dense oracles on the same box."""
+    return dense_check_as3(kmap, 1.0 + kappa, resolution), dense_check_as4(kmap, kappa, resolution)
+
+
+def same(a, b) -> bool:
+    """Equal as the report writes them: json tells -0.0 from 0.0, where == does not."""
+    return json.dumps(a, default=asdict) == json.dumps(b, default=asdict)
 
 
 SCAN_MAPS = [
@@ -121,7 +149,7 @@ def test_check_as4_equals_dense_scan(kmap):
     # the resolutions of the default scans and of the coarse benchmark scan
     for resolution in sorted({default_resolution(kmap.dim), 12}):
         for kappa in (0.0, 0.25, 0.5, 1.0):
-            assert check_as4(kmap, kappa, resolution) == dense_check_as4(kmap, kappa, resolution)
+            assert same(check_as4(kmap, kappa, resolution), dense_scan(kmap, kappa, resolution))
 
 
 def count_solved(monkeypatch):
@@ -141,7 +169,7 @@ def test_check_as4_face_tie_first_point_wins(monkeypatch):
     # decoupled Leslie-Gower: rho = max_i x_i / (1 + x_i) ties wherever a coordinate is 2
     kmap = lg(3, 0.0)
     solved = count_solved(monkeypatch)
-    res = check_as4(kmap, 1.0, 24)
+    res = check_as4(kmap, 1.0, 24)[1]
     assert solved == [1657]
     assert res.argmax_point == [0.0, 0.0, 2.0]
     assert res.max_rho == pytest.approx(2.0 / 3.0, rel=1e-15)
@@ -149,13 +177,13 @@ def test_check_as4_face_tie_first_point_wins(monkeypatch):
 
 def test_check_as4_solves_only_candidates(monkeypatch):
     solved = count_solved(monkeypatch)
-    res = check_as4(ricker2d(0.5, 0.5, 0.5, 0.5), 0.25, 64)
+    res = check_as4(ricker2d(0.5, 0.5, 0.5, 0.5), 0.25, 64)[1]
     assert solved == [1]  # of 4095 scan points
     assert res.argmax_point == [1.25, 1.25]
     # the lower bound takes the row and the column sums: either alone keeps 0.1 I
     for z in ([[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.0], [0.5, 0.0]]):
         solved.clear()
-        assert assumptions._max_radius(np.array([0.1 * np.eye(2), z])) == (1, 0.5)
+        assert assumptions._max_radius(np.stack([0.1 * np.eye(2), z], axis=-1)) == (1, 0.5)
         assert solved == [1]
 
 
@@ -171,7 +199,7 @@ def test_jury_cross_validates_grid_check():
         r, s = RNG.uniform(0.05, 0.95, 2)
         a, b = RNG.uniform(0.0, 1.5, 2)
         if jury_condition_ricker2d(r, s, a, b):
-            res = check_as4(ricker2d(r, s, a, b), 0.0, 16, margin=0.0)
+            res = check_as4(ricker2d(r, s, a, b), 0.0, 16, margin=0.0)[1]
             assert res.max_rho < 1.0
 
 
@@ -215,7 +243,7 @@ def test_find_epsilon_examples():
 def test_find_epsilon_bounds_the_whole_simplex(kmap):
     # under AS3 the one point epsilon * 1 bounds f from below on all of epsilon * Delta
     tol = 0.01
-    assert check_as3(kmap, 1.0, 16).mode in ("strict", "weak")
+    assert check_as4(kmap, 0.0, 16)[0].mode in ("strict", "weak")
     eps = find_epsilon(kmap, tol)
     rng = np.random.default_rng(17)
     u = rng.dirichlet(np.ones(kmap.dim), 20000)
@@ -269,3 +297,31 @@ def test_run_assumption_checks_rejects_steep_ricker():
     assert report.as4_max_rho > 1.0
     assert report.as4_argmax[0] <= 1.0
     assert report.kappa is None
+
+
+def two_scan_report(kmap, resolution: int) -> dict:
+    """run_assumption_checks from the separate oracles: the AS4 scans, then one AS3 scan of the accepted box."""
+    as2 = check_as2(kmap)
+    base = as4 = dense_check_as4(kmap, 0.0, resolution)
+    kappa = None
+    for j in range(assumptions.KAPPA_LEVELS + 1) if base.ok else ():
+        scan = dense_check_as4(kmap, 1.0 / 2.0**j, resolution)
+        if scan.ok:
+            kappa, as4 = 1.0 / 2.0**j, scan
+            break
+    as3 = dense_check_as3(kmap, 1.0 + (kappa or 0.0), resolution)
+    certified = base.ok and as2.ok and as3.mode in ("strict", "weak")
+    return assumptions.AssumptionReport(
+        kmap.name, dict(kmap.params), kmap.dim, as2.ok, as2.max_deviation, as3.mode,
+        as3.worst_value, as3.worst_entry, [float(v) for v in as3.worst_point], as4.ok,
+        as4.max_rho, as4.argmax_point, kappa, find_epsilon(kmap, 0.01) if certified else None,
+        resolution, assumptions.SAFETY_MARGIN,
+    ).to_dict()
+
+
+@pytest.mark.parametrize("kmap, resolution", [(WORKLOAD_MAPS[0], 64), (lg(3, 0.3), 12), (lg(3, 0.0), 24)],
+                         ids=["planar-verify", "lg3-fine", "lg3-decoupled-oracle"])
+def test_one_scan_report_equals_two_scans(kmap, resolution):
+    # the benchmark's maps at their scan resolutions; the decoupled as3_worst_value is -0.0
+    got = run_assumption_checks(kmap, resolution=resolution).to_dict()
+    assert json.dumps(got) == json.dumps(two_scan_report(kmap, resolution))

@@ -819,6 +819,34 @@ def test_nearest_distances_with_unrelated_rows_equal_broadcast(monkeypatch):
         assert np.array_equal(nearest_distances(vertices, orbit), to_orbit)
 
 
+def test_nearest_distances_far_rows_solve_no_more_than_all_pairs(monkeypatch):
+    # 360 orbit points against the 325 vertices of a converged surface: the far
+    # points' bands cover most of the surface, so bands alone would solve about
+    # 137,000 and 119,000 pairs in the two directions where all pairs are
+    # 117,000; the pairs outside the probe are solved instead, and only the
+    # seed pairs come on top
+    grid = make_grid(3, 24)
+    kmap = lg(3, 0.3)
+    vertices = vertex_points(compute_cs(kmap, grid, 1.0, 0.5, tolerance=1e-6).sigma)
+    orbit = [0.05 + 1.9 * np.random.default_rng(1).random((60, 3))]
+    for _ in range(5):
+        orbit.append(eval_F(kmap, orbit[-1]))
+    orbit = np.concatenate(orbit)
+    solved = []
+    sq_dists = geometry._sq_dists
+
+    def counted(p, q, buf=None):
+        out = sq_dists(p, q, buf)
+        solved.append(out.size)
+        return out
+
+    monkeypatch.setattr(geometry, "_sq_dists", counted)
+    for a, b in [(orbit, vertices), (vertices, orbit)]:
+        solved.clear()
+        assert np.array_equal(nearest_distances(a, b), broadcast_nearest(a, b))
+        assert sum(solved) == len(a) * len(b) + min(len(a), len(b)) == 117_325
+
+
 def real_tol_order(sigma):
     """The tolerance verify_cs gives order_scan."""
     return 2.0 * lipschitz_estimate(sigma) * grid_spacing(sigma.grid)

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from csimplex.assumptions import _feedback
 from csimplex.maps import (
     MapDomainError,
     KolmogorovMap,
     atkinson_allen,
     beverton_holt,
     eval_F,
-    eval_Z,
     eval_df,
     eval_f,
     fd_jacobian,
@@ -20,6 +20,13 @@ from csimplex.maps import (
 )
 
 RNG = np.random.default_rng(7)
+
+
+def feedback(kmap, x):
+    """The scan's feedback matrices at the points x, as (..., d, d) blocks."""
+    x = np.asarray(x, dtype=float)
+    z = _feedback(kmap, x, eval_f(kmap, x), eval_df(kmap, x))
+    return np.moveaxis(z, (0, 1), (-2, -1))
 
 ALL_BUILTINS = [
     beverton_holt(),
@@ -84,7 +91,7 @@ def test_factorization_residual(kmap):
         x = RNG.random(kmap.dim) * 1.4
         f = eval_f(kmap, x)
         dF = np.diag(f) + x[:, None] * eval_df(kmap, x)
-        z = eval_Z(kmap, x)
+        z = feedback(kmap, x)
         lhs = np.diag(f) @ (np.eye(kmap.dim) - z)
         assert np.max(np.abs(dF - lhs)) < 1e-10 * (1.0 + np.max(np.abs(dF)))
 
@@ -97,26 +104,26 @@ def test_builtin_axis_fixed_points(kmap):
         assert abs(eval_f(kmap, e)[i] - 1.0) < 1e-12
 
 
-def test_eval_Z_examples():
-    z = eval_Z(ricker1d(0.5), [1.0])
+def test_feedback_examples():
+    z = feedback(ricker1d(0.5), [1.0])
     assert z[0, 0] == pytest.approx(0.5)
-    np.testing.assert_allclose(eval_Z(ricker1d(0.5), [0.0]), [[0.0]])
+    np.testing.assert_allclose(feedback(ricker1d(0.5), [0.0]), [[0.0]])
     np.testing.assert_allclose(
-        eval_Z(ricker2d(0.5, 0.5, 0.5, 0.5), [1.0, 1.0]),
+        feedback(ricker2d(0.5, 0.5, 0.5, 0.5), [1.0, 1.0]),
         [[0.5, 0.25], [0.25, 0.5]],
     )
-    z_face = eval_Z(ricker2d(0.5, 0.5, 0.5, 0.5), [0.0, 1.0])
+    z_face = feedback(ricker2d(0.5, 0.5, 0.5, 0.5), [0.0, 1.0])
     np.testing.assert_allclose(z_face[0], [0.0, 0.0])
 
 
-def test_eval_Z_flags_mutualism():
+def test_feedback_flags_mutualism():
     # positive feedback produces a negative entry beyond tolerance
     def f(x):
         return np.array([np.exp(1.0 - x[0] + 0.5 * x[1]), np.exp(1.0 - x[1])])
 
     bad = KolmogorovMap("mutualist", 2, {}, f, None)
     with pytest.raises(MapDomainError):
-        eval_Z(bad, np.array([1.0, 1.0]))
+        feedback(bad, np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("kmap", ALL_BUILTINS, ids=lambda k: k.name)
@@ -128,7 +135,7 @@ def test_batched_contract(kmap):
     rows = pts.reshape(-1, kmap.dim)
     fallback = KolmogorovMap(kmap.name + "_fd", kmap.dim, kmap.params, kmap.f, None)
     for m in (kmap, fallback):
-        for ev in (eval_f, eval_F, eval_df, eval_Z):
+        for ev in (eval_f, eval_F, eval_df, feedback):
             single = np.array([ev(m, x) for x in rows])
             assert np.array_equal(ev(m, rows), single)
             assert np.array_equal(ev(m, pts), single.reshape(pts.shape[:2] + single.shape[1:]))
@@ -139,11 +146,43 @@ def test_batched_contract(kmap):
         with pytest.raises(MapDomainError, match=r"\(row 5\)"):
             eval_F(kmap, broken)
         with pytest.raises(MapDomainError, match=r"\(row \(1, 1\)\)"):
-            eval_Z(kmap, broken.reshape(pts.shape))
+            feedback(kmap, broken.reshape(pts.shape))
     # an f that drops the coordinate axis breaks the contract
     scalar = KolmogorovMap("scalar", kmap.dim, {}, lambda x: kmap.f(x)[..., 0])
     with pytest.raises(ValueError, match="shape"):
         eval_f(scalar, rows)
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_leslie_gower_sums_in_order(d):
+    # f and Df equal per-point Python sums over j, left to right, bit for bit, in every batch shape
+    rng = np.random.default_rng(d)
+    r = rng.uniform(0.1, 2.0, d).tolist()
+    A = np.where(rng.random((d, d)) < 0.3, 0.0, rng.choice([0.3, 1.0], (d, d)) + rng.random((d, d)))
+    kmap, A = leslie_gower(r, A), A.tolist()
+    pts = rng.random((4, 50, d)) * 2.0
+    pts[0, 0], pts[1, 1, 0] = 0.0, 0.0  # the origin and a coordinate face
+
+    def ref(x):
+        t = [0.0] * d
+        for i in range(d):
+            for j in range(d):  # not sum(), which compensates from Python 3.12 on
+                t[i] += A[i][j] * x[j]
+            t[i] = 1 + t[i]
+        return ([(1 + r[i]) / t[i] for i in range(d)],
+                [[-((1 + r[i]) / (t[i] * t[i])) * A[i][j] for j in range(d)] for i in range(d)])
+
+    rows = pts.reshape(-1, d)
+    refs = [ref(x) for x in rows.tolist()]
+    want_f, want_df = np.array([v[0] for v in refs]), np.array([v[1] for v in refs])
+    for x in (pts, rows, np.asfortranarray(rows)):
+        assert bits(eval_f(kmap, x)) == bits(want_f) and bits(eval_df(kmap, x)) == bits(want_df)
+    for k in range(0, len(rows), 7):  # a point alone evaluates as in a batch
+        assert bits(eval_f(kmap, rows[k])) == bits(want_f[k]) and bits(eval_df(kmap, rows[k])) == bits(want_df[k])
 
 
 def _trap_map(site):
@@ -184,7 +223,7 @@ def test_domain_errors_name_the_first_bad_row(shape, site):
             "Z": f"trap: negative feedback entry {-0.7 / math.exp(0.3):.3e} at (0,1), x={point}",
         }[site]
         with pytest.raises(MapDomainError) as err:
-            eval_Z(kmap, x)
+            feedback(kmap, x)
         assert str(err.value) == expected
 
 
