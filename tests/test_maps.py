@@ -28,6 +28,7 @@ def feedback(kmap, x):
     z = _feedback(kmap, x, eval_f(kmap, x), eval_df(kmap, x))
     return np.moveaxis(z, (0, 1), (-2, -1))
 
+
 ALL_BUILTINS = [
     beverton_holt(),
     atkinson_allen(0.5),
