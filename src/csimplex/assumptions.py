@@ -17,7 +17,6 @@ batched eigensolve, which yields each radius bit for bit as a full scan would.
 """
 from __future__ import annotations
 
-import contextlib
 import functools
 from dataclasses import dataclass, asdict
 
@@ -74,7 +73,6 @@ class As4Result:
     ok: bool
     max_rho: float
     argmax_point: list
-    margin: float
 
 
 def check_as2(kmap: KolmogorovMap, tol: float = 1e-9) -> As2Result:
@@ -103,15 +101,14 @@ def _sign_pattern(jac: np.ndarray, pts: np.ndarray) -> As3Result:
 
 
 def _feedback(kmap: KolmogorovMap, x: np.ndarray, f: np.ndarray, jac: np.ndarray) -> np.ndarray:
-    """Feedback matrices Z_ij = -x_i Df_ij / f_i (0 where x_i = 0) as (d, d, *batch); see FEEDBACK_TOL."""
+    """Feedback matrices Z_ij = -x_i Df_ij / f_i as (d, d, *batch), written over jac; see FEEDBACK_TOL."""
     d = x.shape[-1]
-    z = np.empty((d, d) + x.shape[:-1])
+    # jac is finite and f positive, so row i is +-0 where x_i = 0, and +0 once clipped below
+    z = np.moveaxis(jac if jac.flags.writeable else jac.copy(), (-2, -1), (0, 1))
     for i in range(d):
         for j in range(d):
             np.multiply(x[..., i], jac[..., i, j], out=z[i, j, ...])
-        np.divide(z[i], f[..., i], out=z[i])
-    np.negative(z, out=z)
-    np.copyto(z, 0.0, where=np.moveaxis(x == 0.0, -1, 0)[:, None])
+        np.divide(z[i], -f[..., i], out=z[i])  # the same bits as -(x_i Df_ij / f_i)
     if z.size and z.min() < -FEEDBACK_TOL:
         neg = z.min(axis=(0, 1)) < -FEEDBACK_TOL
         zr = z[(slice(None), slice(None)) + tuple(np.argwhere(neg)[0])]
@@ -121,16 +118,20 @@ def _feedback(kmap: KolmogorovMap, x: np.ndarray, f: np.ndarray, jac: np.ndarray
     return np.maximum(z, 0.0, out=z)
 
 
-def check_as4(kmap: KolmogorovMap, kappa: float, resolution: int,
-              margin: float = SAFETY_MARGIN) -> tuple[As3Result, As4Result]:
+def check_as4(
+    kmap: KolmogorovMap,
+    kappa: float,
+    resolution: int,
+    margin: float = SAFETY_MARGIN,
+) -> tuple[As3Result, As4Result]:
     """AS3, and AS4 (radius below 1 - margin), on the grid of [0, 1+kappa]^d from one Df and one f call."""
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
     pts = _box_points(1.0 + kappa, resolution, kmap.dim)
     jac = eval_df(kmap, pts)
+    as3 = _sign_pattern(jac, pts)  # before _feedback writes Z over jac
     worst, max_rho = _max_radius(_feedback(kmap, pts[1:], eval_f(kmap, pts[1:]), jac[1:]))
-    as4 = As4Result(max_rho < 1.0 - margin, max_rho, [float(v) for v in pts[1 + worst]], margin)
-    return _sign_pattern(jac, pts), as4
+    return as3, As4Result(max_rho < 1.0 - margin, max_rho, [float(v) for v in pts[1 + worst]])
 
 
 def _max_radius(z: np.ndarray) -> tuple[int, float]:
@@ -148,7 +149,8 @@ def _max_radius(z: np.ndarray) -> tuple[int, float]:
     upper = np.minimum(rows.max(axis=0), cols.max(axis=0))
     lower = np.maximum(rows.min(axis=0), cols.min(axis=0))
     cand = np.flatnonzero(upper * (1.0 + RHO_BOUND_MARGIN) >= lower.max())
-    rho = np.abs(np.linalg.eigvals(z[:, :, cand].transpose(2, 0, 1))).max(axis=1)
+    moduli = np.abs(np.linalg.eigvals(z[:, :, cand].transpose(2, 0, 1)))  # (C, d)
+    rho = functools.reduce(np.maximum, moduli.T)  # by columns: a short-axis max is 7x slower
     best = int(np.argmax(rho))  # candidates keep scan order, so this is the first maximum
     return int(cand[best]), float(rho[best])
 
@@ -159,8 +161,12 @@ def jury_condition_ricker2d(r: float, s: float, a: float, b: float) -> bool:
     return r + s < mid < 2.0
 
 
-def find_kappa(kmap: KolmogorovMap, resolution: int, kappa_max: float = 1.0,
-               margin: float = SAFETY_MARGIN) -> tuple[float, tuple[As3Result, As4Result]]:
+def find_kappa(
+    kmap: KolmogorovMap,
+    resolution: int,
+    kappa_max: float = 1.0,
+    margin: float = SAFETY_MARGIN,
+) -> tuple[float, tuple[As3Result, As4Result]]:
     """Largest margin in the geometric scan {kappa_max, kappa_max/2, ...} passing the spectral check.
 
     Returns the margin with the (AS3, AS4) scan of the box that accepted it.
@@ -196,7 +202,11 @@ def find_epsilon(kmap: KolmogorovMap, tol: float = 0.01) -> float:
 
 def default_resolution(dim: int) -> int:
     """Grid points per edge for the assumption scans; cost grows as resolution^dim."""
-    return 64 if dim <= 2 else 24 if dim == 3 else 12
+    if dim <= 2:
+        return 64
+    if dim == 3:
+        return 24
+    return 12
 
 
 @dataclass(frozen=True)
@@ -220,8 +230,13 @@ class AssumptionReport:
 
     @property
     def passed(self) -> bool:
-        return (self.as2_ok and self.as3_mode in ("strict", "weak") and self.as4_ok
-                and self.kappa is not None and self.epsilon is not None)
+        return (
+            self.as2_ok
+            and self.as3_mode in ("strict", "weak")
+            and self.as4_ok
+            and self.kappa is not None
+            and self.epsilon is not None
+        )
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -241,13 +256,18 @@ def run_assumption_checks(
     resolution = resolution or default_resolution(kmap.dim)
     as2 = check_as2(kmap)
     as3, as4 = check_as4(kmap, 0.0, resolution, margin)
-    base_ok, kappa, epsilon = as4.ok, None, None
-    if base_ok:
-        with contextlib.suppress(AssumptionError):
+    kappa: float | None = None
+    epsilon: float | None = None
+    if as4.ok:  # find_kappa returns a passing scan or none, so as4.ok stays the base box's
+        try:
             kappa, (as3, as4) = find_kappa(kmap, resolution, kappa_max, margin)  # AS3 of that box
-    if base_ok and as2.ok and as3.mode in ("strict", "weak"):
-        with contextlib.suppress(AssumptionError):
+        except AssumptionError:
+            kappa = None
+    if as4.ok and as2.ok and as3.mode in ("strict", "weak"):
+        try:
             epsilon = find_epsilon(kmap, eps_tol)
+        except AssumptionError:
+            epsilon = None
     return AssumptionReport(
         map_name=kmap.name,
         map_params=dict(kmap.params),

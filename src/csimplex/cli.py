@@ -87,7 +87,7 @@ def cmd_check(args) -> int:
     return 0 if report.passed else 1
 
 
-def _compute(args, dump_iterates: bool) -> int:
+def cmd_compute(args) -> int:
     cfg, kmap = _prologue(args)
     report = _run_checks(kmap, cfg)
     _write_report(cfg, "assumptions.json", report.to_dict())
@@ -97,7 +97,7 @@ def _compute(args, dump_iterates: bool) -> int:
     grid = make_grid(kmap.dim, cfg.resolution)
 
     on_iteration = None
-    if dump_iterates:
+    if args.dump_iterates:
         itdir = os.path.join(cfg.output, "iterates")
 
         def on_iteration(n, lower, upper):
@@ -127,14 +127,6 @@ def _compute(args, dump_iterates: bool) -> int:
         print(f"fold: {result.fold_message}", file=sys.stderr)
         return 3
     return 1
-
-
-def cmd_compute(args) -> int:
-    return _compute(args, dump_iterates=False)
-
-
-def cmd_export_iterates(args) -> int:
-    return _compute(args, dump_iterates=True)
 
 
 def cmd_verify(args) -> int:
@@ -206,11 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="run the two-sided iteration to the carrying simplex")
     common(p, resolution=True, solver=True)
-    p.set_defaults(func=cmd_compute)
+    p.set_defaults(func=cmd_compute, dump_iterates=False)
 
     p = sub.add_parser("export-iterates", help="compute while dumping every iterate to CSV")
     common(p, resolution=True, solver=True)
-    p.set_defaults(func=cmd_export_iterates)
+    p.set_defaults(func=cmd_compute, dump_iterates=True)
 
     p = sub.add_parser("verify", help="run the property battery against a stored surface")
     common(p, resolution=True, seed=True)

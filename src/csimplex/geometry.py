@@ -406,7 +406,7 @@ def _band_sq(a, b, key, bound, limit) -> np.ndarray | None:
 
 def _nearest_sq(a, q) -> np.ndarray:
     """Squared distance from each row of a to its nearest row of q (inf for none), in PAIR_BLOCK blocks."""
-    rows = max(1, PAIR_BLOCK // max(1, q.shape[0]))
+    rows = min(a.shape[0], max(1, PAIR_BLOCK // max(1, q.shape[0])))
     buf = np.empty((2, rows * q.shape[0]))
     return np.concatenate([_sq_dists(a[s:s + rows, None], q[None], buf).min(axis=1, initial=np.inf)
                            for s in range(0, a.shape[0], rows)])
@@ -449,16 +449,17 @@ def nearest_distances(a, b) -> np.ndarray:
         return np.sqrt(_sq_dists(a[:, None], b[None]).min(axis=1))
     n = min(na, nb)
     bound = np.full(na, np.inf)
-    rest = b  # the rows of b outside the probe
+    outside = np.ones(nb, dtype=bool)  # the rows of b outside the probe
     if np.all(np.isfinite(b)):  # a NaN in b reaches every minimum
         step = max(1, nb // 64)  # a probe of at most 128 rows
         bound[:n] = _sq_dists(a[:n], b[:n])
         bound = np.minimum(bound, _nearest_sq(a, b[::step]))
-        rest = np.delete(b, np.s_[::step], axis=0)
+        outside[::step] = False
     key = int(np.argmax(np.ptp(b, axis=0)))
-    b = np.asfortranarray(b[np.argsort(b[:, key])])
-    sq = _band_sq(a, b, key, np.sqrt(bound), na * rest.shape[0])
-    return np.sqrt(np.minimum(bound, _nearest_sq(a, rest)) if sq is None else sq)
+    by_key = np.asfortranarray(b[np.argsort(b[:, key])])
+    limit = na * np.count_nonzero(outside)  # none when the probe is all of b
+    sq = _band_sq(a, by_key, key, np.sqrt(bound), limit) if limit else None
+    return np.sqrt(np.minimum(bound, _nearest_sq(a, b[outside])) if sq is None else sq)
 
 
 def _pair_ratios(pts, i, j) -> np.ndarray:
@@ -474,11 +475,10 @@ def _pair_ratios(pts, i, j) -> np.ndarray:
     return np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf)
 
 
-def _buckets(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _buckets(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of grid (n, k) in buckets of a regular grid, about RATIO_FILL rows each.
 
-    Returns (perm, start, count, cell): bucket b holds rows perm[start[b]:][:count[b]]
-    in increasing order and lies in the integer cell (k,) cell[b].
+    Returns (perm, start, count): bucket b holds rows perm[start[b]:][:count[b]] in increasing order.
     """
     n = grid.shape[0]
     grid = grid - grid.min(axis=0)
@@ -491,7 +491,7 @@ def _buckets(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         perm = np.argsort(key, kind="stable")
         start, count = np.unique(key[perm], return_index=True, return_counts=True)[1:]
         m *= (n / start.size / RATIO_FILL) ** (1.0 / k)
-    return perm, start, count, cells[perm[start]]
+    return perm, start, count
 
 
 def _row_pairs(buckets, pa, pb, budget):
@@ -536,7 +536,7 @@ def _dominated_pairs(p, tol_order) -> tuple[np.ndarray, np.ndarray]:
         for k in range(1, s):
             np.minimum(low, p[None, :, k] - p[:, None, k], out=low)
         return np.nonzero(low > tol_order)
-    perm, start, count = _buckets((p - p.mean(axis=1, keepdims=True))[:, :min(s - 1, 3) or 1])[:3]
+    perm, start, count = _buckets((p - p.mean(axis=1, keepdims=True))[:, :min(s - 1, 3) or 1])
     lo, hi = (f.reduceat(p[perm], start, axis=0).T.copy() for f in (np.minimum, np.maximum))
     found = []
     rows = max(1, PAIR_BLOCK // start.size)

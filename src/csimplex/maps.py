@@ -16,9 +16,7 @@ shape (d,). A custom map indexes coordinates as x[..., i]:
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -49,8 +47,12 @@ class KolmogorovMap:
     """Per-capita part f of a map of dimension d, with its optional Jacobian df.
 
     f maps points of shape (..., d) to (..., d) and df maps them to
-    (..., d, d), row by row, for any leading batch shape (see the module
-    docstring for an example).
+    (..., d, d), row by row, for any leading batch shape. With arrays r of
+    shape (d,) and A of shape (d, d), Leslie-Gower competition reads:
+
+        def f(x):
+            return (1.0 + r) / (1.0 + (A @ x[..., None])[..., 0])
+        kmap = KolmogorovMap("lg", len(r), {}, f)
     """
 
     name: str
@@ -86,19 +88,6 @@ def _f(kmap: KolmogorovMap, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _df(kmap: KolmogorovMap, x: np.ndarray) -> np.ndarray:
-    if kmap.df is not None:
-        jac = np.asarray(kmap.df(x), dtype=float)
-    else:
-        jac = fd_jacobian(kmap.f, x, kmap.dim)
-    if jac.shape != x.shape + (kmap.dim,):
-        raise ValueError(f"{kmap.name}: Jacobian of shape {jac.shape} for points {x.shape}")
-    if jac.size and not (jac.min() > -np.inf and jac.max() < np.inf):
-        bad = ~np.isfinite(jac).all(axis=(-2, -1))
-        raise MapDomainError(f"{kmap.name}: bad Jacobian at {_at(x, bad)}")
-    return jac
-
-
 def eval_f(kmap: KolmogorovMap, x) -> np.ndarray:
     """Per-capita values f(x); strictly positive on the admissible domain."""
     return _f(kmap, _check_input(kmap, x))
@@ -127,7 +116,17 @@ def fd_jacobian(func: Callable[[np.ndarray], np.ndarray], x: np.ndarray, dim: in
 
 def eval_df(kmap: KolmogorovMap, x) -> np.ndarray:
     """Jacobian of the per-capita part, analytic when available."""
-    return _df(kmap, _check_input(kmap, x))
+    x = _check_input(kmap, x)
+    if kmap.df is not None:
+        jac = np.asarray(kmap.df(x), dtype=float)
+    else:
+        jac = fd_jacobian(kmap.f, x, kmap.dim)
+    if jac.shape != x.shape + (kmap.dim,):
+        raise ValueError(f"{kmap.name}: Jacobian of shape {jac.shape} for points {x.shape}")
+    if jac.size and not (jac.min() > -np.inf and jac.max() < np.inf):
+        bad = ~np.isfinite(jac).all(axis=(-2, -1))
+        raise MapDomainError(f"{kmap.name}: bad Jacobian at {_at(x, bad)}")
+    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,6 @@ def leslie_gower(r=(1.0, 1.0), A=((1.0, 0.5), (0.5, 1.0))) -> KolmogorovMap:
         raise ValueError("need r > 0 and A >= 0 entrywise")
 
     num, at = 1.0 + r, A.T.copy()  # at[j] is column j of A
-    rows, nums = A.tolist(), num.tolist()
 
     def denominators(x):
         """1 + (A x)_i shaped (d, *reversed batch), with 1 + r and the columns of A shaped alike.
@@ -230,10 +228,6 @@ def leslie_gower(r=(1.0, 1.0), A=((1.0, 0.5), (0.5, 1.0))) -> KolmogorovMap:
         return t, num.reshape((d,) + pad), cols
 
     def f(x):
-        if x.ndim == 1:  # one point: d Python float sums cost less than the array calls
-            xs = x.tolist()  # reduce adds left to right; sum() compensates from Python 3.12
-            return np.array([n / (1.0 + reduce(operator.add, map(operator.mul, row, xs)))
-                             for n, row in zip(nums, rows)])
         t, n, _ = denominators(x)
         out = np.empty(x.shape)
         np.divide(n, t, out=out.T)

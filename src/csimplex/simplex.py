@@ -245,13 +245,6 @@ def attract_trajectory(
     return traj, surface_distance(sigma, traj)
 
 
-def _orbit_end(kmap: KolmogorovMap, x, n: int) -> np.ndarray:
-    y = np.asarray(x, dtype=float)
-    for _ in range(n):
-        y = eval_F(kmap, y)
-    return y
-
-
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
     invariance_residual: float
@@ -398,7 +391,9 @@ def attraction_battery(
     while seeds.shape[0] < sample_count:
         block = rng.uniform(0.0, box_top, (sample_count, kmap.dim))
         seeds = np.concatenate([seeds, block[block.sum(axis=1) >= MIN_MASS]])
-    x = _orbit_end(kmap, seeds[:sample_count], horizon)
+    x = seeds[:sample_count]
+    for _ in range(horizon):
+        x = eval_F(kmap, x)
     failures = int(np.count_nonzero(surface_distance(sigma, x) >= tol))
     return failures, sample_count
 

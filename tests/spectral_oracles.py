@@ -93,4 +93,4 @@ def dense_check_as4(kmap, kappa: float, resolution: int, margin: float = SAFETY_
     pts = _box_points(1.0 + kappa, resolution, kmap.dim)
     pts = pts[pts.any(axis=1)]  # the origin carries no feedback
     worst, max_rho = dense_radius(dense_feedback(kmap, pts))
-    return As4Result(max_rho < 1.0 - margin, max_rho, [float(v) for v in pts[worst]], margin)
+    return As4Result(max_rho < 1.0 - margin, max_rho, [float(v) for v in pts[worst]])

@@ -152,6 +152,15 @@ def test_check_as4_equals_dense_scan(kmap):
             assert same(check_as4(kmap, kappa, resolution), dense_scan(kmap, kappa, resolution))
 
 
+def test_check_as4_takes_a_read_only_jacobian():
+    # the scan writes Z over the Jacobians it owns; a map may return a read-only view
+    c = np.array([[1.0, 0.5], [0.25, 1.0]])
+    kmap = KolmogorovMap("linear", 2, {}, lambda x: 4.0 - x @ c.T,
+                         lambda x: np.broadcast_to(-c, x.shape + (2,)))
+    for kappa in (0.0, 0.5):
+        assert same(check_as4(kmap, kappa, 8), dense_scan(kmap, kappa, 8))
+
+
 def count_solved(monkeypatch):
     """Matrices passed to the eigensolver, one entry per call."""
     solved = []

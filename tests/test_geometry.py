@@ -847,6 +847,20 @@ def test_nearest_distances_far_rows_solve_no_more_than_all_pairs(monkeypatch):
         assert sum(solved) == len(a) * len(b) + min(len(a), len(b)) == 117_325
 
 
+def test_nearest_distances_plans_no_band_when_the_probe_is_all_of_b(monkeypatch):
+    # below 128 rows of b the probe b[::1] is all of b, so the seed bound is
+    # already exact and no band is planned
+    rng = np.random.default_rng(2)
+    a, b = rng.random((700, 3)), rng.random((100, 3))
+    assert len(a) * len(b) > geometry.PAIR_BLOCK
+
+    def no_band(*args):
+        raise AssertionError("a band was planned")
+
+    monkeypatch.setattr(geometry, "_band_sq", no_band)
+    assert np.array_equal(nearest_distances(a, b), broadcast_nearest(a, b))
+
+
 def real_tol_order(sigma):
     """The tolerance verify_cs gives order_scan."""
     return 2.0 * lipschitz_estimate(sigma) * grid_spacing(sigma.grid)
