@@ -7,9 +7,9 @@ trapping box [0, 1+kappa]^d and the inner radius epsilon of the starting
 manifold epsilon * Delta.
 
 One scan per box grid (check_as4) evaluates Df once on every grid point and f
-once on all but the origin, and yields AS3 and AS4 together on (N,) or
-(d, d, N) long axes. It takes the exact maximum of rho(Z) without
-eigen-solving every point: Z is nonnegative, so by Perron-Frobenius each
+once on all but the origin and yields AS3 and AS4 together; run_assumption_checks
+takes AS3 from the box that accepted kappa. The scan takes the exact maximum of rho(Z)
+without eigen-solving every point: Z is nonnegative, so by Perron-Frobenius each
 point's radius lies between max(min row sum, min column sum) and
 min(max row sum, max column sum). Only the candidates whose upper bound
 reaches the largest lower bound can attain the maximum; they alone go to one
