@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("compute", help="run the two-sided iteration to the carrying simplex")
+    p = sub.add_parser("compute", help="step the upper, inflate the lower, to the carrying simplex")
     common(p, resolution=True, solver=True)
     p.set_defaults(func=cmd_compute, dump_iterates=False)
 

@@ -118,6 +118,11 @@ class BarycentricGrid:
         k[i] = self.resolution
         return self.vertex_index(k)
 
+    @cached_property
+    def corners(self) -> np.ndarray:
+        """Vertex index of each unit corner e_i, in order of i; built once per grid."""
+        return np.array([self.corner_index(i) for i in range(self.dim)])
+
     def compatible(self, other: "BarycentricGrid") -> bool:
         return self.dim == other.dim and self.resolution == other.resolution
 
@@ -220,9 +225,11 @@ def make_grid(dim: int, resolution: int) -> BarycentricGrid:
     steps = np.zeros((perms.shape[0], D + 1, D), dtype=int)
     steps[:, 1:] = np.cumsum(np.eye(D, dtype=int)[perms], axis=1)
     pts = (bases[:, None, None, :] + steps).reshape(-1, D + 1, D)
-    pts = pts[np.all(np.diff(pts, axis=-1) >= 0, axis=(1, 2))]
-    cells = s_table[tuple(np.moveaxis(pts, -1, 0))]
-    orient = np.sign(np.linalg.det(np.swapaxes(vertices[cells], 1, 2))).astype(int)
+    keep = np.all(np.diff(pts, axis=-1) >= 0, axis=(1, 2))
+    cells = s_table[tuple(np.moveaxis(pts[keep], -1, 0))]
+    # the cell of permutation pi has sign det([v_0 ... v_D]) = (-1)^(d+1) sign(pi)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
+    orient = np.tile((-1) ** (dim + 1 + inversions), bases.shape[0])[keep]
     return BarycentricGrid(dim, m, lattice, vertices, cells, orient, s_table)
 
 

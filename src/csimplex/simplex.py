@@ -1,10 +1,14 @@
 """Convergence driver and verification suite for the carrying simplex.
 
-The surface is bracketed between an increasing sequence started on a small
-simplex near the origin and a decreasing sequence started on the boundary of
-the trapping box. Both are iterated in lockstep under the graph transform;
-the vertexwise gap between them is an a-posteriori error bound, and their
-midpoint is reported as the carrying simplex once the gap passes the
+The surface is the fixed point of the graph transform G on the grid. A
+decreasing sequence starts on the boundary of the trapping box and steps
+alone while the lower manifold is held at the small simplex epsilon·Δ. Once
+the upper steps stall, the lower is inflated to L = max(U - delta, epsilon):
+G is order preserving, so G(L) >= L puts the fixed point above G(L), and the
+lower steps on from G(L) together with the upper; if no delta up to the cap
+passes, the lower steps from epsilon·Δ instead. Each recorded pair encloses
+the discrete fixed point, its vertexwise gap is an a-posteriori error bound,
+and the midpoint is reported as the carrying simplex once the gap passes the
 tolerance.
 """
 from __future__ import annotations
@@ -77,6 +81,7 @@ class ConvergenceReport:
     kappa: float
     epsilon: float
     tolerance: float
+    certified_by: str  # inflation | lockstep: where the last lower came from
     fold_message: str | None = None
 
     @property
@@ -96,13 +101,29 @@ class ConvergenceReport:
 
     def to_dict(self) -> dict:
         out = _field_dict(self, skip=("sigma", "lower", "upper"))
-        out.update(monotone_ok=self.monotone_ok, gap_monotone_ok=self.gap_monotone_ok)
+        # the pair encloses the fixed point of the graph transform on the grid, not the surface
+        out.update(enclosure="discrete", monotone_ok=self.monotone_ok,
+                   gap_monotone_ok=self.gap_monotone_ok)
         return out
 
 
 def _order_tolerance(manifold: RadialManifold) -> float:
     """Slack of the order checks: twice the interpolation error, Lipschitz estimate × spacing."""
     return 2.0 * lipschitz_estimate(manifold) * grid_spacing(manifold.grid)
+
+
+# Doublings of the inflation offset delta tried before the lower falls back to epsilon·Δ.
+INFLATION_TRIES = 8
+
+
+def _inflated_lower(kmap, lower, upper, delta, box_top):
+    """First G(L), L = max(U - delta·2^k, lower), with G(L) >= L, else G(lower); and its source."""
+    for k in range(INFLATION_TRIES):
+        trial = RadialManifold(upper.grid, np.maximum(upper.radii - delta * 2.0**k, lower.radii))
+        stepped = graph_step(kmap, trial, box_top)
+        if np.all(stepped.radii >= trial.radii):
+            return stepped, "inflation"
+    return graph_step(kmap, lower, box_top), "lockstep"
 
 
 def compute_cs(
@@ -114,11 +135,12 @@ def compute_cs(
     max_iter: int = 10000,
     on_iteration=None,
 ) -> ConvergenceReport:
-    """Run the two-sided iteration until the radial gap closes.
+    """Step the upper sequence, inflate the lower once it stalls, until the radial gap closes.
 
     on_iteration(n, lower, upper) is invoked after every cycle, e.g. to dump
-    iterates. A fold during resampling ends the run with termination
-    "fold_error" and the partial manifolds retained.
+    iterates; the lower stays epsilon·Δ until it is inflated. A held cycle
+    records no lower step. A fold during resampling ends the run with
+    termination "fold_error" and the partial manifolds retained.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -133,21 +155,33 @@ def compute_cs(
     upper_max_steps: list[float] = []
     sandwich_mins: list[float] = []
     termination = "max_iter"
+    certified_by = "lockstep"
     fold_message = None
     iterations = 0
+    held, last_step = True, np.inf
 
     for n in range(1, max_iter + 1):
         try:
-            new_lower = graph_step(kmap, lower, box_top)
             new_upper = graph_step(kmap, upper, box_top)
+            moved = new_upper.radii - upper.radii
+            step = -float(moved.min())
+            # inflate when the upper step passes tolerance / 2 or stalls at the rounding floor
+            if held and (step < tolerance / 2.0 or step >= last_step):
+                held = False
+                delta = max(tolerance, 2.0 * step)
+                new_lower, certified_by = _inflated_lower(kmap, lower, new_upper, delta, box_top)
+            elif not held:
+                new_lower = graph_step(kmap, lower, box_top)
         except ResampleError as err:
             termination = "fold_error"
             fold_message = str(err)
             break
-        iterations = n
-        lower_min_steps.append(float((new_lower.radii - lower.radii).min()))
-        upper_max_steps.append(float((new_upper.radii - upper.radii).max()))
-        lower, upper = new_lower, new_upper
+        iterations, last_step = n, step
+        if not held:
+            lower_min_steps.append(float((new_lower.radii - lower.radii).min()))
+            lower = new_lower
+        upper_max_steps.append(float(moved.max()))
+        upper = new_upper
         sandwich_mins.append(float((upper.radii - lower.radii).min()))
         gap = sup_gap(lower, upper)
         gap_history.append(gap)
@@ -184,6 +218,7 @@ def compute_cs(
         kappa=kappa,
         epsilon=epsilon,
         tolerance=tolerance,
+        certified_by=certified_by,
         fold_message=fold_message,
     )
 
@@ -430,9 +465,7 @@ def verify_cs(
         unorder = lipschitz_ratio_max = None
         vacuous.extend(["unorder_violations", "lipschitz_ratio_max"])
 
-    fixed_point_residuals = [
-        abs(float(sigma.radii[grid.corner_index(i)]) - 1.0) for i in range(d)
-    ]
+    fixed_point_residuals = [abs(float(r) - 1.0) for r in sigma.radii[grid.corners]]
 
     lipschitz_bound = float(np.sqrt(1.0 + d))
 

@@ -317,8 +317,7 @@ def resample(cloud: PushforwardCloud) -> RadialManifold:
     radii = 1.0 / (w / cloud.radii[cells]).sum(axis=1)
 
     # corners evolve by the exact scalar axis dynamics
-    corners = [grid.corner_index(i) for i in range(grid.dim)]
-    radii[corners] = cloud.radii[corners]
+    radii[grid.corners] = cloud.radii[grid.corners]
     return RadialManifold(grid, radii)
 
 

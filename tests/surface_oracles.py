@@ -3,15 +3,25 @@
 `bisection_resample` is an independent planar resample that solves along the
 image polyline by bisection, with no linear algebra, to cross-check the tiling
 of `transform.resample`. `iterate_manifold` iterates one manifold under
-`graph_step` until its steps are small, the single sequence that the sandwich
-of `simplex.compute_cs` brackets from both sides. `harnack` and
+`graph_step` until its steps are small, the single sequence whose fixed point
+`simplex.compute_cs` encloses. `lockstep_sigma` is the two-sided sandwich
+that steps the lower and the upper manifold on every iteration, the reference
+for `compute_cs`'s held-then-inflated lower. `harnack` and
 `vertex_hausdorff` are the point-set metrics, by their definitions, against
 which the vertex passes `geometry.harnack_distance` and
 `geometry.hausdorff_bound` are checked.
 """
 import numpy as np
 
-from csimplex.geometry import GridError, RadialManifold, sup_gap, symmetrized_order
+from csimplex.geometry import (
+    BarycentricGrid,
+    GridError,
+    RadialManifold,
+    box_boundary_manifold,
+    constant_manifold,
+    sup_gap,
+    symmetrized_order,
+)
 from csimplex.maps import KolmogorovMap
 from csimplex.transform import FoldError, PushforwardCloud, graph_step
 
@@ -83,6 +93,25 @@ def iterate_manifold(
         if step < step_tol:
             return current, n, history
     return current, max_iter, history
+
+
+def lockstep_sigma(
+    kmap: KolmogorovMap,
+    grid: BarycentricGrid,
+    kappa: float,
+    epsilon: float,
+    tolerance: float,
+    max_iter: int = 10000,
+) -> RadialManifold:
+    """Midpoint of the lockstep sandwich: both sequences step until their gap passes tolerance."""
+    box_top = 1.0 + kappa
+    lower = constant_manifold(grid, epsilon)
+    upper = box_boundary_manifold(grid, box_top)
+    for _ in range(max_iter):
+        lower, upper = graph_step(kmap, lower, box_top), graph_step(kmap, upper, box_top)
+        if sup_gap(lower, upper) < tolerance:
+            break
+    return RadialManifold(grid, 0.5 * (lower.radii + upper.radii))
 
 
 def harnack(x, y):

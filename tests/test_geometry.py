@@ -26,7 +26,7 @@ from csimplex.geometry import (
     vertex_points,
     RadialManifold,
 )
-from surface_oracles import harnack, vertex_hausdorff
+from surface_oracles import harnack, lockstep_sigma, vertex_hausdorff
 
 RNG = np.random.default_rng(20240817)
 
@@ -111,6 +111,18 @@ def test_make_grid_equals_loop_reference(dim, m):
     assert all(grid.vertex_index(k) == i for k, i in index.items())
     for i in range(dim):
         assert grid.corner_index(i) == index[tuple(m if j == i else 0 for j in range(dim))]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_cell_orient_and_corners_equal_oracles(dim):
+    # make_grid takes cell_orient from the parity of the Kuhn permutation, with no det
+    for m in range(1, 9):
+        grid = make_grid(dim, m)
+        if dim > 1:
+            det = np.linalg.det(np.swapaxes(grid.vertices[grid.cells], 1, 2))
+            assert grid.cell_orient.tobytes() == np.sign(det).astype(int).tobytes()
+        assert grid.corners.tolist() == [grid.corner_index(i) for i in range(dim)]
+        assert grid.corners is grid.corners  # cached
 
 
 def test_vertex_index_rejects_points_off_lattice():
@@ -607,14 +619,14 @@ def ordered_ratio_max(pts):
 
 
 def converged_sigma(dim, m):
-    """A converged compute_cs surface: Ricker for d=2, Leslie-Gower above."""
+    """A converged lockstep surface: Ricker for d=2, Leslie-Gower above."""
     kmap = ricker2d(0.5, 0.5, 0.5, 0.5) if dim == 2 else lg(dim, 0.3 if dim == 3 else 0.2)
-    return compute_cs(kmap, make_grid(dim, m), 1.0 if dim > 2 else 0.25, 0.5, tolerance=1e-6).sigma
+    return lockstep_sigma(kmap, make_grid(dim, m), 1.0 if dim > 2 else 0.25, 0.5, 1e-6)
 
 
 def decoupled_sigma(dim, m):
-    """The computed surface of decoupled Leslie-Gower (A = I), tol 1e-7."""
-    return compute_cs(lg(dim, 0.0), make_grid(dim, m), 1.0, 0.5, tolerance=1e-7).sigma
+    """The lockstep surface of decoupled Leslie-Gower (A = I), tol 1e-7."""
+    return lockstep_sigma(lg(dim, 0.0), make_grid(dim, m), 1.0, 0.5, 1e-7)
 
 
 def scan_ratio_bound(p):
@@ -684,6 +696,16 @@ def test_projection_ratio_bound_on_decoupled_surfaces(dim, m, flagged, monkeypat
     assert solved[0] == flagged
     assert violations == dense_weakly_unordered(sigma, tol)
     assert triu_ratio_max(vertex_points(sigma)) <= math.sqrt(dim) * (1.0 + 1e-12)
+
+
+def test_projection_ratio_bound_on_computed_decoupled_surface():
+    # compute_cs's inflated lower leaves a decoupled d=3 surface with a strictly
+    # ordered pair above sqrt(3), still below verify's sqrt(1 + d) = 2
+    sigma = compute_cs(lg(3, 0.0), make_grid(3, 16), 1.0, 0.5, tolerance=1e-7).sigma
+    violations, bound = order_scan(sigma, real_tol_order(sigma))
+    assert bound == ordered_ratio_max(vertex_points(sigma))
+    assert math.sqrt(3) < bound < 2.0
+    assert violations == dense_weakly_unordered(sigma, real_tol_order(sigma))
 
 
 @pytest.fixture(scope="module")
@@ -767,7 +789,8 @@ def test_order_tolerance_builds_the_edges_once(monkeypatch):
     prop = functools.cached_property(counted)
     prop.__set_name__(geometry.BarycentricGrid, "edges")
     monkeypatch.setattr(geometry.BarycentricGrid, "edges", prop)
-    sigma = converged_sigma(3, 12)  # compute_cs takes its tol_order from the edges
+    # compute_cs takes its tol_order from the edges
+    sigma = compute_cs(lg(3, 0.3), make_grid(3, 12), 1.0, 0.5, tolerance=1e-6).sigma
     assert len(built) == 1
     h, lip = per_cell_spacing_and_lipschitz(sigma)
     assert simplex._order_tolerance(sigma) == 2.0 * lip * h

@@ -31,7 +31,7 @@ from csimplex.simplex import (
     surface_distance,
     verify_cs,
 )
-from surface_oracles import iterate_manifold
+from surface_oracles import iterate_manifold, lockstep_sigma
 
 COUPLED = ricker2d(0.5, 0.5, 0.5, 0.5)
 KAPPA, EPSILON = 0.25, 0.5
@@ -439,3 +439,62 @@ def test_seed_independence(coupled_run):
     )
     assert sup_gap(seeded, res.sigma) < 2e-6
     assert history[-1] < 1e-7
+
+
+DECOUPLED_LG = {d: leslie_gower((1.0,) * d, np.eye(d)) for d in (2, 3)}
+ENCLOSED = [  # (map, kappa, dim, resolution)
+    (COUPLED, KAPPA, 2, 32),
+    (leslie_gower((1.0,) * 3, np.eye(3) + 0.3 * (1.0 - np.eye(3))), 1.0, 3, 12),
+    (leslie_gower((1.0,) * 4, np.eye(4) + 0.2 * (1.0 - np.eye(4))), 1.0, 4, 6),
+    (DECOUPLED_LG[2], 1.0, 2, 16),
+    (DECOUPLED_LG[3], 1.0, 3, 8),
+    (beverton_holt(), 1.0, 1, 1),
+    (atkinson_allen(0.5), 1.0, 1, 1),
+    (ricker1d(0.5), 0.5, 1, 1),
+]
+
+
+@pytest.mark.parametrize("tolerance", [1e-6, 1e-9])
+@pytest.mark.parametrize(
+    "kmap,kappa,dim,m", ENCLOSED,
+    ids=["ricker2d", "lg3", "lg4", "decoupled2", "decoupled3", "bh", "aa", "ricker1d"],
+)
+def test_inflated_lower_encloses_the_lockstep_limit(kmap, kappa, dim, m, tolerance, monkeypatch):
+    grid = make_grid(dim, m)
+    reference = lockstep_sigma(kmap, grid, kappa, EPSILON, 1e-13, max_iter=400).radii
+    res = compute_cs(kmap, grid, kappa, EPSILON, tolerance=tolerance)
+    assert (res.termination, res.certified_by, res.to_dict()["enclosure"]) == \
+        ("converged", "inflation", "discrete")
+    assert res.monotone_ok and res.gap_monotone_ok
+    assert len(res.harnack_history) == res.iterations + 1 == len(res.gap_history)
+    assert np.abs(res.sigma.radii - reference).max() <= 0.2 * tolerance
+    # with no inflation try the lower steps from epsilon; in 1-D at tol 1e-9 the
+    # upper reaches its fixed point first, and its zero step fails monotone_ok
+    monkeypatch.setattr(simplex, "INFLATION_TRIES", 0)
+    fallback = compute_cs(kmap, grid, kappa, EPSILON, tolerance=tolerance)
+    assert (fallback.termination, fallback.certified_by) == ("converged", "lockstep")
+    assert fallback.gap_monotone_ok
+    for run in (res, fallback):
+        assert np.all(run.lower.radii <= reference + 1e-12)
+        assert np.all(reference <= run.upper.radii + 1e-12)
+
+
+def test_inflated_lower_is_held_then_steps_with_the_upper():
+    lowers = []
+    res = compute_cs(COUPLED, make_grid(2, 16), KAPPA, EPSILON, tolerance=1e-6,
+                     on_iteration=lambda n, lower, upper: lowers.append(lower.radii.copy()))
+    held = [np.all(lo == EPSILON) for lo in lowers]
+    inflated = held.index(False)
+    assert inflated > 0 and not any(held[inflated:])
+    # a held cycle records no lower step; the inflated one and those after it do
+    assert len(res.lower_min_steps) == res.iterations - inflated
+    assert res.certified_by == "inflation"
+
+
+def test_unreachable_tolerance_inflates_at_the_rounding_floor():
+    # the upper steps stall near 1e-16 long before the gap reaches 1e-17, so the
+    # stall triggers the inflation and the gap closes to the rounding floor
+    kmap = leslie_gower((1.0,) * 3, np.eye(3) + 0.3 * (1.0 - np.eye(3)))
+    res = compute_cs(kmap, make_grid(3, 24), 1.0, EPSILON, tolerance=1e-17, max_iter=120)
+    assert (res.termination, res.iterations) == ("max_iter", 120)
+    assert res.final_gap <= 1e-14
