@@ -7,6 +7,7 @@ non-trapping box).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -174,6 +175,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+@functools.cache  # no option has a mutable default, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="csimplex",

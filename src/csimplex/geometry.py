@@ -16,12 +16,7 @@ distance of such a pair is 1 - min(R/R', R'/R), and a ratio of two positive
 affine functions on a cell takes its extremes at the vertices, so the vertex
 maximum is the exact supremum over the two surfaces (see harnack_distance).
 The Hausdorff distance is bounded by the largest vertex gap, weighted by the
-norm of the directions it can reach (see hausdorff_bound). The nearest point
-search from arbitrary points to a vertex cloud is exact and pruned to a band:
-each query's distance to its same-index partner, tightened by its distance to
-a fixed strided probe of the other set, bounds how far its nearest point can
-lie along the key coordinate, and only the points within that bound, widened
-by a relative margin, are compared, unless all pairs cost less (see nearest_distances).
+norm of the directions it can reach (see hausdorff_bound).
 The dominance scan buckets the points on a grid and solves only the bucket
 pairs whose boxes can hold a dominated pair (Bentley, Weide and Yao, ACM TOMS
 6(4), 1980; see _dominated_pairs). One zero-tolerance run of it over all
@@ -53,7 +48,6 @@ __all__ = [
     "sup_gap",
     "hausdorff_bound",
     "harnack_distance",
-    "nearest_distances",
     "order_scan",
     "grid_spacing",
     "lipschitz_estimate",
@@ -325,148 +319,16 @@ def harnack_distance(a: RadialManifold, b: RadialManifold) -> float:
     return float(1.0 - np.minimum(a.radii / b.radii, b.radii / a.radii).min())
 
 
-# Elements in one block of a pairwise computation: each temporary stays near
-# half a MB, whatever the number of points. The band search of
-# nearest_distances timed within 10% of its best at 2^15 and 2^16 on sets of
-# 1225 to 8385 points.
+# Row pairs in one block of the dominance scan _dominated_pairs: each temporary
+# stays near half a MB, whatever the number of points. The size has not been
+# timed on this scan.
 PAIR_BLOCK = 1 << 16
-
-
-# Relative widening of a search band in nearest_distances. Rounding moves a
-# computed distance or key difference by a few ulps (about 1e-16 relative),
-# far less than this.
-BAND_MARGIN = 1e-9
-# Most rows of a in one block of the band search. The union of a block's bands
-# grows by about one row of b per row of a, so larger blocks solve more pairs
-# that no row needs, and much smaller ones pay a block's fixed cost (a dozen
-# numpy calls) too often. For the distances of the attraction battery from
-# 3-species orbit ends to the surface (200 ends against 1225 vertices at res
-# 48, 1000 against 8385 at res 128; medians of 15), 64 rows took 0.99 and
-# 11.2 ms, 16 rows 1.48 and 13.3 ms, and 256 rows 0.88 and 10.4 ms.
-BAND_ROWS = 64
 # Rows per occupied bucket of _buckets, the grid of the dominance scan _dominated_pairs.
 # Larger buckets loosen the box test, so more pairs are solved; smaller ones make more
 # bucket pairs to screen. On converged 3-species surfaces at res 128 and 4-species at
 # res 32, the per-support scan of weak unorderedness took 0.33 s at 4 rows, 0.29 s at 5
 # and at 6 rows (medians of 15, 2-core x86_64).
 RATIO_FILL = 5
-
-
-def _sq_dists(p, q, buf=None) -> np.ndarray:
-    """Squared distances |p - q|^2 of broadcast rows, added as ((d0 + d1) + d2) ...
-
-    For d < 8 this is the order of numpy's .sum(axis=-1), so the result equals
-    ((p - q) ** 2).sum(axis=-1) bit for bit. The result and its one temporary
-    are views of buf, a (2, >= size) scratch array, when one is given: a loop
-    over blocks then allocates nothing, where fresh half-MB temporaries (which
-    malloc maps and unmaps each time) doubled the time per pair.
-    """
-    if buf is None:
-        d2 = p[..., 0] - q[..., 0]
-        diff = np.empty_like(d2)
-    else:
-        shape = np.broadcast_shapes(p.shape[:-1], q.shape[:-1])
-        d2, diff = (row[:np.prod(shape)].reshape(shape) for row in buf)
-        np.subtract(p[..., 0], q[..., 0], out=d2)
-    d2 *= d2
-    for k in range(1, p.shape[-1]):
-        np.subtract(p[..., k], q[..., k], out=diff)
-        diff *= diff
-        d2 += diff
-    return d2
-
-
-def _band_sq(a, b, key, bound, limit) -> np.ndarray | None:
-    """Squared nearest distances from the rows of a to b, by the band rules of nearest_distances.
-
-    b is sorted on its column key, in Fortran order; bound[i] >= row i's distance (inf, NaN: none).
-    Returns None, having solved nothing, when the bands would solve more than limit pairs.
-    """
-    order = np.argsort(a[:, key])
-    a, bound = a[order], bound[order]
-    width = bound + BAND_MARGIN * (bound + np.abs(a[:, key])) + 1e-150
-    whole = ~np.isfinite(width)
-    width[whole] = 0.0
-    lo = np.searchsorted(b[:, key], a[:, key] - width, side="left")
-    hi = np.searchsorted(b[:, key], a[:, key] + width, side="right")
-    lo[whole], hi[whole] = 0, b.shape[0]
-    blocks, start = [], 0  # blocks: (first row, rows, band start, band end)
-    while start < a.shape[0]:
-        # the union of the bands grows with the rows; the first row's band caps them
-        cap = max(1, PAIR_BLOCK // max(1, hi[start] - lo[start]))
-        stop = min(a.shape[0], start + min(BAND_ROWS, cap))
-        s = np.minimum.accumulate(lo[start:stop])
-        e = np.maximum.accumulate(hi[start:stop])
-        fits = np.arange(1, stop - start + 1) * (e - s) <= PAIR_BLOCK
-        rows = max(1, int(np.count_nonzero(fits)))
-        blocks.append((start, rows, s[rows - 1], e[rows - 1]))
-        start += rows
-    if sum(rows * int(e - s) for _, rows, s, e in blocks) > limit:
-        return None
-    out = np.empty(a.shape[0])
-    buf = np.empty((2, max(PAIR_BLOCK, b.shape[0])))  # a block is within PAIR_BLOCK, or one row
-    for start, rows, s, e in blocks:
-        blk = slice(start, start + rows)
-        out[order[blk]] = _sq_dists(a[blk, None], b[None, s:e], buf).min(axis=1)
-    return out
-
-
-def _nearest_sq(a, q) -> np.ndarray:
-    """Squared distance from each row of a to its nearest row of q (inf for none), in PAIR_BLOCK blocks."""
-    rows = min(a.shape[0], max(1, PAIR_BLOCK // max(1, q.shape[0])))
-    buf = np.empty((2, rows * q.shape[0]))
-    return np.concatenate([_sq_dists(a[s:s + rows, None], q[None], buf).min(axis=1, initial=np.inf)
-                           for s in range(0, a.shape[0], rows)])
-
-
-def nearest_distances(a, b) -> np.ndarray:
-    """Distance from each row of a to the nearest row of b.
-
-    Exact: each distance equals that of the broadcast (|a|, |b|, d) formula
-    bit for bit, since every pair solved uses the arithmetic of _sq_dists and
-    a minimum does not depend on the order of its terms. Memory stays linear
-    in |a| + |b|.
-
-    When |a| * |b| <= PAIR_BLOCK all pairs are solved in one block. Otherwise
-    the search is pruned to a band (_band_sq):
-    - seed bound: row i of a gets r_i, the smaller of |a_i - b_i|, its
-      distance to the same-index row of b (for two vertex clouds of one grid,
-      the radial gap at vertex i; inf with no partner), and its distance to
-      the probe b[::max(1, |b| // 64)], which bounds rows of unrelated index.
-      All rows get inf when b is not finite. The nearest row of b lies within
-      r_i of a_i, so its key differs from a_i's by at most r_i;
-    - band rule: both sets are sorted on the key coordinate, the one in
-      which b spreads most, and row i is compared only with the contiguous
-      rows of b whose key lies within w_i = r_i + BAND_MARGIN * (r_i +
-      |key_i|) + 1e-150 of its own; an infinite or NaN w_i takes all of b;
-    - widening margin: the relative term covers the rounding of r_i, of the
-      computed distances and of key_i -+ w_i, the absolute one a key
-      difference below 2.2e-162 whose square underflows to zero;
-    - sorted rows of a are taken in blocks of at most BAND_ROWS rows, whose
-      rows times the union of their bands is at most PAIR_BLOCK (or one row,
-      if its band alone is larger); when that makes more pairs than a has with the
-      rows of b outside the probe (a far from b), those are solved instead.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    if a.size == 0 or b.size == 0:
-        raise ValueError("distance to an empty set")
-    na, nb = a.shape[0], b.shape[0]
-    if na * nb <= PAIR_BLOCK:
-        return np.sqrt(_sq_dists(a[:, None], b[None]).min(axis=1))
-    n = min(na, nb)
-    bound = np.full(na, np.inf)
-    outside = np.ones(nb, dtype=bool)  # the rows of b outside the probe
-    if np.all(np.isfinite(b)):  # a NaN in b reaches every minimum
-        step = max(1, nb // 64)  # a probe of at most 128 rows
-        bound[:n] = _sq_dists(a[:n], b[:n])
-        bound = np.minimum(bound, _nearest_sq(a, b[::step]))
-        outside[::step] = False
-    key = int(np.argmax(np.ptp(b, axis=0)))
-    by_key = np.asfortranarray(b[np.argsort(b[:, key])])
-    limit = na * np.count_nonzero(outside)  # none when the probe is all of b
-    sq = _band_sq(a, by_key, key, np.sqrt(bound), limit) if limit else None
-    return np.sqrt(np.minimum(bound, _nearest_sq(a, b[outside])) if sq is None else sq)
 
 
 def _pair_ratios(pts, i, j) -> np.ndarray:

@@ -26,7 +26,6 @@ from .geometry import (
     harnack_distance,
     hausdorff_bound,
     lipschitz_estimate,
-    nearest_distances,
     order_scan,
     radius_at,
     sup_gap,
@@ -89,9 +88,9 @@ class ConvergenceReport:
         """Both radial sequences monotone and ordered at every recorded cycle."""
         t = self.tol_order
         return (
-            all(v > -t for v in self.lower_min_steps)
-            and all(v < t for v in self.upper_max_steps)
-            and all(v > -t for v in self.sandwich_mins)
+            all(v >= -t for v in self.lower_min_steps)
+            and all(v <= t for v in self.upper_max_steps)
+            and all(v >= -t for v in self.sandwich_mins)
         )
 
     @property
@@ -224,23 +223,22 @@ def compute_cs(
 
 
 def surface_distance(sigma: RadialManifold, x):
-    """Distance from points to the piecewise-linear surface.
+    """Upper bound of the distance from points to the piecewise-linear surface.
 
-    x has shape (d,), giving a float, or (N, d), giving an (N,) array.
-    Upper bound: the smaller of the distance to the vertex cloud and the gap
-    along the ray through x to the interpolated surface point. Points with no
-    such ray (zero or negative sum, a negative or non-finite coordinate) get
-    the cloud distance.
+    x has shape (d,), giving a float, or (N, d), giving an (N,) array. A point
+    x = s u with u on the simplex (a finite positive sum s, no negative
+    coordinate) has the surface point R(u) u on its own ray, so it gets the ray
+    gap |s - R(u)| |u|. A point with no such ray (in practice the origin) gets
+    its distance to the nearest vertex point of the surface.
     """
     x = np.asarray(x, dtype=float)
     rows = np.atleast_2d(x)
-    dist = nearest_distances(rows, vertex_points(sigma))
     s = rows.sum(axis=1)
     ray = np.isfinite(s) & (s > 0.0) & np.all(rows >= 0.0, axis=1)
-    if ray.any():
-        u = rows[ray] / s[ray, None]
-        gap = np.abs(s[ray] - radius_at(sigma, u)) * np.sqrt(np.vecdot(u, u))
-        dist[ray] = np.minimum(dist[ray], gap)
+    dist = np.empty(rows.shape[0])
+    u = rows[ray] / s[ray, None]
+    dist[ray] = np.abs(s[ray] - radius_at(sigma, u)) * np.sqrt(np.vecdot(u, u))
+    dist[~ray] = np.sqrt(((rows[~ray, None] - vertex_points(sigma)) ** 2).sum(axis=-1).min(axis=1))
     return float(dist[0]) if x.ndim == 1 else dist
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from csimplex import geometry, simplex
-from csimplex.maps import eval_F, leslie_gower, ricker2d
+from csimplex.maps import leslie_gower, ricker2d
 from csimplex.simplex import compute_cs
 from csimplex.geometry import (
     GridError,
@@ -18,7 +18,6 @@ from csimplex.geometry import (
     hausdorff_bound,
     lipschitz_estimate,
     make_grid,
-    nearest_distances,
     order_function,
     order_scan,
     radius_at,
@@ -473,27 +472,6 @@ def test_hausdorff_examples():
         harnack_distance(box, constant_manifold(make_grid(2, 6), 1.0))
 
 
-def broadcast_sq_dists(a, b):
-    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_hausdorff_chunked_equals_broadcast(dim, monkeypatch):
-    # the nearest distances both ways, whose maxima are the directed Hausdorff distances
-    for na, nb in [(37, 23), (700, 450)]:
-        a, b = RNG.random((na, dim)), RNG.random((nb, dim))
-        d2 = broadcast_sq_dists(a, b)
-        # the default block, and blocks that split |a| and |b| unevenly
-        for block in (geometry.PAIR_BLOCK, 5 * nb + 4, 7 * na - 1, 1):
-            monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
-            assert np.array_equal(nearest_distances(a, b), np.sqrt(d2.min(axis=1)))
-            assert np.array_equal(nearest_distances(b, a), np.sqrt(d2.min(axis=0)))
-
-
-def broadcast_nearest(a, b):
-    return np.sqrt(broadcast_sq_dists(a, b).min(axis=1))
-
-
 def sandwich(kmap, dim, m, kappa, epsilon):
     """Every (lower, upper) pair of a compute_cs run, the initial pair first."""
     grid = make_grid(dim, m)
@@ -503,51 +481,8 @@ def sandwich(kmap, dim, m, kappa, epsilon):
     return pairs
 
 
-def iterate_pairs(kmap, dim, m, kappa, epsilon):
-    """Vertex clouds of every (lower, upper) pair of a compute_cs run after the initial one."""
-    pairs = sandwich(kmap, dim, m, kappa, epsilon)[1:]
-    return [(vertex_points(lower), vertex_points(upper)) for lower, upper in pairs]
-
-
 def lg(dim, offdiag):
     return leslie_gower((1.0,) * dim, np.eye(dim) + offdiag * (1.0 - np.eye(dim)))
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_nearest_band_equals_broadcast(dim, monkeypatch):
-    a = RNG.random((200, dim))  # 200 x 200 pairs exceed the default block
-    coarse = RNG.integers(0, 4, (200, dim)) / 4.0  # duplicates, ties in every coordinate
-    with_nan = a.copy()
-    with_nan[7, 0], with_nan[11, -1] = np.nan, np.inf
-    cases = [
-        (a, a),  # identical: every seed bound is 0
-        (a, a[::-1].copy()),
-        (a, RNG.random((200, dim)) + 10.0),  # far apart: the band is all of b
-        (coarse, coarse[RNG.permutation(200)]),
-        (coarse, RNG.integers(0, 4, (230, dim)) / 4.0),
-        (a, RNG.random((170, dim))),  # unequal sizes: rows past the end of b
-        (RNG.random((170, dim)), a),
-        (with_nan, a),
-        (a, with_nan),
-    ]
-    iterates = {
-        1: [(a[:40], a[40:90])],
-        2: iterate_pairs(ricker2d(0.5, 0.5, 0.5, 0.5), 2, 64, 0.25, 0.5)[::4],
-        3: iterate_pairs(lg(3, 0.3), 3, 12, 1.0, 0.5)[::4],
-        4: iterate_pairs(lg(4, 0.2), 4, 6, 1.0, 0.5)[::4],
-    }[dim]
-    for lower, upper in iterates:
-        cases += [(lower, upper), (upper, lower)]
-    for a_, b_ in cases:
-        to_b, to_a = broadcast_nearest(a_, b_), broadcast_nearest(b_, a_)
-        na, nb = a_.shape[0], b_.shape[0]
-        # the default block, one pair, and blocks that split the sets unevenly
-        for block, rows in [(geometry.PAIR_BLOCK, geometry.BAND_ROWS), (1, geometry.BAND_ROWS),
-                            (97, 3), (5 * nb + 4, 3), (7 * na - 1, geometry.BAND_ROWS)]:
-            monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
-            monkeypatch.setattr(geometry, "BAND_ROWS", rows)
-            assert np.array_equal(nearest_distances(a_, b_), to_b, equal_nan=True)
-            assert np.array_equal(nearest_distances(b_, a_), to_a, equal_nan=True)
 
 
 @functools.cache
@@ -820,68 +755,6 @@ def test_manifold_rejects_bad_radii():
         RadialManifold(grid, np.zeros(grid.n_vertices))
     with pytest.raises(GridError):
         RadialManifold(grid, np.ones(3))
-
-
-def test_nearest_distances_with_unrelated_rows_equal_broadcast(monkeypatch):
-    # orbit points against a surface's vertices: a row's same-index partner is
-    # an unrelated point, so only the probe gives it a tight bound
-    grid = make_grid(3, 24)
-    kmap = lg(3, 0.3)
-    sigma = compute_cs(kmap, grid, 1.0, 0.5, tolerance=1e-6).sigma
-    orbit = [0.05 + 1.9 * RNG.random((60, 3))]
-    for _ in range(5):
-        orbit.append(eval_F(kmap, orbit[-1]))
-    orbit = np.concatenate(orbit)
-    vertices = vertex_points(sigma)
-    assert orbit.shape[0] * vertices.shape[0] > geometry.PAIR_BLOCK
-    to_vertices, to_orbit = broadcast_nearest(orbit, vertices), broadcast_nearest(vertices, orbit)
-    for block, rows in [(geometry.PAIR_BLOCK, geometry.BAND_ROWS), (97, 3), (1, 1)]:
-        monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
-        monkeypatch.setattr(geometry, "BAND_ROWS", rows)
-        assert np.array_equal(nearest_distances(orbit, vertices), to_vertices)
-        assert np.array_equal(nearest_distances(vertices, orbit), to_orbit)
-
-
-def test_nearest_distances_far_rows_solve_no_more_than_all_pairs(monkeypatch):
-    # 360 orbit points against the 325 vertices of a converged surface: the far
-    # points' bands cover most of the surface, so bands alone would solve about
-    # 137,000 and 119,000 pairs in the two directions where all pairs are
-    # 117,000; the pairs outside the probe are solved instead, and only the
-    # seed pairs come on top
-    grid = make_grid(3, 24)
-    kmap = lg(3, 0.3)
-    vertices = vertex_points(compute_cs(kmap, grid, 1.0, 0.5, tolerance=1e-6).sigma)
-    orbit = [0.05 + 1.9 * np.random.default_rng(1).random((60, 3))]
-    for _ in range(5):
-        orbit.append(eval_F(kmap, orbit[-1]))
-    orbit = np.concatenate(orbit)
-    solved = []
-    sq_dists = geometry._sq_dists
-
-    def counted(p, q, buf=None):
-        out = sq_dists(p, q, buf)
-        solved.append(out.size)
-        return out
-
-    monkeypatch.setattr(geometry, "_sq_dists", counted)
-    for a, b in [(orbit, vertices), (vertices, orbit)]:
-        solved.clear()
-        assert np.array_equal(nearest_distances(a, b), broadcast_nearest(a, b))
-        assert sum(solved) == len(a) * len(b) + min(len(a), len(b)) == 117_325
-
-
-def test_nearest_distances_plans_no_band_when_the_probe_is_all_of_b(monkeypatch):
-    # below 128 rows of b the probe b[::1] is all of b, so the seed bound is
-    # already exact and no band is planned
-    rng = np.random.default_rng(2)
-    a, b = rng.random((700, 3)), rng.random((100, 3))
-    assert len(a) * len(b) > geometry.PAIR_BLOCK
-
-    def no_band(*args):
-        raise AssertionError("a band was planned")
-
-    monkeypatch.setattr(geometry, "_band_sq", no_band)
-    assert np.array_equal(nearest_distances(a, b), broadcast_nearest(a, b))
 
 
 def real_tol_order(sigma):

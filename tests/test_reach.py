@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import csimplex
-from csimplex.cli import main
+from csimplex.cli import build_parser, main
 
 ALLOWED = {
     # kept API and oracles that no command calls
@@ -30,8 +30,7 @@ MAPS = {  # name: (params, dimension)
     "ricker2d": ({"r": 0.5, "s": 0.5, "a": 0.5, "b": 0.5}, 2),
     "leslie_gower": ({}, 2),
 }
-# large enough for the banded nearest-point search and the bucketed dominance scan
-# (more than PAIR_BLOCK pairs)
+# large enough for the bucketed dominance scan (more than PAIR_BLOCK pairs)
 LG3 = {"map": {"name": "leslie_gower", "params": {
            "r": [1.0] * 3, "A": [[1.0 if i == j else 0.3 for j in range(3)] for i in range(3)]}},
        "grid": {"resolution": 48}, "verify": {"sample_count": 100}}
@@ -66,6 +65,7 @@ def run_commands(tmp_path) -> set:
     # a point off the domain: the map's error helper names it
     runs.append((runs[0][0], [["simulate", "--x0", "-1"]], 3))
     called = set()
+    build_parser.cache_clear()  # the parser is built once per process, as a fresh CLI run builds it
 
     def profile(frame, event, arg):
         if event == "call":

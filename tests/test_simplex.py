@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from csimplex.geometry import (
-    PAIR_BLOCK,
     RadialManifold,
     box_boundary_manifold,
     constant_manifold,
@@ -177,13 +176,11 @@ def test_surface_distance_properties(coupled_run):
 
 def loop_surface_distance(sigma, x):
     """Single-point surface distance (reference for the batched one)."""
-    pts = vertex_points(sigma)
-    cloud = float(np.sqrt(((pts - x) ** 2).sum(axis=1)).min())
     s = float(x.sum())
     if s <= 0.0 or np.any(x < 0.0):
-        return cloud
+        return float(np.sqrt(((vertex_points(sigma) - x) ** 2).sum(axis=1)).min())
     u = x / s
-    return min(cloud, abs(s - radius_at(sigma, u)) * float(np.linalg.norm(u)))
+    return abs(s - radius_at(sigma, u)) * float(np.linalg.norm(u))
 
 
 @pytest.mark.parametrize("dim,m", [(1, 1), (2, 16), (3, 6)])
@@ -202,6 +199,29 @@ def test_surface_distance_batch_equals_single_point_reference(dim, m):
     for k, row in enumerate(x):
         assert batch[k] == loop_surface_distance(sigma, row)
         assert surface_distance(sigma, row) == batch[k]
+
+
+def simplex_projection(y):
+    """Euclidean projection of the rows of y onto the probability simplex, by sorting."""
+    u = -np.sort(-y, axis=1)
+    css = np.cumsum(u, axis=1) - 1.0
+    rho = np.count_nonzero(u - css / np.arange(1, y.shape[1] + 1) > 0.0, axis=1)
+    theta = css[np.arange(y.shape[0]), rho - 1] / rho
+    return np.maximum(y - theta[:, None], 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_surface_distance_bounds_the_distance_to_the_simplex(dim):
+    # R = 1 interpolates to 1 on every cell, so the surface is the probability simplex
+    sigma = constant_manifold(make_grid(dim, 7), 1.0)
+    eps = np.finfo(float).eps
+    x = np.random.default_rng(dim).uniform(0.0, 2.0, (2000, dim))
+    exact = np.linalg.norm(x - simplex_projection(x), axis=1)
+    assert np.all(surface_distance(sigma, x) >= exact - 4 * eps)
+    # on the barycentre's ray the nearest surface point is on the ray itself
+    s = np.array([0.0625, 0.5, 0.9, 0.999, 1.0, 1.001, 1.5, 3.0])
+    on_ray = surface_distance(sigma, s[:, None] * np.full(dim, 1.0 / dim))
+    assert np.all(np.abs(on_ray - np.abs(s - 1.0) / np.sqrt(dim)) <= 4 * eps * np.maximum(s, 1.0))
 
 
 def test_verify_cs_coupled(coupled_run):
@@ -267,8 +287,6 @@ def test_attract_trajectory_distances_equal_per_step():
     kmap = leslie_gower((1.0,) * dim, np.eye(dim) + 0.3 * (1.0 - np.eye(dim)))
     sigma = compute_cs(kmap, make_grid(dim, 24), 1.0, 0.5, tolerance=1e-6).sigma
     traj, dists = attract_trajectory(kmap, sigma, np.array([1.9, 0.05, 0.7]), 300)
-    # 301 x 325 pairs: the batch goes through the band search
-    assert traj.shape[0] * sigma.grid.n_vertices > PAIR_BLOCK
     per_step = np.array([surface_distance(sigma, x) for x in traj])
     assert dists.tobytes() == per_step.tobytes()
 
@@ -468,12 +486,11 @@ def test_inflated_lower_encloses_the_lockstep_limit(kmap, kappa, dim, m, toleran
     assert res.monotone_ok and res.gap_monotone_ok
     assert len(res.harnack_history) == res.iterations + 1 == len(res.gap_history)
     assert np.abs(res.sigma.radii - reference).max() <= 0.2 * tolerance
-    # with no inflation try the lower steps from epsilon; in 1-D at tol 1e-9 the
-    # upper reaches its fixed point first, and its zero step fails monotone_ok
+    # with no inflation try the lower steps from epsilon
     monkeypatch.setattr(simplex, "INFLATION_TRIES", 0)
     fallback = compute_cs(kmap, grid, kappa, EPSILON, tolerance=tolerance)
     assert (fallback.termination, fallback.certified_by) == ("converged", "lockstep")
-    assert fallback.gap_monotone_ok
+    assert fallback.monotone_ok and fallback.gap_monotone_ok
     for run in (res, fallback):
         assert np.all(run.lower.radii <= reference + 1e-12)
         assert np.all(reference <= run.upper.radii + 1e-12)
