@@ -25,8 +25,8 @@ from .geometry import (
     harnack_distance,
     hausdorff_bound,
     make_grid,
+    order_check,
     order_function,
-    order_scan,
     sup_gap,
 )
 from .maps import (

@@ -145,6 +145,7 @@ def cmd_verify(args) -> int:
         horizon=cfg.horizon,
         seed=cfg.seed,
         attraction_tol=cfg.attraction_tol,
+        tolerance=cfg.tolerance,
     )
     ok = result.passed(
         fixed_point_max=cfg.fixed_point_max,
@@ -154,6 +155,7 @@ def cmd_verify(args) -> int:
     _write_report(cfg, "verification.json", {**result.to_dict(), "passed": ok})
     print(f"invariance residual {result.invariance_residual:.3e}, "
           f"unordered violations {result.unorder_violations}, "
+          f"order margin {result.order_margin}, "
           f"harnack violations {result.harnack_samples}, "
           f"retrotone violations {result.retrotone_samples}, "
           f"attraction {result.attraction_stats}")

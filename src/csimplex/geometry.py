@@ -17,13 +17,11 @@ affine functions on a cell takes its extremes at the vertices, so the vertex
 maximum is the exact supremum over the two surfaces (see harnack_distance).
 The Hausdorff distance is bounded by the largest vertex gap, weighted by the
 norm of the directions it can reach (see hausdorff_bound).
-The dominance scan buckets the points on a grid and solves only the bucket
-pairs whose boxes can hold a dominated pair (Bentley, Weide and Yao, ACM TOMS
-6(4), 1980; see _dominated_pairs). One zero-tolerance run of it over all
-vertex points answers both surface order checks (see order_scan): weak
-unorderedness of the interior, and the projection Lipschitz ratio, which is
-bounded, not searched, since a pair ordered in no direction has ratio at most
-sqrt(d).
+The order check reads the flat facet a·x = 1 through each cell's vertex
+points (see order_check). Where every normal a is nonnegative, the region
+under the surface is a down-set, so its boundary, vertex and face points
+included, holds no strictly ordered pair, and the projection Lipschitz ratio
+of any two of its points is at most sqrt(d): one pass over cells, no pair search.
 """
 from __future__ import annotations
 
@@ -48,7 +46,8 @@ __all__ = [
     "sup_gap",
     "hausdorff_bound",
     "harnack_distance",
-    "order_scan",
+    "facet_normals",
+    "order_check",
     "grid_spacing",
     "lipschitz_estimate",
 ]
@@ -319,147 +318,46 @@ def harnack_distance(a: RadialManifold, b: RadialManifold) -> float:
     return float(1.0 - np.minimum(a.radii / b.radii, b.radii / a.radii).min())
 
 
-# Row pairs in one block of the dominance scan _dominated_pairs: each temporary
-# stays near half a MB, whatever the number of points. The size has not been
-# timed on this scan.
-PAIR_BLOCK = 1 << 16
-# Rows per occupied bucket of _buckets, the grid of the dominance scan _dominated_pairs.
-# Larger buckets loosen the box test, so more pairs are solved; smaller ones make more
-# bucket pairs to screen. On converged 3-species surfaces at res 128 and 4-species at
-# res 32, the per-support scan of weak unorderedness took 0.33 s at 4 rows, 0.29 s at 5
-# and at 6 rows (medians of 15, 2-core x86_64).
-RATIO_FILL = 5
+def facet_normals(manifold: RadialManifold) -> np.ndarray:
+    """Normal a of each cell's flat facet a·x = 1 through its vertex points, as (cells, d).
 
-
-def _pair_ratios(pts, i, j) -> np.ndarray:
-    """|x_i - x_j| / |P(x_i - x_j)| for row pairs (i, j); inf where the projection is <= 1e-300.
-
-    Columns are gathered and summed one at a time, ((c0 + c1) + c2) ..., the order of
-    numpy's norm and mean over a short axis, so for d < 8 each ratio equals the row formula's.
+    The facet holds R(v_k) v_k for the cell's vertex directions v_k, so a solves V a = 1/r
+    with V the rows v_k and r their radii: one batched solve over all cells.
     """
-    diffs = [pts[i, k] - pts[j, k] for k in range(pts.shape[1])]
-    mean = sum(diffs) / len(diffs)
-    num = np.sqrt(sum(c * c for c in diffs))
-    den = np.sqrt(sum((c - mean) ** 2 for c in diffs))
-    return np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf)
+    grid = manifold.grid
+    inv_r = 1.0 / manifold.radii[grid.cells]
+    return np.linalg.solve(grid.vertices[grid.cells], inv_r[..., None])[..., 0]
 
 
-def _buckets(grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of grid (n, k) in buckets of a regular grid, about RATIO_FILL rows each.
+def order_check(manifold: RadialManifold, delta: float) -> tuple[int, float, float]:
+    """Weak unorderedness of the flat-facet surface from its facet normals, in one pass over cells.
 
-    Returns (perm, start, count): bucket b holds rows perm[start[b]:][:count[b]] in increasing order.
+    Returns (violations, margin, tol): the number of cells whose normal a has
+    min a_i < -tol, the least min a_i / |a| over all cells (inf without cells),
+    and tol = K delta / (r_min (r_min - delta)) with K = 1 + 4 (d - 1) m.
+
+    With margin >= 0, a·x grows along every increasing path, so the region under
+    the surface is a down-set and its boundary, vertex and face points included,
+    holds no strictly ordered pair. For two such points take v = y - x with
+    sum(v) >= 0; some v_j <= 0, so sum(v)^2 <= (sum_{i != j} v_i)^2 <= (d - 1) |v|^2
+    and |Pv|^2 = |v|^2 - sum(v)^2 / d >= |v|^2 / d, P the projection onto e-perp:
+    the projection Lipschitz ratio is at most sqrt(d).
+
+    Radii moved by at most delta move 1/r by at most delta / (r_min (r_min - delta)),
+    and a by at most ||V^-1||_inf times that; a delta of r_min or more can reach
+    zero radius, and tol is inf. The Kuhn path's edge along axis j gives
+    a_j - a_{j+1} = m times the change of 1/r along it, and a·v_0 = 1/r_0 fixes
+    the rest, so ||V^-1||_inf <= K: a flagged cell is a violation that no
+    delta-perturbation of the radii explains.
     """
-    n = grid.shape[0]
-    grid = grid - grid.min(axis=0)
-    unit, k = grid.max() or 1.0, grid.shape[1]
-    m = (n / RATIO_FILL) ** (1.0 / k)  # cells along the longest axis, were the box filled
-    for _ in range(2):  # then corrected once by the measured fill
-        side = max(1, int(m))
-        cells = np.minimum(grid * (side / unit), side - 1).astype(np.intp)
-        key = np.ravel_multi_index(cells.T, (side,) * k)
-        perm = np.argsort(key, kind="stable")
-        start, count = np.unique(key[perm], return_index=True, return_counts=True)[1:]
-        m *= (n / start.size / RATIO_FILL) ** (1.0 / k)
-    return perm, start, count
-
-
-def _row_pairs(buckets, pa, pb, budget):
-    """Row pairs of the bucket pairs (pa[k], pb[k]) of buckets = (perm, start, count), in order.
-
-    Yields blocks of budget pairs (k, i, j): each pair's bucket pair k and its rows' positions
-    in perm, i in bucket pa[k] and j, running fastest, in pb[k].
-    """
-    perm, start, count = buckets
-    sizes = count[pa] * count[pb]
-    ends = np.cumsum(sizes)
-    for pos in range(0, int(sizes.sum()), budget):
-        flat = np.arange(pos, min(pos + budget, ends[-1]))
-        k = np.searchsorted(ends, flat, side="right")
-        i, j = np.divmod(flat - (ends[k] - sizes[k]), count[pb[k]])
-        del flat  # a generator's locals stay alive while its caller works
-        i += start[pa[k]]
-        j += start[pb[k]]
-        yield k, i, j
-
-
-def _flagged(p, i, j, tol_order) -> np.ndarray:
-    """The row pairs (i, j) of p, as a (2, k) array, where p_j - p_i > tol_order in every column."""
-    low = p[j, 0] - p[i, 0]
-    for k in range(1, p.shape[1]):
-        np.minimum(low, p[j, k] - p[i, k], out=low)
-    keep = low > tol_order
-    return np.stack([i[keep], j[keep]])
-
-
-def _dominated_pairs(p, tol_order) -> tuple[np.ndarray, np.ndarray]:
-    """Rows (i, j) of p (n, s), in row-major order, where p_j - p_i > tol_order in every column.
-
-    Sets above one block of PAIR_BLOCK pairs are bucketed over q = p - mean. A bucket pair
-    (A, B) can hold such a pair only if max_B p_k - min_A p_k > tol_order in every column
-    k, an exact test since fl(x - y) is monotone in x and y. Bucket pairs are screened,
-    and the row pairs of those that pass solved, PAIR_BLOCK at a time.
-    """
-    n, s = p.shape
-    if n * n <= PAIR_BLOCK:  # one dense block
-        low = p[None, :, 0] - p[:, None, 0]
-        for k in range(1, s):
-            np.minimum(low, p[None, :, k] - p[:, None, k], out=low)
-        return np.nonzero(low > tol_order)
-    perm, start, count = _buckets((p - p.mean(axis=1, keepdims=True))[:, :min(s - 1, 3) or 1])
-    lo, hi = (f.reduceat(p[perm], start, axis=0).T.copy() for f in (np.minimum, np.maximum))
-    found = []
-    rows = max(1, PAIR_BLOCK // start.size)
-    for first in range(0, start.size, rows):
-        a = np.arange(first, min(start.size, first + rows))
-        can = hi[0] - lo[0, a, None] > tol_order
-        for k in range(1, s):
-            can &= hi[k] - lo[k, a, None] > tol_order
-        ii, jj = np.nonzero(can)
-        for _, i, j in _row_pairs((perm, start, count), a[ii], jj, PAIR_BLOCK):
-            # a call, so a block's temporaries are freed before the next block is built
-            found.append(_flagged(p, perm[i], perm[j], tol_order))
-    i, j = np.concatenate(found or [np.empty((2, 0), dtype=np.intp)], axis=1)
-    order = np.lexsort((j, i))
-    return i[order], j[order]
-
-
-def order_scan(manifold: RadialManifold, tol_order: float) -> tuple[list[tuple[int, int]], float]:
-    """Weak unorderedness and the projection Lipschitz bound of the vertex points, in one scan.
-
-    Returns (violations, ratio_bound). violations are the vertex pairs (i, j) with common
-    support where the point of j exceeds the point of i by more than tol_order >= 0 in
-    every support coordinate, in row-major order within each support group, groups in
-    increasing support key; an admissible manifold has none. ratio_bound bounds
-    |x - y| / |P(x - y)| over all pairs, P the projection onto e-perp: if v = y - x has
-    sum(v) >= 0 and some v_j <= 0, then sum_{i != j} v_i >= sum(v) >= 0, Cauchy-Schwarz
-    gives sum(v)^2 <= (d - 1) |v|^2, and |Pv|^2 = |v|^2 - sum(v)^2 / d >= |v|^2 / d. So
-    the bound is sqrt(d), raised by the ratios (_pair_ratios) of the strictly ordered pairs.
-
-    The sign of a float difference is exact, so one zero-tolerance _dominated_pairs scan
-    over all points and coordinates finds those pairs. It also gives the violations of
-    the interior, whose support is full: the flagged pairs of two interior points whose
-    least difference, as the scan computed it, exceeds tol_order. Only the small
-    proper-face groups are scanned again, on their support columns at tol_order. Memory
-    stays linear in the number of vertices; the points of a manifold are finite and
-    distinct.
-    """
-    if tol_order < 0.0:
-        raise ValueError("tol_order must be nonnegative")
-    pts = vertex_points(manifold)
-    supp = manifold.grid.lattice > 0
-    keys = supp @ (1 << np.arange(manifold.grid.dim))
-    interior = supp.all(axis=1)
-    by_key = np.argsort(keys, kind="stable")
-    violations: list[tuple[int, int]] = []
-    for members in np.split(by_key, np.flatnonzero(np.diff(keys[by_key])) + 1):
-        if members.size > 1 and not interior[members[0]]:  # the interior, the largest key, is last
-            cols = np.flatnonzero(supp[members[0]])
-            i, j = _dominated_pairs(pts[np.ix_(members, cols)], tol_order)
-            violations.extend(zip(members[i].tolist(), members[j].tolist()))
-    i, j = _dominated_pairs(pts, 0.0)
-    keep = interior[i] & interior[j] & ((pts[j] - pts[i]).min(axis=1) > tol_order)
-    violations.extend(zip(i[keep].tolist(), j[keep].tolist()))
-    return violations, float(_pair_ratios(pts, i, j).max(initial=np.sqrt(pts.shape[1])))
+    grid = manifold.grid
+    r_min = float(manifold.radii.min())
+    k = 1 + 4 * (grid.dim - 1) * grid.resolution
+    tol = k * delta / (r_min * (r_min - delta)) if delta < r_min else np.inf
+    a = facet_normals(manifold)
+    low = a.min(axis=1)
+    margin = float((low / np.linalg.norm(a, axis=1)).min(initial=np.inf))
+    return int(np.count_nonzero(low < -tol)), margin, tol
 
 
 def grid_spacing(grid: BarycentricGrid) -> float:

@@ -26,7 +26,7 @@ from .geometry import (
     harnack_distance,
     hausdorff_bound,
     lipschitz_estimate,
-    order_scan,
+    order_check,
     radius_at,
     sup_gap,
     symmetrized_order,
@@ -282,6 +282,7 @@ def attract_trajectory(
 class VerificationReport:
     invariance_residual: float
     unorder_violations: int | None
+    order_margin: float | None
     fixed_point_residuals: list
     lipschitz_ratio_max: float | None
     lipschitz_bound: float
@@ -439,29 +440,31 @@ def verify_cs(
     horizon: int = 200,
     seed: int = 0,
     attraction_tol: float = 1e-3,
+    tolerance: float = 1e-6,
 ) -> VerificationReport:
     """Property battery for a computed surface.
 
     Counts violations instead of raising: invariance under one more step,
     weak unorderedness, unit corners, the projection Lipschitz bound, strict
     growth of the symmetrized order function on ordered pairs, backward
-    propagation of image order, and Monte Carlo attraction.
+    propagation of image order, and Monte Carlo attraction. tolerance is the
+    radial error delta that the order check forgives (geometry.order_check).
     """
     grid = sigma.grid
     d = grid.dim
     box_top = 1.0 + kappa
     vacuous: list[str] = []
-    tol_order = _order_tolerance(sigma)
 
     stepped = graph_step(kmap, sigma, box_top)
     invariance_residual = hausdorff_bound(stepped, sigma)
 
-    if d > 1:
-        violations, lipschitz_ratio_max = order_scan(sigma, tol_order)
-        unorder: int | None = len(violations)
-    else:
-        unorder = lipschitz_ratio_max = None
-        vacuous.extend(["unorder_violations", "lipschitz_ratio_max"])
+    unorder, order_margin, tol_order = order_check(sigma, tolerance)
+    lipschitz_ratio_max = float(np.sqrt(d)) if order_margin >= 0.0 else None
+    if d == 1:  # one point, no cell: nothing to order
+        unorder = order_margin = lipschitz_ratio_max = None
+        vacuous.extend(["unorder_violations", "order_margin", "lipschitz_ratio_max"])
+    elif lipschitz_ratio_max is None:  # a facet normal with a negative entry
+        vacuous.append("lipschitz_ratio_max")
 
     fixed_point_residuals = [abs(float(r) - 1.0) for r in sigma.radii[grid.corners]]
 
@@ -488,6 +491,7 @@ def verify_cs(
     return VerificationReport(
         invariance_residual=float(invariance_residual),
         unorder_violations=unorder,
+        order_margin=order_margin,
         fixed_point_residuals=fixed_point_residuals,
         lipschitz_ratio_max=lipschitz_ratio_max,
         lipschitz_bound=lipschitz_bound,

@@ -9,7 +9,10 @@ that steps the lower and the upper manifold on every iteration, the reference
 for `compute_cs`'s held-then-inflated lower. `harnack` and
 `vertex_hausdorff` are the point-set metrics, by their definitions, against
 which the vertex passes `geometry.harnack_distance` and
-`geometry.hausdorff_bound` are checked.
+`geometry.hausdorff_bound` are checked. `dense_weakly_unordered` compares
+every pair of vertex points of each face, the order that
+`geometry.order_check` decides from the facet normals, and `row_ratios` is the
+projection ratio of point pairs by its definition.
 """
 import numpy as np
 
@@ -21,6 +24,7 @@ from csimplex.geometry import (
     constant_manifold,
     sup_gap,
     symmetrized_order,
+    vertex_points,
 )
 from csimplex.maps import KolmogorovMap
 from csimplex.transform import FoldError, PushforwardCloud, graph_step
@@ -136,3 +140,33 @@ def vertex_hausdorff(a, b) -> float:
 
     a, b = np.atleast_2d(a), np.atleast_2d(b)
     return float(max(directed(a, b), directed(b, a)))
+
+
+def dense_weakly_unordered(manifold: RadialManifold, tol_order: float) -> list:
+    """Vertex pairs (i, j) of one support where point j exceeds point i by more than tol_order.
+
+    Compared in every support coordinate, by one (n, n, s) array per support group;
+    groups in increasing support key, pairs row-major.
+    """
+    pts = vertex_points(manifold)
+    supp = manifold.grid.lattice > 0
+    keys = supp @ (1 << np.arange(manifold.grid.dim))
+    violations = []
+    for key in np.unique(keys):
+        members = np.flatnonzero(keys == key)
+        if members.size < 2:
+            continue
+        p = pts[np.ix_(members, np.flatnonzero(supp[members[0]]))]
+        dom = (p[None, :, :] - p[:, None, :]).min(axis=-1) > tol_order
+        for i, j in zip(*np.nonzero(dom)):
+            violations.append((int(members[i]), int(members[j])))
+    return violations
+
+
+def row_ratios(pts, i, j):
+    """|x_i - x_j| / |P(x_i - x_j)| for row pairs (i, j), P the projection onto e-perp; inf at 0."""
+    diffs = pts[i] - pts[j]
+    proj = diffs - diffs.mean(axis=1, keepdims=True)
+    num = np.linalg.norm(diffs, axis=1)
+    den = np.linalg.norm(proj, axis=1)
+    return np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf)

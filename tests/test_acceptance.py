@@ -19,7 +19,7 @@ from csimplex.geometry import (
     constant_manifold,
     hausdorff_bound,
     make_grid,
-    order_scan,
+    order_check,
     sup_gap,
     vertex_points,
 )
@@ -150,7 +150,7 @@ def test_criterion_05_coupled_landmarks(coupled_run):
     status, margin = gamma_membership(result.sigma, np.array([2 / 3, 2 / 3]), 1e-3)
     stepped = graph_step(kmap, result.sigma, 1.0 + report.kappa)
     invariance = hausdorff_bound(stepped, result.sigma)
-    violations = len(order_scan(result.sigma, result.tol_order)[0])
+    violations = order_check(result.sigma, result.tolerance)[0]
     ok = (
         corner_err < 1e-4
         and status == "on"

@@ -16,18 +16,23 @@ from csimplex.geometry import (
     grid_spacing,
     harnack_distance,
     hausdorff_bound,
+    facet_normals,
     lipschitz_estimate,
     make_grid,
+    order_check,
     order_function,
-    order_scan,
     radius_at,
     sup_gap,
     vertex_points,
     RadialManifold,
 )
-from surface_oracles import harnack, lockstep_sigma, vertex_hausdorff
-
-RNG = np.random.default_rng(20240817)
+from surface_oracles import (
+    dense_weakly_unordered,
+    harnack,
+    lockstep_sigma,
+    row_ratios,
+    vertex_hausdorff,
+)
 
 
 def simplex_volume(d):
@@ -133,8 +138,9 @@ def test_vertex_index_rejects_points_off_lattice():
 
 @pytest.mark.parametrize("dim,m", [(2, 9), (3, 5), (4, 3)])
 def test_locate_exact_at_vertices(dim, m):
+    rng = np.random.default_rng(20240818)
     grid = make_grid(dim, m)
-    radii = 1.0 + RNG.random(grid.n_vertices)
+    radii = 1.0 + rng.random(grid.n_vertices)
     manifold = RadialManifold(grid, radii)
     for i in range(grid.n_vertices):
         u = grid.vertices[i]
@@ -144,9 +150,10 @@ def test_locate_exact_at_vertices(dim, m):
 
 @pytest.mark.parametrize("dim,m", [(2, 9), (3, 6), (4, 4)])
 def test_locate_weights_reconstruct_point(dim, m):
+    rng = np.random.default_rng(20240819)
     grid = make_grid(dim, m)
     for _ in range(200):
-        w = RNG.dirichlet(np.ones(dim))
+        w = rng.dirichlet(np.ones(dim))
         idx, wts = grid.locate(w)
         assert wts.min() >= 0.0
         assert abs(wts.sum() - 1.0) < 1e-12
@@ -195,13 +202,14 @@ def loop_locate(grid, u):
 
 @pytest.mark.parametrize("dim,m", [(1, 1), (2, 9), (3, 6), (4, 4)])
 def test_locate_batch_equals_single_point_reference(dim, m):
+    rng = np.random.default_rng(20240820)
     grid = make_grid(dim, m)
     faces = np.zeros((60 if dim > 1 else 0, dim))  # on the facet u_1 = 0
-    faces[:, 1:] = RNG.dirichlet(np.ones(dim - 1), faces.shape[0])
+    faces[:, 1:] = rng.dirichlet(np.ones(dim - 1), faces.shape[0])
     edges = 0.5 * (grid.vertices[grid.cells[:, 0]] + grid.vertices[grid.cells[:, -1]])
-    u = np.vstack([RNG.dirichlet(np.ones(dim), 200), grid.vertices, faces, edges.reshape(-1, dim)])
+    u = np.vstack([rng.dirichlet(np.ones(dim), 200), grid.vertices, faces, edges.reshape(-1, dim)])
     idx, w = grid.locate(u)
-    manifold = RadialManifold(grid, 1.0 + RNG.random(grid.n_vertices))
+    manifold = RadialManifold(grid, 1.0 + rng.random(grid.n_vertices))
     radii = radius_at(manifold, u)
     points = radius_at(manifold, u)[..., None] * u
     for k, row in enumerate(u):
@@ -213,10 +221,11 @@ def test_locate_batch_equals_single_point_reference(dim, m):
 
 
 def test_constant_manifold_interpolates_constant():
+    rng = np.random.default_rng(20240821)
     grid = make_grid(3, 8)
     manifold = constant_manifold(grid, 0.7)
     for _ in range(50):
-        u = RNG.dirichlet(np.ones(3))
+        u = rng.dirichlet(np.ones(3))
         np.testing.assert_allclose(radius_at(manifold, u) * u, 0.7 * u, atol=1e-12)
 
 
@@ -227,10 +236,11 @@ def test_order_function_examples():
 
 
 def test_order_function_scaling():
+    rng = np.random.default_rng(20240822)
     for _ in range(100):
-        x = RNG.random(4) + 0.01
-        y = RNG.random(4) + 0.01
-        c = RNG.random() * 4 + 0.1
+        x = rng.random(4) + 0.01
+        y = rng.random(4) + 0.01
+        c = rng.random() * 4 + 0.1
         assert order_function(c * x, y) == pytest.approx(order_function(x, y) / c)
 
 
@@ -270,17 +280,18 @@ def test_order_batch_equals_single_point_reference(dim):
 
 
 def test_harnack_examples_and_properties():
+    rng = np.random.default_rng(20240823)
     assert harnack([1.0, 1.0], [2.0, 2.0]) == pytest.approx(0.5)
     assert harnack([1.0, 0.0], [0.0, 1.0]) == 1.0
     for _ in range(1000):
-        d = int(RNG.integers(1, 5))
-        x = RNG.random(d) + 1e-3
-        y = RNG.random(d) + 1e-3
+        d = int(rng.integers(1, 5))
+        x = rng.random(d) + 1e-3
+        y = rng.random(d) + 1e-3
         h = harnack(x, y)
         assert harnack(x, x) == 0.0
         assert h == pytest.approx(harnack(y, x))
         assert -1e-15 <= h <= 1.0
-    x, y = RNG.random((50, 3)) + 1e-3, RNG.random((50, 3)) * (RNG.random((50, 3)) < 0.7)
+    x, y = rng.random((50, 3)) + 1e-3, rng.random((50, 3)) * (rng.random((50, 3)) < 0.7)
     y[:, 0] += 1e-3  # partial supports, none empty
     assert harnack(x, y).tobytes() == np.array([harnack(a, b) for a, b in zip(x, y)]).tobytes()
     # the whole batch has a positive entry, the row does not
@@ -300,7 +311,7 @@ def test_box_boundary_manifold(dim, m, a):
     assert pts.min() >= -1e-15
     for i in range(dim):
         assert manifold.radii[grid.corner_index(i)] == pytest.approx(a)
-    assert order_scan(manifold, 1e-12)[0] == []
+    assert dense_weakly_unordered(manifold, 1e-12) == []
 
 
 def test_box_boundary_examples():
@@ -316,116 +327,40 @@ def test_box_boundary_examples():
 
 def test_simplex_itself_weakly_unordered():
     for dim, m in [(2, 8), (3, 6)]:
-        grid = make_grid(dim, m)
-        # every pair of the flat simplex differs along e-perp: none is ordered
-        assert order_scan(constant_manifold(grid, 1.0), 1e-12) == ([], math.sqrt(dim))
+        flat = constant_manifold(make_grid(dim, m), 1.0)
+        # every facet of the flat simplex has the normal e: no pair is ordered
+        violations, margin, _ = order_check(flat, 1e-6)
+        assert violations == 0 and margin == pytest.approx(1.0 / math.sqrt(dim), rel=1e-12)
+        assert dense_weakly_unordered(flat, 0.0) == []
 
 
 def test_weak_unordered_detects_constructed_violation():
     grid = make_grid(2, 4)
     radii = np.ones(grid.n_vertices)
-    i_mid = [i for i, u in enumerate(grid.vertices) if np.allclose(u, [0.5, 0.5])][0]
-    i_hi = [i for i, u in enumerate(grid.vertices) if np.allclose(u, [0.25, 0.75])][0]
+    i_mid, i_hi = grid.vertex_index((2, 2)), grid.vertex_index((1, 3))
     radii[i_mid] = 0.8  # point (0.4, 0.4)
     radii[i_hi] = 1.8   # point (0.45, 1.35), dominates the previous one
-    violations, ratio = order_scan(RadialManifold(grid, radii), 1e-9)
-    assert (i_mid, i_hi) in violations
-    assert ratio > math.sqrt(2)  # the ordered pair's ratio raises the bound
+    manifold = RadialManifold(grid, radii)
+    assert (i_mid, i_hi) in dense_weakly_unordered(manifold, 1e-9)
+    # the two cells around (0.45, 1.35) rise to it from both sides
+    violations, margin, _ = order_check(manifold, 1e-6)
+    assert violations == 2 and margin < 0.0
 
 
-def dense_dominated(p, tol_order):
-    """Rows (i, j), row-major, where p_j - p_i > tol_order in every column: one (n, n, s) array."""
-    return np.nonzero((p[None, :, :] - p[:, None, :]).min(axis=-1) > tol_order)
-
-
-def dense_weakly_unordered(manifold, tol_order):
-    """The (n, n, d) dominance scan per support group (reference for order_scan's violations)."""
-    pts = vertex_points(manifold)
-    supp = manifold.grid.lattice > 0
-    keys = supp @ (1 << np.arange(manifold.grid.dim))
-    violations = []
-    for key in np.unique(keys):
-        members = np.flatnonzero(keys == key)
-        if members.size < 2:
-            continue
-        mask = supp[members[0]]
-        p = pts[np.ix_(members, np.flatnonzero(mask))]
-        diff = p[None, :, :] - p[:, None, :]
-        dom = diff.min(axis=-1) > tol_order
-        for i, j in zip(*np.nonzero(dom)):
-            violations.append((int(members[i]), int(members[j])))
-    return violations
-
-
-@pytest.mark.parametrize("dim,m", [(2, 40), (3, 12), (4, 6)])
-def test_weakly_unordered_blocks_equal_dense(dim, m, monkeypatch):
-    grid = make_grid(dim, m)
-    sigma = compute_cs(lg(dim, 0.3), grid, 1.0, 0.5, tolerance=1e-6).sigma
-    noisy = RadialManifold(grid, sigma.radii * (1.0 + 0.2 * RNG.standard_normal(grid.n_vertices)))
-    manifolds = [
-        (box_boundary_manifold(grid, 1.0), 1e-12),
-        (constant_manifold(grid, 1.0), 1e-12),
-        (constant_manifold(grid, 1.0), 0.0),  # a point against itself ties at 0
-        (box_boundary_manifold(grid, 1.0), 0.0),
-        (sigma, 1e-9),
-        (noisy, 1e-9),  # perturbed: many dominated pairs
-    ]
-    for manifold, tol in manifolds:
-        expected = dense_weakly_unordered(manifold, tol), ordered_ratio_max(vertex_points(manifold))
-        for block in (geometry.PAIR_BLOCK, 1, 7, 3 * grid.n_vertices - 1):
-            monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
-            got = order_scan(manifold, tol)
-            assert got == expected
-            assert all(type(i) is int and type(j) is int for i, j in got[0])
-    assert dense_weakly_unordered(noisy, 1e-9) != []
-    # every pair of rows passes a negative tolerance, which order_scan refuses
-    with pytest.raises(ValueError, match="nonnegative"):
-        order_scan(noisy, -1.0)
-    pts = vertex_points(noisy)
-    for block in (geometry.PAIR_BLOCK, 1, 7, 3 * grid.n_vertices - 1):
-        monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
-        got = geometry._dominated_pairs(pts, -1.0)
-        assert all(np.array_equal(g, e) for g, e in zip(got, dense_dominated(pts, -1.0)))
-
-
-@pytest.mark.parametrize("dim,m", [(2, 12), (3, 8), (4, 5)])
-def test_order_scan_equals_dense_per_support_scan(dim, m, monkeypatch):
-    # seeded radii 1/max(u) or constant, times log-normal noise; order_scan scans all rows
-    # once at zero tolerance and each proper face once on its support columns at tol
-    grid = make_grid(dim, m)
-    rng = np.random.default_rng(100 * dim + m)
-    supp = grid.lattice > 0
-    keys = supp @ (1 << np.arange(dim))
-    faces = []  # (rows, support columns) of each proper face of two or more vertices, by key
-    for key in sorted(set(keys.tolist()) - {(1 << dim) - 1}):
-        members = np.flatnonzero(keys == key)
-        if members.size > 1:
-            faces.append((members, np.flatnonzero(supp[members[0]])))
-    calls = []
-    dominated_pairs = geometry._dominated_pairs
-
-    def recorded(p, tol_order):
-        calls.append((p.copy(), tol_order))
-        return dominated_pairs(p, tol_order)
-
-    monkeypatch.setattr(geometry, "_dominated_pairs", recorded)
-    for base in (1.0 / grid.vertices.max(axis=1), np.ones(grid.n_vertices)):
-        for noise in (0.0, 1e-3, 0.05, 0.3):
-            manifold = RadialManifold(grid, base * rng.lognormal(0.0, noise, grid.n_vertices))
-            pts = vertex_points(manifold)
-            expected_ratio = ordered_ratio_max(pts)
-            for tol in (0.0, 1e-9, 1e-3, 0.05, real_tol_order(manifold)):
-                expected = dense_weakly_unordered(manifold, tol), expected_ratio
-                for block in (geometry.PAIR_BLOCK, 97):  # one dense block, then the buckets
-                    monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
-                    calls.clear()
-                    assert order_scan(manifold, tol) == expected
-                    whole = [t for p, t in calls if p.shape[0] == pts.shape[0]]
-                    assert whole == [0.0]
-                    assert np.array_equal(calls[-1][0], pts)
-                    assert len(calls) == len(faces) + 1
-                    for (p, t), (members, cols) in zip(calls, faces):
-                        assert t == tol and np.array_equal(p, pts[np.ix_(members, cols)])
+def test_tilted_facets_are_flagged():
+    # one interior radius raised to 2.5 lifts its point to (0.625, 0.625, 1.25), strictly
+    # above the neighbours (2, 1, 1) / 4 and (1, 2, 1) / 4, and tilts the six facets around it
+    grid = make_grid(3, 4)
+    radii = np.ones(grid.n_vertices)
+    k = grid.vertex_index((1, 1, 2))
+    radii[k] = 2.5
+    manifold = RadialManifold(grid, radii)
+    assert (grid.vertex_index((2, 1, 1)), k) in dense_weakly_unordered(manifold, 0.0)
+    violations, margin, tol = order_check(manifold, 1e-6)
+    around = np.flatnonzero((grid.cells == k).any(axis=1))
+    flagged = np.flatnonzero(facet_normals(manifold).min(axis=1) < -tol)
+    assert violations == around.size == 6 and np.array_equal(flagged, around)
+    assert margin < 0.0
 
 
 def test_weakly_unordered_memory_is_linear():
@@ -433,7 +368,7 @@ def test_weakly_unordered_memory_is_linear():
     manifold = box_boundary_manifold(make_grid(3, 64), 2.0)
     tracemalloc.start()
     try:
-        assert order_scan(manifold, 1e-12)[0] == []
+        order_check(manifold, 1e-6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -532,25 +467,9 @@ def test_harnack_distance_equals_oracle_on_iterates(dim):
             assert dense.max() <= got + 4 * ulp
 
 
-def triu_ratios(pts):
-    """Every pair's ratio |v| / |Pv| by the row formula, with its difference v, over i < j."""
-    ii, jj = np.triu_indices(pts.shape[0], k=1)
-    diffs = pts[ii] - pts[jj]
-    proj = diffs - diffs.mean(axis=1, keepdims=True)
-    num = np.linalg.norm(diffs, axis=1)
-    den = np.linalg.norm(proj, axis=1)
-    return np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf), diffs
-
-
 def triu_ratio_max(pts):
-    return float(triu_ratios(pts)[0].max())
-
-
-def ordered_ratio_max(pts):
-    """sqrt(d), raised by the pairs the lemma leaves out: strictly ordered or coinciding rows."""
-    ratios, v = triu_ratios(pts)
-    left = np.all(v > 0, axis=1) | np.all(v < 0, axis=1) | np.all(v == 0, axis=1)
-    return float(ratios[left].max(initial=np.sqrt(pts.shape[1])))
+    """The largest ratio |v| / |Pv| over all pairs of rows."""
+    return float(row_ratios(pts, *np.triu_indices(pts.shape[0], k=1)).max())
 
 
 def converged_sigma(dim, m):
@@ -564,83 +483,28 @@ def decoupled_sigma(dim, m):
     return lockstep_sigma(lg(dim, 0.0), make_grid(dim, m), 1.0, 0.5, 1e-7)
 
 
-def scan_ratio_bound(p):
-    """order_scan's ratio bound of any point set: sqrt(d), raised by its strictly ordered pairs."""
-    flagged = geometry._dominated_pairs(p, 0.0)
-    return float(geometry._pair_ratios(p, *flagged).max(initial=np.sqrt(p.shape[1])))
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
-def test_projection_ratio_bound_equals_ordered_pair_max(dim, monkeypatch):
-    pts = RNG.random((41, dim))
-    along_e = pts.copy()
-    along_e[3] = 0.25 * np.arange(dim)
-    along_e[4] = along_e[3] + 0.5  # a pair that differs along (1, ..., 1) only
-    small = list(RNG.random((30, 7, dim)))
-    e_pair = RNG.random((300, dim))
-    e_pair[10] = 0.25 * np.arange(dim)
-    e_pair[250] = e_pair[10] + 0.5  # an e-parallel pair, also far apart in index
-    # uneven bucket fills: a dense cluster in a sparse halo
-    uneven = np.concatenate([0.5 + 1e-3 * RNG.random((250, dim)), RNG.random((60, dim))])
-    sets = [pts, along_e, pts[:2], RNG.random((300, dim)), e_pair, uneven] + small
-    if dim > 1:  # surfaces: converged, the decoupled box and the flat simplex
-        m = {2: 300, 3: 24, 4: 12}[dim]
-        grid = make_grid(dim, m)
-        sets += [vertex_points(converged_sigma(dim, m)),
-                 vertex_points(box_boundary_manifold(grid, 1.0)),
-                 vertex_points(constant_manifold(grid, 1.0))]
-        assert sets[-3].shape[0] ** 2 > geometry.PAIR_BLOCK  # the bucketed scan
-    if dim in (3, 4):  # computed decoupled surfaces, where the zero-tolerance scan flags pairs
-        sets.append(vertex_points(decoupled_sigma(dim, {3: 16, 4: 8}[dim])))
-    for p in sets:
-        expected, dense = ordered_ratio_max(p), triu_ratio_max(p)
-        # (PAIR_BLOCK, RATIO_FILL): the defaults, and small values that force the bucketed scan
-        for block, fill in [(geometry.PAIR_BLOCK, geometry.RATIO_FILL), (geometry.PAIR_BLOCK, 1),
-                            (997, 40), (397, geometry.RATIO_FILL), (50, 1)]:
-            monkeypatch.setattr(geometry, "PAIR_BLOCK", block)
-            monkeypatch.setattr(geometry, "RATIO_FILL", fill)
-            got = scan_ratio_bound(p)
-            assert got == expected
-            assert dense <= got * (1.0 + 1e-12)
-    for p in (along_e, e_pair):
-        assert scan_ratio_bound(p) == np.inf
-
-
-def count_solved_pairs(monkeypatch):
-    """Row pairs whose ratio order_scan computes, as a running count."""
-    solved = [0]
-    pair_ratios = geometry._pair_ratios
-
-    def counted(pts, i, j):
-        solved[0] += i.size
-        return pair_ratios(pts, i, j)
-
-    monkeypatch.setattr(geometry, "_pair_ratios", counted)
-    return solved
-
-
-@pytest.mark.parametrize("dim,m,flagged", [(3, 16, 18), (4, 8, 17)])
-def test_projection_ratio_bound_on_decoupled_surfaces(dim, m, flagged, monkeypatch):
+@pytest.mark.parametrize("dim,m,flagged", [(3, 16, 18), (4, 8, 108)])
+def test_projection_ratio_bound_on_decoupled_surfaces(dim, m, flagged):
     # the computed surface is the unit box's boundary to rounding (d=3) or finding 1's
-    # wrong surface (d=4); both flag strictly ordered pairs, whose ratios stay below sqrt(d)
+    # wrong surface (d=4); the normals of their kink cells have entries far below the
+    # tolerance of any radial error up to 1e-6, so the sqrt(d) bound is not claimed
     sigma = decoupled_sigma(dim, m)
-    tol = real_tol_order(sigma)
-    solved = count_solved_pairs(monkeypatch)
-    violations, bound = order_scan(sigma, tol)
-    assert bound == math.sqrt(dim) < math.sqrt(1 + dim)
-    assert solved[0] == flagged
-    assert violations == dense_weakly_unordered(sigma, tol)
+    for delta in (1e-7, 1e-6):
+        violations, margin, _ = order_check(sigma, delta)
+        assert violations == flagged and margin < -0.3
     assert triu_ratio_max(vertex_points(sigma)) <= math.sqrt(dim) * (1.0 + 1e-12)
 
 
 def test_projection_ratio_bound_on_computed_decoupled_surface():
     # compute_cs's inflated lower leaves a decoupled d=3 surface with a strictly
-    # ordered pair above sqrt(3), still below verify's sqrt(1 + d) = 2
-    sigma = compute_cs(lg(3, 0.0), make_grid(3, 16), 1.0, 0.5, tolerance=1e-7).sigma
-    violations, bound = order_scan(sigma, real_tol_order(sigma))
-    assert bound == ordered_ratio_max(vertex_points(sigma))
-    assert math.sqrt(3) < bound < 2.0
-    assert violations == dense_weakly_unordered(sigma, real_tol_order(sigma))
+    # ordered pair above sqrt(3), still below verify's sqrt(1 + d) = 2; its kink
+    # cells fail the facet check, and verify names the ratio bound vacuous
+    kmap = lg(3, 0.0)
+    sigma = compute_cs(kmap, make_grid(3, 16), 1.0, 0.5, tolerance=1e-7).sigma
+    assert math.sqrt(3) < triu_ratio_max(vertex_points(sigma)) < 2.0
+    rep = simplex.verify_cs(kmap, sigma, 1.0, sample_count=0, tolerance=1e-7)
+    assert rep.unorder_violations == 18 and rep.order_margin < -0.3
+    assert rep.lipschitz_ratio_max is None and "lipschitz_ratio_max" in rep.vacuous
 
 
 @pytest.fixture(scope="module")
@@ -648,10 +512,9 @@ def lg3_res64():
     return converged_sigma(3, 64)
 
 
-def test_projection_ratio_bound_solves_no_pair_when_converged(lg3_res64, monkeypatch):
-    solved = count_solved_pairs(monkeypatch)
-    assert order_scan(lg3_res64, real_tol_order(lg3_res64)) == ([], math.sqrt(3.0))
-    assert solved[0] == 0
+def test_projection_ratio_bound_is_sqrt_d_when_converged(lg3_res64):
+    violations, margin, _ = order_check(lg3_res64, 1e-6)
+    assert violations == 0 and margin > 0.1  # every normal positive: the bound is sqrt(3)
     assert triu_ratio_max(vertex_points(lg3_res64)) < math.sqrt(3.0)  # 1.37: the all-pairs maximum
 
 
@@ -659,18 +522,43 @@ def test_projection_ratio_bound_memory_is_linear(lg3_res64):
     # all 2.3 million pairs at once would hold about 200 MB
     tracemalloc.start()
     try:
-        order_scan(lg3_res64, real_tol_order(lg3_res64))
+        order_check(lg3_res64, 1e-6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 5e6
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_order_tolerance_bounds_the_inverse_vertex_matrices(dim):
+    # with radii 1 and delta 1/2, order_check's tol is its K; the largest ||V^-1||_inf
+    # over the Kuhn cells measures 2m - 1 at d = 2 and 3, and 4m - 3 at d = 4 and 5
+    for m in range(1, 9):
+        grid = make_grid(dim, m)
+        norm = np.abs(np.linalg.inv(grid.vertices[grid.cells])).sum(axis=2).max()
+        assert norm <= order_check(constant_manifold(grid, 1.0), 0.5)[2]
+
+
+@pytest.mark.parametrize("dim,m", [(2, 64), (3, 16), (4, 8), (5, 4)])
+def test_order_tolerance_covers_a_delta_change_of_the_radii(dim, m):
+    rng = np.random.default_rng(7000 + 100 * dim + m)
+    grid = make_grid(dim, m)
+    for radii in (np.ones(grid.n_vertices), 1.0 / grid.vertices.max(axis=1),
+                  0.5 + rng.random(grid.n_vertices)):
+        a = facet_normals(RadialManifold(grid, radii))
+        for delta in (1e-6, 1e-3, 0.1):
+            tol = order_check(RadialManifold(grid, radii), delta)[2]
+            for _ in range(10):
+                moved = radii + delta * rng.choice([-1.0, 1.0], grid.n_vertices)
+                assert np.abs(facet_normals(RadialManifold(grid, moved)) - a).max() <= tol
+
+
 def test_sup_gap_dominates_hausdorff():
+    rng = np.random.default_rng(20240824)
     grid = make_grid(3, 6)
     for _ in range(20):
-        ra = 0.5 + RNG.random(grid.n_vertices)
-        rb = 0.5 + RNG.random(grid.n_vertices)
+        ra = 0.5 + rng.random(grid.n_vertices)
+        rb = 0.5 + rng.random(grid.n_vertices)
         a = RadialManifold(grid, ra)
         b = RadialManifold(grid, rb)
         bound = hausdorff_bound(a, b)
@@ -757,45 +645,12 @@ def test_manifold_rejects_bad_radii():
         RadialManifold(grid, np.ones(3))
 
 
-def real_tol_order(sigma):
-    """The tolerance verify_cs gives order_scan."""
-    return 2.0 * lipschitz_estimate(sigma) * grid_spacing(sigma.grid)
-
-
 @pytest.mark.parametrize("dim,m", [(2, 300), (3, 32), (4, 16)])
 def test_weakly_unordered_screen_equals_dense_on_converged_surfaces(dim, m):
+    # the facet screen passes every cell, and the dense oracle finds no ordered pair either
     kmap = ricker2d(0.5, 0.5, 0.5, 0.5) if dim == 2 else lg(dim, 0.3)
     grid = make_grid(dim, m)
     sigma = compute_cs(kmap, grid, 1.0 if dim > 2 else 0.25, 0.5, tolerance=1e-6).sigma
-    interior = np.count_nonzero(np.all(grid.lattice > 0, axis=1))
-    assert interior ** 2 > geometry.PAIR_BLOCK  # the bucket screen, not one dense block
-    expected_ratio = ordered_ratio_max(vertex_points(sigma))
-    for tol in (real_tol_order(sigma), 0.0):
-        assert order_scan(sigma, tol) == (dense_weakly_unordered(sigma, tol), expected_ratio)
-    # a negative tolerance passes every pair, each solved by the screen
-    inner = vertex_points(sigma)[np.all(grid.lattice > 0, axis=1)]
-    got, expected = geometry._dominated_pairs(inner, -1.0), dense_dominated(inner, -1.0)
-    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
-
-
-def test_weakly_unordered_screen_solves_few_pairs_when_converged(monkeypatch):
-    grid = make_grid(3, 48)
-    sigma = compute_cs(lg(3, 0.3), grid, 1.0, 0.5, tolerance=1e-6).sigma
-    solved = [0]
-    row_pairs = geometry._row_pairs
-
-    def counted(*args):
-        for k, i, j in row_pairs(*args):
-            solved[0] += i.size
-            yield k, i, j
-
-    monkeypatch.setattr(geometry, "_row_pairs", counted)
-    tol = real_tol_order(sigma)
-    interior = vertex_points(sigma)[np.all(grid.lattice > 0, axis=1)]
-    assert geometry._dominated_pairs(interior, tol)[0].size == 0
-    assert solved[0] < 0.01 * grid.n_vertices ** 2
-    # order_scan screens all rows at zero tolerance instead, where every bucket passes against
-    # itself and its neighbours: 28,718 pairs here, all found unordered
-    solved[0] = 0
-    assert order_scan(sigma, tol) == ([], math.sqrt(3.0))
-    assert solved[0] < 0.03 * grid.n_vertices ** 2
+    violations, margin, _ = order_check(sigma, 1e-6)
+    assert violations == 0 and margin > 0.05  # 0.082 at d = 4
+    assert dense_weakly_unordered(sigma, 0.0) == []

@@ -7,50 +7,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from csimplex.geometry import _pair_ratios  # noqa: E402
-
-
-def row_ratios(pts, i, j):
-    """The row formula the column kernel of _pair_ratios reproduces: norm and mean over axis 1."""
-    diffs = pts[i] - pts[j]
-    proj = diffs - diffs.mean(axis=1, keepdims=True)
-    num = np.linalg.norm(diffs, axis=1)
-    den = np.linalg.norm(proj, axis=1)
-    return np.where(den > 1e-300, num / np.maximum(den, 1e-300), np.inf)
-
-
-@st.composite
-def point_sets(draw):
-    """(n, d) rows at magnitudes 1e-200 ... 1e150, with duplicate, e-parallel and inf/NaN rows."""
-    d = draw(st.integers(1, 4))
-    rows = []
-    for _ in range(draw(st.integers(2, 10))):
-        kind = draw(st.sampled_from(["plain", "duplicate", "e_parallel", "nonfinite"]))
-        if kind in ("duplicate", "e_parallel") and rows:
-            row = rows[draw(st.integers(0, len(rows) - 1))].copy()
-            if kind == "e_parallel":  # differs from an earlier row along (1, ..., 1) only
-                row += draw(st.floats(-2.0, 2.0)) * 10.0 ** draw(st.integers(-200, 150))
-            rows.append(row)
-            continue
-        scale = 10.0 ** draw(st.integers(-200, 150))
-        row = np.array([draw(st.floats(-1.0, 1.0)) * scale for _ in range(d)])
-        if kind == "nonfinite":
-            row[draw(st.integers(0, d - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-        rows.append(row)
-    return np.array(rows)
-
-
-@settings(max_examples=400, deadline=None)
-@given(point_sets())
-@example(np.array([[0.0, 0.5, 1.0], [0.25, 0.75, 1.25], [0.0, 0.5, 1.0]]))  # e-parallel, duplicate
-@example(np.array([[1e-200, -3e-200, 2e-200, 0.0], [1e150, -1e150, 3e149, 0.0], [np.nan] * 4]))
-@example(np.array([[np.inf, 1.0], [np.inf, 2.0], [-np.inf, 0.0]]))
-def test_pair_ratios_equal_row_formula_bit_for_bit(pts):
-    i, j = np.triu_indices(pts.shape[0], 1)
-    with np.errstate(all="ignore"):
-        got, expected = _pair_ratios(pts, i, j), row_ratios(pts, i, j)
-    assert got.shape == expected.shape
-    assert np.array_equal(got, expected, equal_nan=True)
+from csimplex.geometry import RadialManifold, make_grid, order_check, vertex_points  # noqa: E402
+from surface_oracles import dense_weakly_unordered, row_ratios  # noqa: E402
 
 
 @settings(max_examples=300, deadline=None)
@@ -58,10 +16,50 @@ def test_pair_ratios_equal_row_formula_bit_for_bit(pts):
     st.lists(st.floats(-1e3, 1e3, allow_subnormal=False), min_size=d, max_size=d),
     min_size=2, max_size=2)))
 def test_unordered_pair_ratio_is_at_most_sqrt_d(pair):
-    # the lemma behind order_scan's ratio bound: a pair strictly ordered in neither direction
+    # the lemma behind order_check's ratio bound: a pair strictly ordered in neither direction
     # has |v| <= sqrt(d) |Pv|, so its computed ratio exceeds sqrt(d) by rounding only
     pts = np.array(pair)
     v = pts[1] - pts[0]
     assume(not (np.all(v > 0) or np.all(v < 0)) and np.linalg.norm(v) > 1e-100)
-    ratio = _pair_ratios(pts, np.array([0]), np.array([1]))[0]
+    ratio = row_ratios(pts, np.array([0]), np.array([1]))[0]
     assert ratio <= math.sqrt(pts.shape[1]) * (1.0 + 1e-12)
+
+
+# Surfaces 1 / (c·u) are flat: one plane with normal c over the whole simplex.
+SHAPES = {
+    "flat": lambda u, c: np.ones(u.shape[0]),
+    "plane": lambda u, c: 1.0 / (u @ c),
+    "box": lambda u, c: 1.0 / u.max(axis=1),
+    "ball": lambda u, c: 1.0 / np.linalg.norm(u * c, axis=1),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(2, 4).flatmap(
+           lambda d: st.tuples(st.just(d), st.integers(1, {2: 12, 3: 6, 4: 4}[d]))),
+       shape=st.sampled_from(sorted(SHAPES)),
+       noise=st.sampled_from([0.0, 1e-16, 1e-13, 1e-9, 1e-4, 1e-2, 0.2]),
+       seed=st.integers(0, 2**32 - 1))
+@example(size=(3, 6), shape="flat", noise=1e-16, seed=0)
+@example(size=(2, 12), shape="box", noise=1e-16, seed=1)
+def test_nonnegative_normals_leave_no_ordered_vertex_pair(size, shape, noise, seed):
+    # order_check's margin >= 0 claims a down-set under the surface: no vertex point
+    # strictly above another, within a face or across faces, and every pair's
+    # projection ratio at most sqrt(d)
+    dim, m = size
+    rng = np.random.default_rng(seed)
+    grid = make_grid(dim, m)
+    c = 0.2 + rng.random(dim)
+    radii = SHAPES[shape](grid.vertices, c) * (1.0 + noise * rng.standard_normal(grid.n_vertices))
+    manifold = RadialManifold(grid, radii)
+    violations, margin, _ = order_check(manifold, 1e-6)
+    if shape in ("flat", "plane") and noise <= 1e-9:
+        assert margin > 0.0 and violations == 0
+    if margin < 0.0:
+        return
+    assert violations == 0
+    assert dense_weakly_unordered(manifold, 0.0) == []
+    pts = vertex_points(manifold)
+    assert not np.any((pts[None, :, :] - pts[:, None, :]).min(axis=-1) > 0.0)
+    i, j = np.triu_indices(grid.n_vertices, 1)
+    assert row_ratios(pts, i, j).max() <= math.sqrt(dim) * (1.0 + 1e-12)

@@ -30,7 +30,8 @@ MAPS = {  # name: (params, dimension)
     "ricker2d": ({"r": 0.5, "s": 0.5, "a": 0.5, "b": 0.5}, 2),
     "leslie_gower": ({}, 2),
 }
-# large enough for the bucketed dominance scan (more than PAIR_BLOCK pairs)
+# the d=3 run: export-iterates dumps every iterate, and verify's order check and
+# batteries run on a three-species surface
 LG3 = {"map": {"name": "leslie_gower", "params": {
            "r": [1.0] * 3, "A": [[1.0 if i == j else 0.3 for j in range(3)] for i in range(3)]}},
        "grid": {"resolution": 48}, "verify": {"sample_count": 100}}

@@ -11,7 +11,7 @@ from csimplex.geometry import (
     box_boundary_manifold,
     constant_manifold,
     make_grid,
-    order_scan,
+    order_check,
     sup_gap,
     vertex_points,
 )
@@ -239,7 +239,7 @@ def test_graph_step_preserves_weak_unorder():
     manifold = box_boundary_manifold(grid, 1.25)
     for _ in range(4):
         manifold = graph_step(kmap, manifold, box_top=1.25)
-        assert order_scan(manifold, 1e-9)[0] == []
+        assert order_check(manifold, 1e-9)[0] == 0
 
 
 def test_graph_step_preserves_manifold_order():
