@@ -153,7 +153,7 @@ def cmd_verify(args) -> int:
         attraction_min=cfg.attraction_min,
     )
     _write_report(cfg, "verification.json", {**result.to_dict(), "passed": ok})
-    print(f"invariance residual {result.invariance_residual:.3e}, "
+    print(f"invariance defect {result.invariance_defect:.3e}, "
           f"unordered violations {result.unorder_violations}, "
           f"order margin {result.order_margin}, "
           f"harnack violations {result.harnack_samples}, "

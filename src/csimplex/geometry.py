@@ -334,7 +334,7 @@ def order_check(manifold: RadialManifold, delta: float) -> tuple[int, float, flo
 
     Returns (violations, margin, tol): the number of cells whose normal a has
     min a_i < -tol, the least min a_i / |a| over all cells (inf without cells),
-    and tol = K delta / (r_min (r_min - delta)) with K = 1 + 4 (d - 1) m.
+    and tol = K delta / (r_min (r_min - delta)) with K = 1 + 2 (d - 1) m.
 
     With margin >= 0, a·x grows along every increasing path, so the region under
     the surface is a down-set and its boundary, vertex and face points included,
@@ -343,16 +343,18 @@ def order_check(manifold: RadialManifold, delta: float) -> tuple[int, float, flo
     and |Pv|^2 = |v|^2 - sum(v)^2 / d >= |v|^2 / d, P the projection onto e-perp:
     the projection Lipschitz ratio is at most sqrt(d).
 
-    Radii moved by at most delta move 1/r by at most delta / (r_min (r_min - delta)),
-    and a by at most ||V^-1||_inf times that; a delta of r_min or more can reach
-    zero radius, and tol is inf. The Kuhn path's edge along axis j gives
-    a_j - a_{j+1} = m times the change of 1/r along it, and a·v_0 = 1/r_0 fixes
-    the rest, so ||V^-1||_inf <= K: a flagged cell is a violation that no
-    delta-perturbation of the radii explains.
+    Radii moved by at most delta move b = 1/r by at most delta / (r_min (r_min - delta)),
+    and a = V^-1 b by at most ||V^-1||_inf times that (tol is inf for delta >= r_min,
+    which can reach zero radius). ||V^-1||_inf <= K: as sum_i v0_i = 1, each a_j is
+    a·v_0 + sum_i v0_i (a_j - a_i), with |a·v_0| = |b_0| <= |b|_inf. The Kuhn path's edge
+    along axis l moves the direction by (e_l - e_{l+1}) / m, so a_l - a_{l+1} is m times
+    one change of b, at most 2 m |b|_inf; the path takes each of the d - 1 axes once, so
+    |a_j - a_i| <= 2 (d - 1) m |b|_inf and |a_j| <= K |b|_inf. A flagged cell is thus a
+    violation that no delta-perturbation of the radii explains.
     """
     grid = manifold.grid
     r_min = float(manifold.radii.min())
-    k = 1 + 4 * (grid.dim - 1) * grid.resolution
+    k = 1 + 2 * (grid.dim - 1) * grid.resolution
     tol = k * delta / (r_min * (r_min - delta)) if delta < r_min else np.inf
     a = facet_normals(manifold)
     low = a.min(axis=1)

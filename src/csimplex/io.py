@@ -199,28 +199,26 @@ def save_manifold_csv(path: str, manifold: RadialManifold) -> None:
 def load_manifold_csv(path: str, grid: BarycentricGrid) -> RadialManifold:
     """The manifold stored at path over grid; a malformed file raises GridError naming its fault.
 
-    Row widths are checked by one comma count per line, then every field is
-    converted by one array call, which rounds as float() does.
+    After the header, the body is parsed by one np.loadtxt call, which rounds as
+    float() does and rejects a non-numeric or ragged row.
     """
+    expected_header = ",".join(f"u_{i + 1}" for i in range(grid.dim)) + ",R"
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = [ln for ln in map(str.strip, fh) if ln]
+            if fh.readline().strip() != expected_header:
+                raise GridError(f"manifold header mismatch: expected '{expected_header}'")
+            try:
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            except ValueError as exc:
+                raise GridError(f"manifold file has a non-numeric or ragged row: {exc}") from exc
     except FileNotFoundError as exc:
         raise ConfigError(f"manifold file not found: {path}") from exc
-    expected_header = ",".join(f"u_{i + 1}" for i in range(grid.dim)) + ",R"
-    if not lines or lines[0] != expected_header:
-        raise GridError(f"manifold header mismatch: expected '{expected_header}'")
-    body = lines[1:]
-    if len(body) != grid.n_vertices:
+    if data.shape[0] != grid.n_vertices:
         raise GridError(
-            f"manifold has {len(body)} rows, grid expects {grid.n_vertices}"
+            f"manifold has {data.shape[0]} rows, grid expects {grid.n_vertices}"
         )
-    if any(ln.count(",") != grid.dim for ln in body):
+    if data.shape[1] != grid.dim + 1:
         raise GridError("manifold row width does not match the grid dimension")
-    try:
-        data = np.array(",".join(body).split(","), dtype=float).reshape(-1, grid.dim + 1)
-    except ValueError as exc:
-        raise GridError(f"manifold file has a non-numeric row: {exc}") from exc
     if not np.max(np.abs(data[:, : grid.dim] - grid.vertices)) <= 1e-12:  # NaN fails too
         raise GridError("manifold directions do not match the grid lattice")
     radii = data[:, grid.dim]

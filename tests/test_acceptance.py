@@ -19,7 +19,6 @@ from csimplex.geometry import (
     constant_manifold,
     hausdorff_bound,
     make_grid,
-    order_check,
     sup_gap,
     vertex_points,
 )
@@ -148,9 +147,8 @@ def test_criterion_05_coupled_landmarks(coupled_run):
         abs(float(result.sigma.radii[grid.corner_index(i)]) - 1.0) for i in range(2)
     )
     status, margin = gamma_membership(result.sigma, np.array([2 / 3, 2 / 3]), 1e-3)
-    stepped = graph_step(kmap, result.sigma, 1.0 + report.kappa)
-    invariance = hausdorff_bound(stepped, result.sigma)
-    violations = order_check(result.sigma, result.tolerance)[0]
+    rep = verify_cs(kmap, result.sigma, report.kappa, sample_count=0, tolerance=result.tolerance)
+    invariance, violations = rep.invariance_defect, rep.unorder_violations
     ok = (
         corner_err < 1e-4
         and status == "on"

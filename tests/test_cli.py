@@ -218,8 +218,18 @@ def test_verify_perturbed_sigma_fails(tmp_path):
                       RadialManifold(grid, sigma.radii * 1.05))
     assert main(["verify", "--config", str(cfg_path)]) == 1
     ver = json.loads((out / "verification.json").read_text())
-    assert ver["invariance_residual"] > 0.0
+    assert ver["invariance_defect"] > 0.01
     assert ver["passed"] is False
+
+
+def test_verify_sigma_outside_the_box_exit_3(tmp_path, capsys):
+    # the stored points themselves leave the trapping box [0, 1 + kappa]^2
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, grid={"resolution": 4})
+    sigma = tmp_path / "sigma.csv"
+    save_manifold_csv(str(sigma), constant_manifold(make_grid(2, 4), 3.0))
+    assert main(["verify", "--config", str(cfg_path), "--sigma", str(sigma)]) == 3
+    assert "leaves the box" in capsys.readouterr().err
 
 
 def test_verify_vacuous_sampling_passes(tmp_path):

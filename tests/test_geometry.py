@@ -497,14 +497,14 @@ def test_projection_ratio_bound_on_decoupled_surfaces(dim, m, flagged):
 
 def test_projection_ratio_bound_on_computed_decoupled_surface():
     # compute_cs's inflated lower leaves a decoupled d=3 surface with a strictly
-    # ordered pair above sqrt(3), still below verify's sqrt(1 + d) = 2; its kink
-    # cells fail the facet check, and verify names the ratio bound vacuous
+    # ordered pair above sqrt(3), still below sqrt(1 + d) = 2; its kink cells fail
+    # the facet check, so verify's negative order margin records that the sqrt(d)
+    # bound is not claimed
     kmap = lg(3, 0.0)
     sigma = compute_cs(kmap, make_grid(3, 16), 1.0, 0.5, tolerance=1e-7).sigma
     assert math.sqrt(3) < triu_ratio_max(vertex_points(sigma)) < 2.0
     rep = simplex.verify_cs(kmap, sigma, 1.0, sample_count=0, tolerance=1e-7)
     assert rep.unorder_violations == 18 and rep.order_margin < -0.3
-    assert rep.lipschitz_ratio_max is None and "lipschitz_ratio_max" in rep.vacuous
 
 
 @pytest.fixture(scope="module")
@@ -601,7 +601,7 @@ def test_reach_is_the_largest_norm_around_each_vertex():
     assert make_grid(1, 1).reach.tolist() == [1.0]
 
 
-def test_order_tolerance_builds_the_edges_once(monkeypatch):
+def test_interp_error_builds_the_edges_once(monkeypatch):
     built = []
     edges = geometry.BarycentricGrid.edges.func
 
@@ -612,12 +612,13 @@ def test_order_tolerance_builds_the_edges_once(monkeypatch):
     prop = functools.cached_property(counted)
     prop.__set_name__(geometry.BarycentricGrid, "edges")
     monkeypatch.setattr(geometry.BarycentricGrid, "edges", prop)
-    # compute_cs takes its tol_order from the edges
-    sigma = compute_cs(lg(3, 0.3), make_grid(3, 12), 1.0, 0.5, tolerance=1e-6).sigma
+    # compute_cs takes its interp_error from the edges
+    res = compute_cs(lg(3, 0.3), make_grid(3, 12), 1.0, 0.5, tolerance=1e-6)
     assert len(built) == 1
-    h, lip = per_cell_spacing_and_lipschitz(sigma)
-    assert simplex._order_tolerance(sigma) == 2.0 * lip * h
-    assert built == [sigma.grid]
+    h, lip = per_cell_spacing_and_lipschitz(res.sigma)
+    assert res.interp_error == lip * h
+    assert res.certified_error == res.final_gap / 2.0 + lip * h
+    assert built == [res.sigma.grid]
 
 
 def per_cell_spacing_and_lipschitz(manifold):

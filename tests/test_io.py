@@ -7,7 +7,7 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from csimplex.geometry import RadialManifold, make_grid  # noqa: E402
-from csimplex.io import save_manifold_csv, save_trajectory_csv  # noqa: E402
+from csimplex.io import load_manifold_csv, save_manifold_csv, save_trajectory_csv  # noqa: E402
 
 
 def per_value(x) -> str:
@@ -35,11 +35,15 @@ def test_trajectory_csv_matches_per_value_format(tmp_path_factory, data):
     assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.sampled_from([(2, 5), (3, 4), (4, 3)]).flatmap(
+# (dim, resolution) and one positive finite radius per vertex of that grid
+MANIFOLDS = st.sampled_from([(1, 1), (2, 5), (3, 4), (4, 3)]).flatmap(
     lambda dm: st.tuples(st.just(dm), hnp.arrays(
         np.float64, make_grid(*dm).n_vertices,
-        elements=st.floats(min_value=5e-324, allow_infinity=False, width=64)))))
+        elements=st.floats(min_value=5e-324, allow_infinity=False, width=64))))
+
+
+@settings(max_examples=30, deadline=None)
+@given(MANIFOLDS)
 @example(((2, 5), np.array(TIES + [5e-324])))
 def test_manifold_csv_matches_per_value_format(tmp_path_factory, case):
     (dim, m), radii = case
@@ -51,3 +55,15 @@ def test_manifold_csv_matches_per_value_format(tmp_path_factory, case):
         for u, r in zip(manifold.grid.vertices, manifold.radii)
     ]
     assert path.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(MANIFOLDS)
+@example(((2, 5), np.array(TIES + [5e-324])))
+def test_manifold_csv_load_returns_the_saved_radii(tmp_path_factory, case):
+    (dim, m), radii = case
+    grid = make_grid(dim, m)
+    path = tmp_path_factory.mktemp("sigma") / "sigma.csv"
+    save_manifold_csv(str(path), RadialManifold(grid, radii))
+    loaded = load_manifold_csv(str(path), grid)
+    assert loaded.radii.tobytes() == radii.tobytes()
