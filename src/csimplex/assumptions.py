@@ -188,13 +188,12 @@ def find_epsilon(kmap: KolmogorovMap, tol: float = 0.01) -> float:
     Every x in epsilon * Delta has x <= epsilon * 1, and under AS3 f does not
     increase in any coordinate, so f(x) >= f(epsilon * 1): one evaluation per
     halving bounds the whole set. The bound holds only as far as AS3 does, and
-    AS3 is itself a sampled check (check_as4).
+    AS3 is itself a sampled check (check_as4). All halvings go to one eval_f call.
     """
-    eps = 1.0
-    for _ in range(EPSILON_HALVINGS):
-        eps *= 0.5
-        if eval_f(kmap, np.full(kmap.dim, eps)).min() >= 1.0 + tol:
-            return eps
+    eps = 0.5 ** np.arange(1, EPSILON_HALVINGS + 1)
+    ok = eval_f(kmap, np.repeat(eps[:, None], kmap.dim, axis=1)).min(axis=1) >= 1.0 + tol
+    if ok.any():
+        return float(eps[ok.argmax()])
     raise AssumptionError(
         "per-capita growth never exceeds 1 near the origin; the origin is not a repeller"
     )

@@ -168,8 +168,8 @@ def cmd_simulate(args) -> int:
         x0 = np.array([float(v) for v in args.x0.split(",")])
     except ValueError as exc:
         raise ConfigError(f"cannot parse --x0 '{args.x0}'") from exc
-    if x0.shape != (kmap.dim,):
-        raise ConfigError(f"--x0 needs {kmap.dim} coordinates")
+    if x0.shape != (kmap.dim,) or not (x0.min() >= 0.0 and x0.max() < np.inf):  # NaN fails
+        raise ConfigError(f"--x0 needs {kmap.dim} finite nonnegative coordinates")
     sigma = _load_sigma(args, cfg, kmap)
     traj, dists = attract_trajectory(kmap, sigma, x0, cfg.horizon)
     save_trajectory_csv(os.path.join(cfg.output, "trajectory.csv"), traj, dists)

@@ -2,8 +2,10 @@
 
 Directions live on the probability simplex Delta = {u >= 0, sum(u) = 1}.
 A manifold of the admissible class is stored as one positive radius per
-lattice direction; the surface point over u is R(u) * u, with R interpolated
-piecewise-linearly over a simplicial decomposition of Delta.
+lattice direction. Its surface is the union of the flat facets through the
+vertex points of each cell of a simplicial decomposition of Delta: over u it
+is R(u) u with 1/R = sum_k w_k / r_k affine in the cell's weights, so R lies
+between the cell's vertex radii and grows with each (see facet_radius).
 
 The decomposition is the standard Kuhn triangulation expressed in cumulative
 coordinates s_i = m * (u_1 + ... + u_i): the dilated simplex becomes the
@@ -11,17 +13,16 @@ region 0 <= s_1 <= ... <= s_{d-1} <= m, which is a union of complete Kuhn
 cells of the integer cube grid, so point location needs only floor/sort.
 
 The two metrics between manifolds of one grid are single passes over the
-vertices. Both compare the points R(u) u and R'(u) u of one ray. The Harnack
-distance of such a pair is 1 - min(R/R', R'/R), and a ratio of two positive
-affine functions on a cell takes its extremes at the vertices, so the vertex
-maximum is the exact supremum over the two surfaces (see harnack_distance).
-The Hausdorff distance is bounded by the largest vertex gap, weighted by the
-norm of the directions it can reach (see hausdorff_bound).
-The order check reads the flat facet a·x = 1 through each cell's vertex
-points (see order_check). Where every normal a is nonnegative, the region
-under the surface is a down-set, so its boundary, vertex and face points
-included, holds no strictly ordered pair, and the projection Lipschitz ratio
-of any two of its points is at most sqrt(d): one pass over cells, no pair search.
+vertices. The Harnack distance of the points R(u) u and R'(u) u of one ray
+is 1 - min(R/R', R'/R); R/R' is a ratio of positive affine functions of the
+weights on a cell, so the vertex maximum is the exact supremum (see
+harnack_distance). The Hausdorff distance is bounded by the largest distance
+between corresponding vertex points (see hausdorff_bound). The order check
+reads the same facets as a·x = 1 (see order_check). Where every normal a is
+nonnegative, the region under the surface is a down-set, so its boundary,
+vertex and face points included, holds no strictly ordered pair, and the
+projection Lipschitz ratio of any two of its points is at most sqrt(d): one
+pass over cells, no pair search.
 """
 from __future__ import annotations
 
@@ -39,6 +40,7 @@ __all__ = [
     "simplex_lattice",
     "order_function",
     "symmetrized_order",
+    "facet_radius",
     "radius_at",
     "vertex_points",
     "box_boundary_manifold",
@@ -140,19 +142,9 @@ class BarycentricGrid:
         return a, b, np.linalg.norm(self.vertices[a] - self.vertices[b], axis=1)
 
     @cached_property
-    def reach(self) -> np.ndarray:
-        """Per vertex k, the largest |v| over v_k and the vertices of the cells around k.
-
-        Those vertices are k's neighbours along the cell edges. Every direction u
-        of a cell around k has |u| <= reach[k], the norm being convex. Built once
-        per grid; see hausdorff_bound.
-        """
-        norms = np.linalg.norm(self.vertices, axis=1)
-        a, b, _ = self.edges
-        reach = norms.copy()
-        np.maximum.at(reach, a, norms[b])
-        np.maximum.at(reach, b, norms[a])
-        return reach
+    def norms(self) -> np.ndarray:
+        """|v_k| of every vertex direction; built once per grid, see hausdorff_bound."""
+        return np.linalg.norm(self.vertices, axis=1)
 
     def locate(self, u) -> tuple[np.ndarray, np.ndarray]:
         """Containing cells of directions u as (vertex indices, barycentric weights).
@@ -261,10 +253,15 @@ def symmetrized_order(x, y):
     return float(t) if t.ndim == 0 else t
 
 
+def facet_radius(w: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """1 / sum_k w_k / r_k: the flat facet through the points r_k v_k at weights w (..., d)."""
+    return 1.0 / (w / r).sum(axis=-1)
+
+
 def radius_at(manifold: RadialManifold, u):
-    """Interpolated radius R(u): a float for u of shape (d,), an (N,) array for (N, d)."""
+    """Radius R(u) of the surface: a float for u of shape (d,), an (N,) array for (N, d)."""
     idx, w = manifold.grid.locate(u)
-    r = np.vecdot(w, manifold.radii[idx])
+    r = facet_radius(w, manifold.radii[idx])
     return float(r) if r.ndim == 0 else r
 
 
@@ -292,26 +289,26 @@ def sup_gap(a: RadialManifold, b: RadialManifold) -> float:
 
 
 def hausdorff_bound(a: RadialManifold, b: RadialManifold) -> float:
-    """Upper bound of the Hausdorff distance of two piecewise-linear surfaces on one grid.
+    """Upper bound of the Hausdorff distance of two flat-facet surfaces on one grid.
 
-    The point R(u) u of one surface, u in a cell, has the partner R'(u) u on the
-    other, at distance |R(u) - R'(u)| |u|. Both factors are at most their vertex
-    maxima over the cell, so max_k |R_k - R'_k| * grid.reach[k] bounds every such
-    distance, both ways. It is at most sup_gap, and at least the Hausdorff
-    distance of the two vertex clouds; for d = 1 it is |R - R'|.
+    Each surface is the union over cells of the simplices conv{p_k}, p_k = R_k v_k,
+    so a point sum_k l_k p_k of one has the partner sum_k l_k p'_k on the other, at
+    distance at most max_k |p_k - p'_k| = max_k |R_k - R'_k| |v_k|, both ways. It
+    is at most sup_gap, since |v_k| <= 1, and at least the Hausdorff distance of
+    the two vertex clouds; for d = 1 it is |R - R'|.
     """
     if not a.grid.compatible(b.grid):
         raise GridError("manifolds live on different grids")
-    return float(np.max(np.abs(a.radii - b.radii) * a.grid.reach))
+    return float(np.max(np.abs(a.radii - b.radii) * a.grid.norms))
 
 
 def harnack_distance(a: RadialManifold, b: RadialManifold) -> float:
     """Largest Harnack distance between the points R(u) u and R'(u) u of a ray, over all u.
 
     The points of one ray are ordered both ways with factors R/R' and R'/R, so their
-    Harnack distance is 1 - min(R/R', R'/R). Over a cell, a ratio of two positive
-    affine functions takes its extremes at the vertices, so the vertex maximum is
-    exact for the two piecewise-linear surfaces.
+    Harnack distance is 1 - min(R/R', R'/R). Over a cell, R/R' is a ratio of two
+    positive affine functions of the weights, sum_k w_k / r'_k over sum_k w_k / r_k,
+    so the vertex maximum is exact for the two flat-facet surfaces.
     """
     if not a.grid.compatible(b.grid):
         raise GridError("manifolds live on different grids")

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -208,7 +209,9 @@ def load_manifold_csv(path: str, grid: BarycentricGrid) -> RadialManifold:
             if fh.readline().strip() != expected_header:
                 raise GridError(f"manifold header mismatch: expected '{expected_header}'")
             try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                with warnings.catch_warnings():  # an empty body is the row-count error below
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    data = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise GridError(f"manifold file has a non-numeric or ragged row: {exc}") from exc
     except FileNotFoundError as exc:

@@ -221,7 +221,7 @@ def compute_cs(
 
 
 def surface_distance(sigma: RadialManifold, x):
-    """Upper bound of the distance from points to the piecewise-linear surface.
+    """Upper bound of the distance from points to the flat-facet surface.
 
     x has shape (d,), giving a float, or (N, d), giving an (N,) array. A point
     x = s u with u on the simplex (a finite positive sum s, no negative

@@ -1,10 +1,10 @@
 """One manifold update: push the surface through the map, re-express it radially.
 
 The image of a grid vertex u is y = F(R(u) u); the new surface is the
-piecewise-linear one through the image points. Its radius at a target
-direction u solves a ray-simplex intersection, which in direction space
-reduces to locating u in the tiling of the simplex by image cells and taking
-the harmonic mean of the image radii with the barycentric weights:
+flat-facet one through the image points. Its radius at a target direction u
+solves a ray-simplex intersection, which in direction space reduces to
+locating u in the tiling of the simplex by image cells and taking the
+harmonic mean of the image radii with the barycentric weights (facet_radius):
 
     R'(u) = 1 / sum_k (w_k / r_k).
 
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BarycentricGrid, GridError, RadialManifold, vertex_points
+from .geometry import BarycentricGrid, GridError, RadialManifold, facet_radius, vertex_points
 from .maps import KolmogorovMap, eval_F
 
 __all__ = [
@@ -314,7 +314,7 @@ def resample(cloud: PushforwardCloud) -> RadialManifold:
         return RadialManifold(grid, cloud.radii.copy())
 
     cells, w = _tile(cloud)
-    radii = 1.0 / (w / cloud.radii[cells]).sum(axis=1)
+    radii = facet_radius(w, cloud.radii[cells])
 
     # corners evolve by the exact scalar axis dynamics
     radii[grid.corners] = cloud.radii[grid.corners]

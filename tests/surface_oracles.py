@@ -9,10 +9,12 @@ that steps the lower and the upper manifold on every iteration, the reference
 for `compute_cs`'s held-then-inflated lower. `harnack` and
 `vertex_hausdorff` are the point-set metrics, by their definitions, against
 which the vertex passes `geometry.harnack_distance` and
-`geometry.hausdorff_bound` are checked. `dense_weakly_unordered` compares
-every pair of vertex points of each face, the order that
-`geometry.order_check` decides from the facet normals, and `row_ratios` is the
-projection ratio of point pairs by its definition.
+`geometry.hausdorff_bound` are checked; `facet_partners` reads two flat-facet
+surfaces as convex combinations of their vertex points, with no radius
+formula. `dense_weakly_unordered` compares every pair of vertex points of
+each face, the order that `geometry.order_check` decides from the facet
+normals, and `row_ratios` is the projection ratio of point pairs by its
+definition.
 """
 import numpy as np
 
@@ -130,6 +132,20 @@ def harnack(x, y):
         row = "" if zero.ndim == 0 else f" (row {np.flatnonzero(zero)[0]})"
         raise ValueError(f"harnack distance needs nonzero points{row}")
     return 1.0 - symmetrized_order(x, y)
+
+
+def facet_partners(a: RadialManifold, b: RadialManifold, u) -> tuple[np.ndarray, np.ndarray]:
+    """The point of a's flat facets over each direction u, and b's point at the same weights.
+
+    In the cell of u, a's point is the convex combination sum_k l_k p_k of its vertex
+    points p_k = r_k v_k that lies on the ray of u: l_k is proportional to w_k / r_k, w the
+    barycentric weights of u. b's partner is sum_k l_k p'_k, on b's facet of the same cell.
+    """
+    idx, w = a.grid.locate(u)
+    lam = w / a.radii[idx]
+    lam /= lam.sum(axis=1, keepdims=True)
+    return (np.einsum("nk,nkd->nd", lam, vertex_points(a)[idx]),
+            np.einsum("nk,nkd->nd", lam, vertex_points(b)[idx]))
 
 
 def vertex_hausdorff(a, b) -> float:

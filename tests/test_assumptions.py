@@ -248,6 +248,29 @@ def test_find_epsilon_examples():
         find_epsilon(flat, 0.01)
 
 
+def loop_find_epsilon(kmap, tol):
+    """One eval_f call per halving, stopping at the first that passes (reference)."""
+    eps = 1.0
+    for _ in range(assumptions.EPSILON_HALVINGS):
+        eps *= 0.5
+        if eval_f(kmap, np.full(kmap.dim, eps)).min() >= 1.0 + tol:
+            return eps
+    return None
+
+
+@pytest.mark.parametrize("kmap", BUILTINS, ids=lambda k: f"{k.name}-{k.dim}")
+def test_find_epsilon_batch_equals_loop_reference(kmap):
+    # every built-in map, tolerances that stop at several halvings, and one no halving meets
+    for tol in (0.01, 0.3, 0.9, 0.999, 1e9):
+        want = loop_find_epsilon(kmap, tol)
+        if want is None:
+            with pytest.raises(AssumptionError, match="^per-capita growth never exceeds 1 near "
+                               "the origin; the origin is not a repeller$"):
+                find_epsilon(kmap, tol)
+        else:
+            assert find_epsilon(kmap, tol) == want
+
+
 @pytest.mark.parametrize("kmap", BUILTINS, ids=lambda k: f"{k.name}-{k.dim}")
 def test_find_epsilon_bounds_the_whole_simplex(kmap):
     # under AS3 the one point epsilon * 1 bounds f from below on all of epsilon * Delta

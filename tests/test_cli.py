@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,29 @@ def test_bad_surface_file_values_exit_2(tmp_path, capsys, command, column, value
     extra = ["--x0", "0.2,0.1", "--steps", "5"] if command == "simulate" else []
     assert main([command, "--config", str(cfg_path), "--sigma", str(sigma)] + extra) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x0", ["-0.1,0.2", "nan,0.2", "inf,0.2"])
+def test_simulate_start_off_the_orthant_exit_2(tmp_path, capsys, x0):
+    # --x0 is input from outside the program: a config error, before any surface is read
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, grid={"resolution": 4})
+    sigma = tmp_path / "sigma.csv"
+    save_manifold_csv(str(sigma), constant_manifold(make_grid(2, 4), 1.0))
+    assert main(["simulate", "--config", str(cfg_path), "--sigma", str(sigma),
+                 f"--x0={x0}", "--steps", "5"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --x0")
+
+
+def test_verify_header_only_sigma_exit_2_without_warning(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, grid={"resolution": 4})
+    sigma = tmp_path / "sigma.csv"
+    sigma.write_text("u_1,u_2,R\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "--config", str(cfg_path), "--sigma", str(sigma)]) == 2
+    assert capsys.readouterr().err == "grid error: manifold has 0 rows, grid expects 5\n"
 
 
 def test_export_iterates(tmp_path):

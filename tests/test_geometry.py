@@ -28,6 +28,7 @@ from csimplex.geometry import (
 )
 from surface_oracles import (
     dense_weakly_unordered,
+    facet_partners,
     harnack,
     lockstep_sigma,
     row_ratios,
@@ -215,18 +216,54 @@ def test_locate_batch_equals_single_point_reference(dim, m):
     for k, row in enumerate(u):
         i1, w1 = loop_locate(grid, row)
         assert np.array_equal(idx[k], i1) and np.array_equal(w[k], w1)
-        assert radii[k] == float(w1 @ manifold.radii[i1])
-        assert np.array_equal(points[k], float(w1 @ manifold.radii[i1]) * row)
+        # the flat facet through the cell's vertex points; w / r and w * (1 / r) round apart
+        facet = 1.0 / float(w1 @ (1.0 / manifold.radii[i1]))
+        assert abs(radii[k] - facet) <= 4 * np.spacing(facet)
+        assert np.array_equal(points[k], radii[k] * row)
         assert radius_at(manifold, row) == radii[k]
 
 
 def test_constant_manifold_interpolates_constant():
+    # sigma = c is the flat plane sum(x) = c, one facet for every cell: it is reproduced
+    # between the vertices to the rounding of the weights' sum (1 ulp measured, 2 once)
     rng = np.random.default_rng(20240821)
-    grid = make_grid(3, 8)
-    manifold = constant_manifold(grid, 0.7)
-    for _ in range(50):
-        u = rng.dirichlet(np.ones(3))
-        np.testing.assert_allclose(radius_at(manifold, u) * u, 0.7 * u, atol=1e-12)
+    for dim, m in [(2, 9), (3, 8), (4, 5)]:
+        grid = make_grid(dim, m)
+        u = np.vstack([rng.dirichlet(np.ones(dim), 1000), probe_directions(grid)])
+        for c in (0.3, 0.7, 1.0, 2.5):
+            r = radius_at(constant_manifold(grid, c), u)
+            assert np.abs(r - c).max() <= 2 * np.spacing(c)
+
+
+@pytest.mark.parametrize("dim,m,off_kink", [(2, 16, 16), (3, 16, 240), (4, 8, 428)])
+def test_flat_facets_reproduce_the_decoupled_surface_off_the_kink(dim, m, off_kink):
+    # on a cell whose vertices share one largest coordinate i, 1/R = max(u) = u_i is
+    # affine in the weights, so the exact surface 1/max(u) of a decoupled map is one
+    # flat facet there; reading R itself as affine misses it by up to 0.35%, 0.59% and
+    # 4.2% on these cells
+    rng = np.random.default_rng(20241019 + dim)
+    grid = make_grid(dim, m)
+    corners = grid.vertices[grid.cells]  # (cells, d, d): one vertex direction per row
+    shared = (corners == corners.max(axis=2, keepdims=True)).all(axis=1).any(axis=1)
+    assert np.count_nonzero(shared) == off_kink
+    weights = np.vstack([rng.dirichlet(np.ones(dim), (off_kink, 5)).swapaxes(0, 1),
+                         np.full((1, off_kink, dim), 1.0 / dim)])  # random points, barycentres
+    u = np.einsum("jck,ckd->jcd", weights, corners[shared]).reshape(-1, dim)
+    exact = 1.0 / u.max(axis=1)
+    got = radius_at(box_boundary_manifold(grid, 1.0), u)
+    assert np.all(np.abs(got - exact) <= 4 * np.finfo(float).eps * exact)
+
+
+@pytest.mark.parametrize("m,gap", [(32, 4.98e-4), (64, 1.26e-4), (128, 3.14e-5)])
+def test_flat_facet_and_affine_readings_differ_at_second_order(m, gap):
+    # on a smooth surface the two interpolants of the vertex radii part by O(h^2): the
+    # reader follows the facets that resample builds, not an affine R
+    grid = make_grid(3, m)
+    sigma = compute_cs(lg(3, 0.3), grid, 1.0, 0.5, tolerance=1e-9).sigma
+    u = probe_directions(grid)
+    idx, w = grid.locate(u)
+    affine = np.vecdot(w, sigma.radii[idx])
+    assert np.abs(radius_at(sigma, u) - affine).max() == pytest.approx(gap, rel=0.1)
 
 
 def test_order_function_examples():
@@ -395,12 +432,13 @@ def test_hausdorff_examples():
     assert hausdorff_bound(box, box) == 0.0
     # a constant gap: the corners, at |u| = 1, are the farthest partners
     assert hausdorff_bound(constant_manifold(g3, 1.0), constant_manifold(g3, 1.25)) == 0.25
-    # a gap at the centre only: its partners reach no farther than the ring (3, 2, 1) / 6
+    # a gap at the centre only: the farthest corresponding points are the centre's own,
+    # at |u| = 1/sqrt(3)
     centre = g3.vertex_index((2, 2, 2))
     bump = np.ones(g3.n_vertices)
     bump[centre] = 1.5
     bound = hausdorff_bound(constant_manifold(g3, 1.0), RadialManifold(g3, bump))
-    assert bound == 0.5 * g3.reach[centre] == pytest.approx(0.5 * math.sqrt(14) / 6, rel=1e-15)
+    assert bound == 0.5 * g3.norms[centre] == pytest.approx(0.5 / math.sqrt(3), rel=1e-15)
     with pytest.raises(GridError):
         hausdorff_bound(box, constant_manifold(make_grid(3, 5), 1.0))
     with pytest.raises(GridError):
@@ -443,14 +481,37 @@ def test_hausdorff_bound_brackets_vertex_hausdorff_on_iterates(dim, m):
     assert pairs[0][0].grid.resolution == m
     for lower, upper in pairs:  # far apart at first, converged at last
         bound = hausdorff_bound(lower, upper)
-        assert vertex_hausdorff(vertex_points(lower), vertex_points(upper)) <= bound
+        # the two sides compute |r_k v_k - r'_k v_k| in two ways
+        assert vertex_hausdorff(vertex_points(lower), vertex_points(upper)) <= \
+            bound + 4 * np.spacing(bound)
         assert bound <= sup_gap(lower, upper)
         if dim == 1:
             assert bound == abs(upper.radii[0] - lower.radii[0])
             continue
-        u = probe_directions(lower.grid)
-        partner = np.abs(radius_at(lower, u) - radius_at(upper, u)) * np.linalg.norm(u, axis=1)
-        assert partner.max() <= bound
+        # the partner at the same weights of the facet simplices, not on the same ray
+        a, b = facet_partners(lower, upper, probe_directions(lower.grid))
+        assert np.linalg.norm(a - b, axis=1).max() <= bound
+
+
+@pytest.mark.parametrize("dim,m", [(2, 16), (3, 8), (4, 4)])
+def test_hausdorff_bound_covers_sampled_facet_points_of_steep_surfaces(dim, m):
+    # radii up to 20x apart between neighbours; every cell's facet is sampled at the same
+    # weights on both surfaces, its vertices included, so each sampled point's partner is
+    # sampled too, and the bound must hold for the sampled Hausdorff distance; a pair of
+    # corresponding vertex points attains it, so no smaller bound follows from partners
+    rng = np.random.default_rng(4000 + dim)
+    grid = make_grid(dim, m)
+    corners = grid.vertices[grid.cells]
+    for _ in range(10):
+        a = RadialManifold(grid, 0.1 + 2.0 * rng.random(grid.n_vertices))
+        b = RadialManifold(grid, 0.1 + 2.0 * rng.random(grid.n_vertices))
+        weights = np.vstack([rng.dirichlet(np.ones(dim), (3, corners.shape[0])),
+                             np.eye(dim)[:, None, :].repeat(corners.shape[0], axis=1)])
+        u = np.einsum("jck,ckd->jcd", weights, corners).reshape(-1, dim)
+        pa, pb = facet_partners(a, b, u)
+        bound = hausdorff_bound(a, b)
+        assert vertex_hausdorff(pa, pb) <= bound + 4 * np.spacing(bound)
+        assert np.linalg.norm(pa - pb, axis=1).max() >= bound - 4 * np.spacing(bound)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
@@ -588,17 +649,6 @@ def test_edges_are_the_cell_edges():
         assert len(pairs) == len(set(pairs)) == len(cell_pairs)  # each edge once
         assert set(pairs) == cell_pairs
         assert np.array_equal(e, np.linalg.norm(grid.vertices[a] - grid.vertices[b], axis=1))
-
-
-def test_reach_is_the_largest_norm_around_each_vertex():
-    for dim, m in itertools.product(range(1, 5), range(1, 6)):
-        grid = make_grid(dim, m)
-        norms = np.linalg.norm(grid.vertices, axis=1)
-        want = norms.copy()  # a vertex with no cell (d=1) reaches itself
-        for cell in grid.cells:
-            want[cell] = np.maximum(want[cell], norms[cell].max())
-        assert np.array_equal(grid.reach, want)
-    assert make_grid(1, 1).reach.tolist() == [1.0]
 
 
 def test_interp_error_builds_the_edges_once(monkeypatch):

@@ -63,8 +63,8 @@ def run_commands(tmp_path) -> set:
             for name, (params, dim) in MAPS.items()]
     runs.append((LG3, [["export-iterates"], ["verify"]], 0))
     runs.append(({"map": {"name": "ricker2d"}, "grid": {"resolution": 1}}, [["check"]], 2))
-    # a point off the domain: the map's error helper names it
-    runs.append((runs[0][0], [["simulate", "--x0", "-1"]], 3))
+    # a point where ricker1d's per-capita rate underflows to 0: the map's error helper names it
+    runs.append((runs[2][0], [["simulate", "--x0", "1e4"]], 3))
     called = set()
     build_parser.cache_clear()  # the parser is built once per process, as a fresh CLI run builds it
 

@@ -335,7 +335,7 @@ def test_resample_consistent_on_cell_boundaries():
         w[rng.integers(3)] = 0.0  # land exactly on a cell face
         w = w / w.sum()
         u = w @ grid.vertices[cell]
-        expected = float(w @ manifold.radii[cell])
+        expected = 1.0 / float(w @ (1.0 / manifold.radii[cell]))  # the cell's flat facet
         assert radius_at(manifold, u) == pytest.approx(expected, abs=1e-10)
 
 
