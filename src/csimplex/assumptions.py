@@ -6,14 +6,16 @@ robust to the sampling. The module also selects the margin kappa of the
 trapping box [0, 1+kappa]^d and the inner radius epsilon of the starting
 manifold epsilon * Delta.
 
-One scan per box grid (check_as4) evaluates Df once on every grid point and f
-once on all but the origin and yields AS3 and AS4 together; run_assumption_checks
-takes AS3 from the box that accepted kappa. The scan takes the exact maximum of rho(Z)
-without eigen-solving every point: Z is nonnegative, so by Perron-Frobenius each
-point's radius lies between max(min row sum, min column sum) and
-min(max row sum, max column sum). Only the candidates whose upper bound
-reaches the largest lower bound can attain the maximum; they alone go to one
-batched eigensolve, which yields each radius bit for bit as a full scan would.
+One scan per box grid (check_as4) evaluates Df and f once per block of
+SCAN_BLOCK points, f on all but the origin, and yields AS3 and AS4 together;
+run_assumption_checks scans the kappa boxes first and takes AS3 and AS4 from
+the box that accepted kappa, and scans the base box [0, 1]^d only when none
+does. The scan takes the exact maximum of rho(Z) without eigen-solving every
+point: Z is nonnegative, so by Perron-Frobenius each point's radius lies
+between max(min row sum, min column sum) and min(max row sum, max column sum).
+Only the candidates whose upper bound reaches the largest lower bound can
+attain the maximum; they alone go to one batched eigensolve after the last
+block, which yields each radius bit for bit as a full scan would.
 """
 from __future__ import annotations
 
@@ -48,6 +50,9 @@ EPSILON_HALVINGS = 40  # find_epsilon tries 2^-k for k = 1 ... EPSILON_HALVINGS
 RHO_BOUND_MARGIN = 1e-9
 # _feedback raises below -FEEDBACK_TOL and clips the entries above it to 0 (rounding).
 FEEDBACK_TOL = 1e-9
+# Points per check_as4 block: every scan at a default resolution up to d = 4
+# (12^4 = 20,736 points) is one block, and a block's d = 6 Jacobians take at most 9.4 MB.
+SCAN_BLOCK = 2**15
 
 
 class AssumptionError(RuntimeError):
@@ -81,23 +86,30 @@ def check_as2(kmap: KolmogorovMap, tol: float = 1e-9) -> As2Result:
     return As2Result(worst < tol, worst)
 
 
-def _box_points(top: float, resolution: int, dim: int) -> np.ndarray:
-    """The grid on [0, top]^dim in C order, origin first, as an (N, dim) view of (dim, N) columns."""
-    axes = [np.linspace(0.0, top, resolution)] * dim
-    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(dim, -1).T
+def _box_blocks(axis: np.ndarray, dim: int):
+    """The grid axis^dim in C order, origin first, as sub-boxes of at most SCAN_BLOCK points.
+
+    Each block is an (n, dim) view of (dim, n) columns. Blocks fix the leading
+    k - 1 coordinates and take a run of values of coordinate k - 1, for the
+    least k whose trailing grid fits a block.
+    """
+    res = len(axis)
+    k = next(k for k in range(dim + 1) if res ** (dim - k) <= SCAN_BLOCK)
+    step = SCAN_BLOCK // res ** (dim - k)
+    for lead in np.ndindex(*[res] * max(k - 1, 0)):
+        for j in range(0, res if k else 1, step):
+            axes = [axis[i:i + 1] for i in lead] + [axis[j:j + step]] * (k > 0) + [axis] * (dim - k)
+            yield np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(dim, -1).T
 
 
-def _sign_pattern(jac: np.ndarray, pts: np.ndarray) -> As3Result:
-    """AS3 from the scan's Jacobians read as (N,) slices, with the worst entry and its point."""
+def _sign_pattern(jac: np.ndarray, pts: np.ndarray) -> tuple[float, tuple, list, float]:
+    """A block's largest Jacobian entry, read as (N,) slices, its (i, j), its first point, and the largest diagonal entry."""
     d = pts.shape[1]
     top = functools.reduce(np.maximum, [jac[:, i, j] for i in range(d) for j in range(d)])
     worst = int(np.argmax(top))  # first point attaining the largest entry
     i, j = np.unravel_index(np.argmax(jac[worst]), (d, d))
-    value = float(jac[worst, i, j])
     diag = float(functools.reduce(np.maximum, [jac[:, k, k] for k in range(d)]).max())
-    # strict: all negative; weak: all nonpositive with a negative diagonal
-    mode = "strict" if value < 0.0 else "weak" if value <= 1e-12 and diag < 0.0 else "fail"
-    return As3Result(mode, value, (int(i), int(j)), list(pts[worst]))
+    return float(jac[worst, i, j]), (int(i), int(j)), list(pts[worst]), diag
 
 
 def _feedback(kmap: KolmogorovMap, x: np.ndarray, f: np.ndarray, jac: np.ndarray) -> np.ndarray:
@@ -124,31 +136,66 @@ def check_as4(
     resolution: int,
     margin: float = SAFETY_MARGIN,
 ) -> tuple[As3Result, As4Result]:
-    """AS3, and AS4 (radius below 1 - margin), on the grid of [0, 1+kappa]^d from one Df and one f call."""
+    """AS3, and AS4 (radius below 1 - margin), on the grid of [0, 1+kappa]^d from one Df and one f call per block.
+
+    The grid goes in blocks of SCAN_BLOCK points, in scan order, so memory
+    holds one block and the spectral candidates. AS3 keeps the first point of
+    the largest Jacobian entry: a later block replaces it only when larger.
+    Each block keeps the feedback matrices whose widened upper bound reaches
+    the largest lower bound so far, which a multi-block scan starts at the
+    grid's diagonal; _max_radius filters them again against the final
+    largest lower bound and solves them in one call after the last block.
+    """
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
-    pts = _box_points(1.0 + kappa, resolution, kmap.dim)
-    jac = eval_df(kmap, pts)
-    as3 = _sign_pattern(jac, pts)  # before _feedback writes Z over jac
-    worst, max_rho = _max_radius(_feedback(kmap, pts[1:], eval_f(kmap, pts[1:]), jac[1:]))
-    return as3, As4Result(max_rho < 1.0 - margin, max_rho, [float(v) for v in pts[1 + worst]])
+    axis = np.linspace(0.0, 1.0 + kappa, resolution)
+    worst, diag, floor, kept = None, -np.inf, -np.inf, []
+    if resolution**kmap.dim > SCAN_BLOCK:  # a first floor from the grid's diagonal, top corner included
+        probe = np.repeat(axis[1:, None], kmap.dim, axis=1)
+        floor = _radius_bounds(_feedback(kmap, probe, eval_f(kmap, probe), eval_df(kmap, probe)))[1].max()
+    for pts in _box_blocks(axis, kmap.dim):
+        jac = eval_df(kmap, pts)
+        *block, block_diag = _sign_pattern(jac, pts)  # before _feedback writes Z over jac
+        worst = block if worst is None or block[0] > worst[0] else worst
+        diag = max(diag, block_diag)
+        if not kept:  # the origin, first in the first block, carries no feedback
+            pts, jac = pts[1:], jac[1:]
+        z = _feedback(kmap, pts, eval_f(kmap, pts), jac)
+        upper, lower = _radius_bounds(z)
+        floor = max(floor, lower.max())
+        cand = upper >= floor
+        kept.append((np.moveaxis(z, 2, 0)[cand], pts[cand]))  # (C, d, d) copies; the block is freed
+    value, entry, point = worst
+    # strict: all negative; weak: all nonpositive with a negative diagonal
+    mode = "strict" if value < 0.0 else "weak" if value <= 1e-12 and diag < 0.0 else "fail"
+    best, max_rho = _max_radius(np.concatenate([zk for zk, _ in kept]).transpose(1, 2, 0))
+    argmax = [float(v) for v in np.concatenate([pk for _, pk in kept])[best]]
+    return As3Result(mode, value, entry, point), As4Result(max_rho < 1.0 - margin, max_rho, argmax)
 
 
-def _max_radius(z: np.ndarray) -> tuple[int, float]:
-    """First index attaining the largest spectral radius of a nonnegative (d, d, N) stack, and that radius.
+def _radius_bounds(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds widened by RHO_BOUND_MARGIN and lower bounds on the radii of a nonnegative (d, d, N) stack.
 
     Each radius lies between lower = max(min row sum, min column sum) and
-    upper = min(max row sum, max column sum). A matrix with
-    upper * (1 + RHO_BOUND_MARGIN) < max(lower) has a smaller radius than the
-    one attaining max(lower), so only the others go, as a (C, d, d) stack, to the eigensolver.
+    upper = min(max row sum, max column sum).
     """
     rows, cols = z[:, 0].copy(), z[0].copy()  # (d, N): row i's and column j's sums at each point
     for k in range(1, z.shape[0]):
         rows += z[:, k]
         cols += z[k]
     upper = np.minimum(rows.max(axis=0), cols.max(axis=0))
-    lower = np.maximum(rows.min(axis=0), cols.min(axis=0))
-    cand = np.flatnonzero(upper * (1.0 + RHO_BOUND_MARGIN) >= lower.max())
+    return upper * (1.0 + RHO_BOUND_MARGIN), np.maximum(rows.min(axis=0), cols.min(axis=0))
+
+
+def _max_radius(z: np.ndarray) -> tuple[int, float]:
+    """First index attaining the largest spectral radius of a nonnegative (d, d, N) stack, and that radius.
+
+    A matrix whose widened upper bound (_radius_bounds) is below max(lower)
+    has a smaller radius than the one attaining max(lower), so only the
+    others go, as a (C, d, d) stack, to the eigensolver.
+    """
+    upper, lower = _radius_bounds(z)
+    cand = np.flatnonzero(upper >= lower.max())
     moduli = np.abs(np.linalg.eigvals(z[:, :, cand].transpose(2, 0, 1)))  # (C, d)
     rho = functools.reduce(np.maximum, moduli.T)  # by columns: a short-axis max is 7x slower
     best = int(np.argmax(rho))  # candidates keep scan order, so this is the first maximum
@@ -251,17 +298,19 @@ def run_assumption_checks(
     margin: float = SAFETY_MARGIN,
     eps_tol: float = 0.01,
 ) -> AssumptionReport:
-    """Full certification pass: axis fixed points, Jacobian signs, spectral margin, kappa, epsilon."""
+    """Full certification pass: axis fixed points, Jacobian signs, spectral margin, kappa, epsilon.
+
+    AS3 and AS4 are those of the box that accepted kappa. When no kappa box
+    passes, the base box [0, 1]^d is scanned as well and reported, to say why.
+    """
     resolution = resolution or default_resolution(kmap.dim)
     as2 = check_as2(kmap)
-    as3, as4 = check_as4(kmap, 0.0, resolution, margin)
     kappa: float | None = None
     epsilon: float | None = None
-    if as4.ok:  # find_kappa returns a passing scan or none, so as4.ok stays the base box's
-        try:
-            kappa, (as3, as4) = find_kappa(kmap, resolution, kappa_max, margin)  # AS3 of that box
-        except AssumptionError:
-            kappa = None
+    try:
+        kappa, (as3, as4) = find_kappa(kmap, resolution, kappa_max, margin)
+    except AssumptionError:
+        as3, as4 = check_as4(kmap, 0.0, resolution, margin)
     if as4.ok and as2.ok and as3.mode in ("strict", "weak"):
         try:
             epsilon = find_epsilon(kmap, eps_tol)

@@ -26,7 +26,7 @@ from csimplex.maps import (
     ricker1d,
     ricker2d,
 )
-from spectral_oracles import dense_check_as3, dense_check_as4, power_radius, spectral_radius
+from spectral_oracles import dense_check_as3, dense_check_as4, power_radius, spectral_radius, two_box_report
 
 RNG = np.random.default_rng(101)
 
@@ -196,6 +196,45 @@ def test_check_as4_solves_only_candidates(monkeypatch):
         assert solved == [1]
 
 
+@pytest.mark.parametrize("kmap", SCAN_MAPS, ids=lambda k: f"{k.name}{k.dim}-{k.params}")
+def test_check_as4_in_blocks_equals_dense_scan(monkeypatch, kmap):
+    # tiny blocks: the running AS3 maximum, the candidates and the probe's floor cross blocks
+    for block in (2, 7, 100):
+        monkeypatch.setattr(assumptions, "SCAN_BLOCK", block)
+        for resolution, kappa in ((5, 0.0), (8, 1.0)):
+            assert same(check_as4(kmap, kappa, resolution), dense_scan(kmap, kappa, resolution))
+
+
+def test_check_as4_diagonal_floor_is_a_lower_bound(monkeypatch):
+    # the diagonal's feedback [[0, 4t], [0.01t, 0]] has a loose upper bound 4t and radius 0.2t;
+    # off it Z = [[0.5 x_0, 0], [0, 0]] peaks at 1.0 on (2, 0), below the diagonal's upper bounds
+    def df(x):
+        on = (x[..., 0] == x[..., 1])[..., None, None]
+        return -np.where(on, [[0.0, 4.0], [0.01, 0.0]], [[0.5, 0.0], [0.0, 0.0]])
+
+    kmap = KolmogorovMap("off-diagonal", 2, {}, np.ones_like, df)
+    monkeypatch.setattr(assumptions, "SCAN_BLOCK", 7)
+    assert check_as4(kmap, 1.0, 8)[1].argmax_point == [2.0, 0.0]
+    assert same(check_as4(kmap, 1.0, 8), dense_scan(kmap, 1.0, 8))
+
+
+def test_check_as4_face_tie_split_across_blocks(monkeypatch):
+    # the first tie [0, 0, 2] is row 23, the second [0, 2/23, 2] row 47, in the next block
+    monkeypatch.setattr(assumptions, "SCAN_BLOCK", 24)
+    solved = count_solved(monkeypatch)
+    res = check_as4(lg(3, 0.0), 1.0, 24)[1]
+    assert solved == [1657]
+    assert res.argmax_point == [0.0, 0.0, 2.0]
+    assert same(res, dense_check_as4(lg(3, 0.0), 1.0, 24))
+
+
+def test_check_as4_in_blocks_solves_only_candidates(monkeypatch):
+    monkeypatch.setattr(assumptions, "SCAN_BLOCK", 100)
+    solved = count_solved(monkeypatch)
+    assert check_as4(ricker2d(0.5, 0.5, 0.5, 0.5), 0.25, 64)[1].argmax_point == [1.25, 1.25]
+    assert solved == [1]
+
+
 def test_jury_condition_examples():
     assert jury_condition_ricker2d(0.5, 0.5, 0.5, 0.5)
     assert not jury_condition_ricker2d(1.5, 1.5, 0.0, 0.0)
@@ -331,29 +370,62 @@ def test_run_assumption_checks_rejects_steep_ricker():
     assert report.kappa is None
 
 
-def two_scan_report(kmap, resolution: int) -> dict:
-    """run_assumption_checks from the separate oracles: the AS4 scans, then one AS3 scan of the accepted box."""
-    as2 = check_as2(kmap)
-    base = as4 = dense_check_as4(kmap, 0.0, resolution)
-    kappa = None
-    for j in range(assumptions.KAPPA_LEVELS + 1) if base.ok else ():
-        scan = dense_check_as4(kmap, 1.0 / 2.0**j, resolution)
-        if scan.ok:
-            kappa, as4 = 1.0 / 2.0**j, scan
-            break
-    as3 = dense_check_as3(kmap, 1.0 + (kappa or 0.0), resolution)
-    certified = base.ok and as2.ok and as3.mode in ("strict", "weak")
-    return assumptions.AssumptionReport(
-        kmap.name, dict(kmap.params), kmap.dim, as2.ok, as2.max_deviation, as3.mode,
-        as3.worst_value, as3.worst_entry, [float(v) for v in as3.worst_point], as4.ok,
-        as4.max_rho, as4.argmax_point, kappa, find_epsilon(kmap, 0.01) if certified else None,
-        resolution, assumptions.SAFETY_MARGIN,
-    ).to_dict()
+# the benchmark's maps at their scan resolutions; every built-in map, and one whose boxes all fail
+REPORT_CASES = [(WORKLOAD_MAPS[0], 64), (lg(3, 0.3), 12), (lg(3, 0.0), 24)] + [
+    (kmap, default_resolution(kmap.dim)) for kmap in BUILTINS + [ricker1d(1.5)]]
 
 
-@pytest.mark.parametrize("kmap, resolution", [(WORKLOAD_MAPS[0], 64), (lg(3, 0.3), 12), (lg(3, 0.0), 24)],
-                         ids=["planar-verify", "lg3-fine", "lg3-decoupled-oracle"])
+@pytest.mark.parametrize("kmap, resolution", REPORT_CASES,
+                         ids=["planar-verify", "lg3-fine", "lg3-decoupled-oracle"]
+                         + [f"{k.name}{k.dim}-{i}" for i, (k, _) in enumerate(REPORT_CASES[3:])])
 def test_one_scan_report_equals_two_scans(kmap, resolution):
-    # the benchmark's maps at their scan resolutions; the decoupled as3_worst_value is -0.0
+    # the kappa boxes first, the base box only when none passes: no verdict moves on these
+    # maps; the decoupled as3_worst_value is -0.0
     got = run_assumption_checks(kmap, resolution=resolution).to_dict()
-    assert json.dumps(got) == json.dumps(two_scan_report(kmap, resolution))
+    assert json.dumps(got) == json.dumps(two_box_report(kmap, resolution))
+
+
+def count_scans(monkeypatch) -> list:
+    """The kappa of each check_as4 call, in call order."""
+    kappas = []
+    scan = assumptions.check_as4
+
+    def counted(kmap, kappa, *args):
+        kappas.append(kappa)
+        return scan(kmap, kappa, *args)
+
+    monkeypatch.setattr(assumptions, "check_as4", counted)
+    return kappas
+
+
+@pytest.mark.parametrize("kmap, resolution, scanned", [
+    (WORKLOAD_MAPS[0], 64, [1.0, 0.5, 0.25]), (lg(3, 0.3), 12, [1.0]), (lg(3, 0.0), 24, [1.0]),
+    (lg(4, 0.3), 12, [1.0])], ids=["planar-verify", "lg3-fine", "lg3-decoupled-oracle", "lg4"])
+def test_check_scans_no_box_below_the_accepted_one(monkeypatch, kmap, resolution, scanned):
+    # one scan when kappa_max passes, and never the base box
+    kappas = count_scans(monkeypatch)
+    assert run_assumption_checks(kmap, resolution=resolution).kappa == scanned[-1]
+    assert kappas == scanned
+
+
+def test_a_failing_map_scans_every_kappa_box_then_the_base_box(monkeypatch):
+    kappas = count_scans(monkeypatch)
+    report = run_assumption_checks(ricker1d(1.5), resolution=64)
+    assert kappas == [2.0**-j for j in range(assumptions.KAPPA_LEVELS + 1)] + [0.0]
+    assert (report.kappa, report.as4_ok, report.passed) == (None, False, False)
+
+
+def test_a_passing_kappa_box_outranks_a_failing_base_box():
+    # the one verdict the kappa-first order changes: rho(Z) = x h'(x) peaks at 1.55 on
+    # x = 0.5, a point of the base grid {0, 0.5, 1} that the kappa = 1 grid {0, 1, 2} misses
+    def h(x):
+        return 0.1 * (x - 1.0) + 0.15 * (np.arctan((x - 0.5) / 0.05) - np.arctan(10.0))
+
+    def dh(x):
+        return 0.1 + 3.0 / (1.0 + ((x - 0.5) / 0.05) ** 2)
+
+    bump = KolmogorovMap("bump", 1, {}, lambda x: np.exp(-h(x)), lambda x: (-dh(x) * np.exp(-h(x)))[..., None])
+    assert not check_as4(bump, 0.0, 3)[1].ok
+    report = run_assumption_checks(bump, resolution=3)
+    assert (report.kappa, report.as4_argmax, report.passed) == (1.0, [2.0], True)
+    assert two_box_report(bump, 3)["kappa"] is None

@@ -438,6 +438,24 @@ def test_attraction_battery_reads_the_surface_at_the_equilibrium():
         assert abs(surface_distance(sigma, x_star) - distance) <= 0.1 * distance
 
 
+@pytest.mark.parametrize("kmap, kappa, m, frozen", [(lg3(0.0), 1.0, 16, True), (COUPLED, KAPPA, 32, False)],
+                         ids=["decoupled-leslie-gower", "ricker2d"])
+def test_attraction_battery_stops_early_only_on_a_fixed_batch(monkeypatch, kmap, kappa, m, frozen):
+    # the reference is the full-horizon loop: a batch that F returns unchanged stays unchanged,
+    # and the orbit ends, the failures and the count are the same bits either way
+    sigma = compute_cs(kmap, make_grid(kmap.dim, m), kappa, EPSILON, tolerance=1e-6).sigma
+    ends, steps = [], []
+    monkeypatch.setattr(simplex, "surface_distance", lambda s, x: ends.append(x) or surface_distance(s, x))
+    monkeypatch.setattr(simplex, "eval_F", lambda k, x: steps.append(x) or eval_F(k, x))
+    got = attraction_battery(kmap, sigma, kappa, 100, 200, 1e-3, seed=5)
+    early = len(steps)
+    monkeypatch.setattr(simplex, "FIXED_ORBIT_EVERY", 10**9)  # never compares
+    assert attraction_battery(kmap, sigma, kappa, 100, 200, 1e-3, seed=5) == got
+    assert len(steps) - early == 200
+    assert ends[0].tobytes() == ends[1].tobytes()
+    assert (early < 200) == frozen
+
+
 def test_pipeline_fails_loudly_outside_validity():
     # parameters violate the spectral condition: either the iteration folds
     # or the verification batteries report violations
