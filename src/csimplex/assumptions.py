@@ -13,9 +13,10 @@ the box that accepted kappa, and scans the base box [0, 1]^d only when none
 does. The scan takes the exact maximum of rho(Z) without eigen-solving every
 point: Z is nonnegative, so by Perron-Frobenius each point's radius lies
 between max(min row sum, min column sum) and min(max row sum, max column sum).
-Only the candidates whose upper bound reaches the largest lower bound can
-attain the maximum; they alone go to one batched eigensolve after the last
-block, which yields each radius bit for bit as a full scan would.
+Only the candidates whose upper bound reaches the block's largest lower bound,
+the best radius so far and a multi-block scan's diagonal floor can attain the
+maximum; each block solves them in one batched eigensolve, which yields each
+radius bit for bit as a full scan would.
 """
 from __future__ import annotations
 
@@ -87,19 +88,13 @@ def check_as2(kmap: KolmogorovMap, tol: float = 1e-9) -> As2Result:
 
 
 def _box_blocks(axis: np.ndarray, dim: int):
-    """The grid axis^dim in C order, origin first, as sub-boxes of at most SCAN_BLOCK points.
+    """The grid axis^dim in C order, origin first, in runs of at most SCAN_BLOCK points.
 
-    Each block is an (n, dim) view of (dim, n) columns. Blocks fix the leading
-    k - 1 coordinates and take a run of values of coordinate k - 1, for the
-    least k whose trailing grid fits a block.
+    Each run is an (n, dim) view of (dim, n) columns.
     """
-    res = len(axis)
-    k = next(k for k in range(dim + 1) if res ** (dim - k) <= SCAN_BLOCK)
-    step = SCAN_BLOCK // res ** (dim - k)
-    for lead in np.ndindex(*[res] * max(k - 1, 0)):
-        for j in range(0, res if k else 1, step):
-            axes = [axis[i:i + 1] for i in lead] + [axis[j:j + step]] * (k > 0) + [axis] * (dim - k)
-            yield np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(dim, -1).T
+    shape, size = (len(axis),) * dim, len(axis) ** dim
+    for start in range(0, size, SCAN_BLOCK):
+        yield axis[np.stack(np.unravel_index(np.arange(start, min(start + SCAN_BLOCK, size)), shape))].T
 
 
 def _sign_pattern(jac: np.ndarray, pts: np.ndarray) -> tuple[float, tuple, list, float]:
@@ -139,37 +134,33 @@ def check_as4(
     """AS3, and AS4 (radius below 1 - margin), on the grid of [0, 1+kappa]^d from one Df and one f call per block.
 
     The grid goes in blocks of SCAN_BLOCK points, in scan order, so memory
-    holds one block and the spectral candidates. AS3 keeps the first point of
-    the largest Jacobian entry: a later block replaces it only when larger.
-    Each block keeps the feedback matrices whose widened upper bound reaches
-    the largest lower bound so far, which a multi-block scan starts at the
-    grid's diagonal; _max_radius filters them again against the final
-    largest lower bound and solves them in one call after the last block.
+    holds one block. AS3 keeps the first point of the largest Jacobian entry
+    and AS4 the first point of the largest radius: a later block replaces
+    either only when larger. Each block solves the feedback matrices whose
+    widened upper bound reaches the best radius so far, its own largest lower
+    bound and, in a multi-block scan, the largest lower bound on the grid's
+    diagonal.
     """
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
     axis = np.linspace(0.0, 1.0 + kappa, resolution)
-    worst, diag, floor, kept = None, -np.inf, -np.inf, []
+    worst, diag, floor, max_rho, argmax = None, -np.inf, -np.inf, -np.inf, None
     if resolution**kmap.dim > SCAN_BLOCK:  # a first floor from the grid's diagonal, top corner included
         probe = np.repeat(axis[1:, None], kmap.dim, axis=1)
         floor = _radius_bounds(_feedback(kmap, probe, eval_f(kmap, probe), eval_df(kmap, probe)))[1].max()
-    for pts in _box_blocks(axis, kmap.dim):
+    for n, pts in enumerate(_box_blocks(axis, kmap.dim)):
         jac = eval_df(kmap, pts)
         *block, block_diag = _sign_pattern(jac, pts)  # before _feedback writes Z over jac
         worst = block if worst is None or block[0] > worst[0] else worst
         diag = max(diag, block_diag)
-        if not kept:  # the origin, first in the first block, carries no feedback
+        if n == 0:  # the origin, first in the first block, carries no feedback
             pts, jac = pts[1:], jac[1:]
-        z = _feedback(kmap, pts, eval_f(kmap, pts), jac)
-        upper, lower = _radius_bounds(z)
-        floor = max(floor, lower.max())
-        cand = upper >= floor
-        kept.append((np.moveaxis(z, 2, 0)[cand], pts[cand]))  # (C, d, d) copies; the block is freed
+        best, rho = _max_radius(_feedback(kmap, pts, eval_f(kmap, pts), jac), max(floor, max_rho))
+        if rho > max_rho:
+            max_rho, argmax = rho, [float(v) for v in pts[best]]
     value, entry, point = worst
     # strict: all negative; weak: all nonpositive with a negative diagonal
     mode = "strict" if value < 0.0 else "weak" if value <= 1e-12 and diag < 0.0 else "fail"
-    best, max_rho = _max_radius(np.concatenate([zk for zk, _ in kept]).transpose(1, 2, 0))
-    argmax = [float(v) for v in np.concatenate([pk for _, pk in kept])[best]]
     return As3Result(mode, value, entry, point), As4Result(max_rho < 1.0 - margin, max_rho, argmax)
 
 
@@ -187,15 +178,18 @@ def _radius_bounds(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return upper * (1.0 + RHO_BOUND_MARGIN), np.maximum(rows.min(axis=0), cols.min(axis=0))
 
 
-def _max_radius(z: np.ndarray) -> tuple[int, float]:
+def _max_radius(z: np.ndarray, floor: float) -> tuple[int, float]:
     """First index attaining the largest spectral radius of a nonnegative (d, d, N) stack, and that radius.
 
-    A matrix whose widened upper bound (_radius_bounds) is below max(lower)
-    has a smaller radius than the one attaining max(lower), so only the
-    others go, as a (C, d, d) stack, to the eigensolver.
+    A matrix whose widened upper bound (_radius_bounds) is below floor or
+    max(lower) has a smaller radius than the one attaining that value, so
+    only the others go, as a (C, d, d) stack, to the eigensolver. When none
+    reaches floor, the result is (-1, -inf).
     """
     upper, lower = _radius_bounds(z)
-    cand = np.flatnonzero(upper >= lower.max())
+    cand = np.flatnonzero(upper >= max(floor, lower.max()))
+    if not cand.size:
+        return -1, -np.inf
     moduli = np.abs(np.linalg.eigvals(z[:, :, cand].transpose(2, 0, 1)))  # (C, d)
     rho = functools.reduce(np.maximum, moduli.T)  # by columns: a short-axis max is 7x slower
     best = int(np.argmax(rho))  # candidates keep scan order, so this is the first maximum

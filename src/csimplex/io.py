@@ -26,7 +26,6 @@ __all__ = [
     "save_manifold_csv",
     "load_manifold_csv",
     "save_trajectory_csv",
-    "sanitize",
 ]
 
 
@@ -163,25 +162,8 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def sanitize(obj):
-    """Make numpy scalars and arrays JSON-encodable, recursively."""
-    if isinstance(obj, dict):
-        return {str(k): sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def write_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(sanitize(obj), indent=2, sort_keys=True) + "\n")
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _csv_rows(data: np.ndarray) -> list[str]:

@@ -4,7 +4,9 @@ A map is described by its per-capita part f (componentwise positive on the
 working box) together with an optional analytic Jacobian of f; a central
 finite-difference fallback with one-sided steps at the coordinate faces is
 used when the Jacobian is missing. Custom maps enter only through the
-registry so derivative correctness stays testable.
+registry so derivative correctness stays testable. A value of f that is not
+finite and positive is a MapDomainError, one that underflows to 0.0 too:
+F never moves a point with x_i > 0 onto the face x_i = 0, and a zero rate would.
 
 Every evaluation is batched: f takes an array of points of shape (..., d) and
 returns (..., d), df returns (..., d, d), and a single point is the batch of

@@ -315,7 +315,7 @@ class VerificationReport:
         return all(checks)
 
     def to_dict(self) -> dict:
-        return {**_field_dict(self), "passed": self.passed()}
+        return _field_dict(self)
 
 
 def _ordered_pairs(rng, count: int, dim: int, box_top: float) -> np.ndarray:

@@ -192,7 +192,7 @@ def test_check_as4_solves_only_candidates(monkeypatch):
     # the lower bound takes the row and the column sums: either alone keeps 0.1 I
     for z in ([[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.0], [0.5, 0.0]]):
         solved.clear()
-        assert assumptions._max_radius(np.stack([0.1 * np.eye(2), z], axis=-1)) == (1, 0.5)
+        assert assumptions._max_radius(np.stack([0.1 * np.eye(2), z], axis=-1), -np.inf) == (1, 0.5)
         assert solved == [1]
 
 
@@ -223,7 +223,8 @@ def test_check_as4_face_tie_split_across_blocks(monkeypatch):
     monkeypatch.setattr(assumptions, "SCAN_BLOCK", 24)
     solved = count_solved(monkeypatch)
     res = check_as4(lg(3, 0.0), 1.0, 24)[1]
-    assert solved == [1657]
+    # each block solves its own candidates, the same 1657 as one block, held to the diagonal's 2/3
+    assert sum(solved) == 1657 and max(solved) <= 24
     assert res.argmax_point == [0.0, 0.0, 2.0]
     assert same(res, dense_check_as4(lg(3, 0.0), 1.0, 24))
 

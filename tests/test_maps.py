@@ -62,6 +62,12 @@ def test_eval_F_examples():
     assert eval_F(ricker1d(0.5), [2.0])[0] == pytest.approx(2.0 * math.exp(-0.5))
 
 
+def test_eval_F_rejects_an_underflowed_rate():
+    # exp(0.5 (1 - 1e4)) is 0.0 in floating point: a zero rate would move x onto a face
+    with pytest.raises(MapDomainError, match=r"ricker1d: f is not strictly positive at \[10000\.\]"):
+        eval_F(ricker1d(0.5), [1e4])
+
+
 @pytest.mark.parametrize("kmap", ALL_BUILTINS, ids=lambda k: k.name)
 def test_face_preservation(kmap):
     for _ in range(50):

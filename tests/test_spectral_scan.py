@@ -42,13 +42,23 @@ def nonnegative_stacks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(nonnegative_stacks())
+@given(nonnegative_stacks(), st.just(-np.inf) | st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 10.0))
 # rho = 1.2 exactly, but the row sums round to 1.2 and LAPACK may return
 # 1.2000000000000002, which ties the diagonal matrix after it: the first wins
-@example(np.array([[[0.7, 0.5], [0.5, 0.7]], np.nextafter(1.2, 2.0) * np.eye(2)]))
-@example(np.zeros((3, 2, 2)))
-def test_max_radius_equals_dense_eigensolve(z):
-    assert _max_radius(z.transpose(1, 2, 0)) == dense_radius(z)
+@example(np.array([[[0.7, 0.5], [0.5, 0.7]], np.nextafter(1.2, 2.0) * np.eye(2)]), -np.inf)
+@example(np.array([[[0.7, 0.5], [0.5, 0.7]], np.nextafter(1.2, 2.0) * np.eye(2)]), 1.2)
+@example(np.zeros((3, 2, 2)), 0.0)
+@example(np.zeros((3, 2, 2)), 1e-300)
+def test_max_radius_equals_dense_eigensolve(z, floor):
+    # a floor at or below the maximum changes nothing; one above every matrix's entry sum leaves no candidate
+    want = dense_radius(z)
+    got = _max_radius(z.transpose(1, 2, 0), floor)
+    if floor <= want[1]:
+        assert got == want
+    elif floor > z.sum(axis=(1, 2)).max() * (1.0 + 1e-6):
+        assert got == (-1, -np.inf)
+    else:
+        assert got[1] <= want[1]
 
 
 # few distinct coefficients, so that Jacobian entries, row sums and radii tie often
