@@ -47,7 +47,6 @@ from .simplex import (
     verify_cs,
 )
 from .transform import (
-    CoverageError,
     FoldError,
     PushforwardCloud,
     graph_step,

@@ -27,6 +27,7 @@ pass over cells, no pair search.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,9 +72,10 @@ def simplex_lattice(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("dim must be >= 1")
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    cube = np.indices((resolution + 1,) * (dim - 1))
-    ordered = np.all(np.diff(cube, axis=0) >= 0, axis=0)
-    s = np.moveaxis(cube, 0, -1)[ordered]
+    n, D = math.comb(resolution + dim - 1, dim - 1), dim - 1
+    # the ordered points are the multisets of D values in [0, m], listed in lexicographic order
+    flat = itertools.chain.from_iterable(itertools.combinations_with_replacement(range(resolution + 1), D))
+    s = np.fromiter(flat, dtype=np.intp, count=n * D).reshape(n, D)
     lattice = np.diff(s, axis=1, prepend=0, append=resolution)
     return lattice, lattice / float(resolution)
 
@@ -193,7 +195,10 @@ def make_grid(dim: int, resolution: int) -> BarycentricGrid:
     Cell vertices are base + (unit steps along perm), for every integer base of
     [0, m - 1]^(d-1) in lexicographic order and, within a base, every
     permutation in itertools order; a cell is kept when all its vertices lie in
-    the ordered region.
+    the ordered region. Its base must be ordered, and a tie b_i = b_{i+1} stays
+    ordered only when axis i+1 is stepped no later than axis i, so the kept
+    cells are read off a (bases x permutations) mask with no per-cell
+    temporary beyond the cells themselves.
     """
     lattice, vertices = simplex_lattice(dim, resolution)
     m, D = resolution, dim - 1
@@ -202,19 +207,28 @@ def make_grid(dim: int, resolution: int) -> BarycentricGrid:
         s_table[...] = 0
         return BarycentricGrid(dim, m, lattice, vertices, np.empty((0, 1), dtype=int),
                                np.empty((0,), dtype=int), s_table)
-    s_table[tuple(np.cumsum(lattice[:, :-1], axis=1).T)] = np.arange(lattice.shape[0])
+    s = np.cumsum(lattice[:, :-1], axis=1)
+    s_table[tuple(s.T)] = np.arange(lattice.shape[0])
 
-    bases = np.indices((m,) * D).reshape(D, -1).T
-    bases = bases[np.all(np.diff(bases, axis=1) >= 0, axis=1)]  # a cell's base is its vertex 0
+    bases = s[s[:, -1] < m]  # a cell's base is its vertex 0
     perms = np.array(list(itertools.permutations(range(D))))
+    ties = bases[:, 1:] == bases[:, :-1]
+    late = np.argsort(perms, axis=1)  # the step at which each axis is taken
+    late = late[:, 1:] > late[:, :-1]  # axis i+1 stepped after axis i
+    keep = np.empty((bases.shape[0], perms.shape[0]), dtype=bool)
+    for p in range(perms.shape[0]):
+        keep[:, p] = ~ties[:, late[p]].any(axis=1)
+    base, perm = np.nonzero(keep)  # base-major, then itertools order
     steps = np.zeros((perms.shape[0], D + 1, D), dtype=int)
     steps[:, 1:] = np.cumsum(np.eye(D, dtype=int)[perms], axis=1)
-    pts = (bases[:, None, None, :] + steps).reshape(-1, D + 1, D)
-    keep = np.all(np.diff(pts, axis=-1) >= 0, axis=(1, 2))
-    cells = s_table[tuple(np.moveaxis(pts[keep], -1, 0))]
+    stride = (m + 1) ** np.arange(D - 1, -1, -1)  # flat offsets into s_table
+    start, offset, table = (bases @ stride)[base], steps @ stride, s_table.ravel()
+    cells = np.empty((base.size, D + 1), dtype=np.intp)
+    for j in range(D + 1):
+        cells[:, j] = table[start + offset[perm, j]]
     # the cell of permutation pi has sign det([v_0 ... v_D]) = (-1)^(d+1) sign(pi)
     inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
-    orient = np.tile((-1) ** (dim + 1 + inversions), bases.shape[0])[keep]
+    orient = ((-1) ** (dim + 1 + inversions))[perm]
     return BarycentricGrid(dim, m, lattice, vertices, cells, orient, s_table)
 
 

@@ -19,11 +19,8 @@ matrix E = [s_1 - s_0 ... s_D - s_0] (D = d - 1),
 
 with adj(E) taken by cofactors over arrays of all cells at once and det(E)
 from its first column, one pass per step for every d and no LAPACK call.
-Since det(E) = (-1)^(d+1) m^D det([v_0 ... v_D]), the fold test keeps its
-direction-space meaning, and a grid cell has |det(E)| = 1. A cell with
-|det(E)| below DEGENERATE_DET, a fraction of a grid cell at every
-resolution, gets no candidates; a target only such a cell would cover
-raises CoverageError.
+Since det(E) = (-1)^(d+1) m^D det([v_0 ... v_D]), a grid cell has oriented
+determinant (-1)^(d+1) det(E) * cell_orient = 1 at every resolution.
 
 Point location is a cell-centric raster. The integer points in each cell's
 bounding box, widened by RASTER_MARGIN * m, are the only targets it is solved
@@ -33,9 +30,13 @@ in the number of cells plus the number of (target, cell) candidates, which
 for an unfolded tiling of cells about one lattice step across is a small
 multiple of the number of cells.
 
-Folding of the image tiling (two cells with opposite orientation) means the
-map stopped being injective on the surface at this resolution and is reported
-as an error rather than silently patched.
+The graph transform is defined only while the image surface is still a
+radial graph. So every image cell must keep its grid cell's orientation by
+at least DEGENERATE_DET; a collapsed or reversed cell means the map stopped
+being injective on the surface at this resolution, and raises FoldError
+rather than being patched. Faces map to faces and the corners are fixed, so
+the piecewise-linear direction map then has degree one and the image cells
+cover every target.
 """
 from __future__ import annotations
 
@@ -52,15 +53,14 @@ __all__ = [
     "TrappingError",
     "ResampleError",
     "FoldError",
-    "CoverageError",
     "PushforwardCloud",
     "pushforward",
     "resample",
     "graph_step",
 ]
 
-# |det(E)| below which an image cell is degenerate, in lattice units: a
-# grid cell has |det(E)| = 1 at every resolution.
+# Oriented det(E) below which an image cell has collapsed or reversed, in
+# lattice units: a grid cell has oriented det(E) = 1 at every resolution.
 DEGENERATE_DET = 1e-9
 CONTAINMENT_TOL = 1e-9
 BOX_DRIFT_TOL = 1e-9
@@ -84,11 +84,7 @@ class ResampleError(TransformError):
 
 
 class FoldError(ResampleError):
-    """The image tiling folds over itself: injectivity lost at this iterate."""
-
-
-class CoverageError(ResampleError):
-    """Some target direction is covered by no image cell."""
+    """An image cell collapsed or reversed its orientation: injectivity lost at this iterate."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,9 +93,8 @@ class PushforwardCloud:
 
     The cloud holds no per-cell data: the tiling takes each image cell's
     determinant and adjugate from one cofactor pass in lattice coordinates
-    (see _cell_frames). A cell below DEGENERATE_DET of a grid cell's volume
-    gets no candidates, and a target only such a cell would cover raises
-    CoverageError.
+    (see _cell_frames). An image cell that keeps less than DEGENERATE_DET of
+    its grid cell's oriented volume makes the tiling a fold (see _tile).
     """
 
     grid: BarycentricGrid
@@ -174,8 +169,8 @@ def _cell_frames(
 
     dirs (P, d) holds directions and cells (C, d) rows of dirs. Returns the
     origin s_0 (D, C) of each cell, its edge matrix E = [s_1 - s_0 ... s_D - s_0]
-    (D, D, C), the adjugate adj(E) (D, D, C) and det(E) (C,), which the fold
-    and DEGENERATE_DET tests read. The matrix indices come first, so that every
+    (D, D, C), the adjugate adj(E) (D, D, C) and det(E) (C,), which the
+    orientation rule reads. The matrix indices come first, so that every
     entry is a contiguous (C,) array; minors are shared between cofactors, and
     det(E) = sum_j E[0, j] adj(E)[j, 0] is summed in the order of a Laplace
     expansion along the first row. An edge is summed from the differences of
@@ -226,15 +221,14 @@ def _weights(origin: np.ndarray, inv: np.ndarray, cel: np.ndarray, pts: np.ndarr
 
 
 def _raster_pairs(
-    grid: BarycentricGrid, origin: np.ndarray, edges: np.ndarray, usable: np.ndarray
+    grid: BarycentricGrid, origin: np.ndarray, edges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(target, cell) candidates: target vertices in each usable cell's widened bounding box.
+    """(target, cell) candidates: target vertices in each cell's widened bounding box.
 
     The cells are given in the grid's cumulative lattice coordinates, by
     origin (D, C) and edges (D, D, C), where the target vertices are the
-    ordered integer points; a cell outside the mask usable (C,) gets no
-    candidates. Returns the target and cell of each candidate and the target's
-    lattice point (D, n).
+    ordered integer points. Returns the target and cell of each candidate and
+    the target's lattice point (D, n).
     """
     m = grid.resolution
     margin = RASTER_MARGIN * m
@@ -243,7 +237,7 @@ def _raster_pairs(
     lo = np.maximum(np.ceil(low - margin), 0).astype(np.intp)
     hi = np.minimum(np.floor(high + margin), m).astype(np.intp)
     extent = np.maximum(hi - lo + 1, 0)
-    sizes = np.where(usable, extent.prod(axis=0), 0)
+    sizes = extent.prod(axis=0)
     cell = np.repeat(np.arange(sizes.size), sizes)
     rest = np.arange(cell.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     pts = np.empty((extent.shape[0], cell.size), dtype=np.intp)
@@ -259,29 +253,24 @@ def _raster_pairs(
 def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
     """Image cell of every grid vertex, as rows of cloud point indices, and its weights.
 
-    Raises FoldError if the image tiling folds and CoverageError if a target
-    lies in no image cell.
+    Raises FoldError unless every image cell keeps its grid cell's orientation
+    by at least DEGENERATE_DET, that is (-1)^(d+1) det(E) * cell_orient >=
+    DEGENERATE_DET: a collapsed or reversed cell is a fold.
     """
     grid = cloud.grid
     cells = grid.cells
     origin, edges, inv, det = _cell_frames(cloud.directions, cells, grid.resolution)
 
-    usable = np.abs(det) >= DEGENERATE_DET
-    # det(E) / det([v_0 ... v_D]) is one constant for every cell, so a fold
-    # shows as mixed signs all the same
-    oriented = (det * grid.cell_orient)[usable]
-    if oriented.size and oriented.min() < 0.0 < oriented.max():
-        n_flip = int(min(np.sum(oriented < 0.0), np.sum(oriented > 0.0)))
+    oriented = (-1) ** (grid.dim + 1) * det * grid.cell_orient
+    if not oriented.min() >= DEGENERATE_DET:  # a NaN determinant fails too
+        n_bad = int(np.count_nonzero(~(oriented >= DEGENERATE_DET)))
         raise FoldError(
-            f"image tiling folds: {n_flip} of {oriented.size} cells reversed orientation"
+            f"image tiling folds: {n_bad} of {oriented.size} cells collapsed or reversed "
+            f"orientation (least oriented det(E) {float(oriented.min()):.3e} grid cells)"
         )
+    inv /= det
 
-    if not usable.any():
-        raise CoverageError("all image cells degenerate")
-    # degenerate cells keep their place but get no candidates and no inverse
-    np.divide(inv, det, out=inv, where=usable)
-
-    tgt, cel, pts = _raster_pairs(grid, origin, edges, usable)
+    tgt, cel, pts = _raster_pairs(grid, origin, edges)
     alpha = _weights(origin, inv, cel, pts)
     min_alpha = np.minimum.reduce(alpha, axis=0)
     # per target: the largest minimum weight, then the lowest cell index, which
@@ -291,19 +280,10 @@ def _tile(cloud: PushforwardCloud) -> tuple[np.ndarray, np.ndarray]:
     ties = np.flatnonzero(min_alpha == top[tgt])
     best = np.full(grid.n_vertices, cel.size)
     np.minimum.at(best, tgt[ties], ties)
-    covered = top >= -CONTAINMENT_TOL
-
-    if not covered.all():
-        t = int(np.argmin(covered))
-        # the one target against every usable cell, for the nearest cell and its miss
-        every = np.flatnonzero(usable)
-        s_t = np.repeat(np.cumsum(grid.lattice[t])[:-1, None], every.size, axis=1)
-        row = np.minimum.reduce(_weights(origin, inv, every, s_t))
-        c = int(every[np.argmax(row)])
-        raise CoverageError(
-            f"target vertex {t} (u={grid.vertices[t]}) uncovered; nearest image cell "
-            f"{c} (cloud rows {cells[c].tolist()}) misses by {float(-row.max()):.3e}"
-        )
+    # an oriented tiling with fixed faces covers every target (degree one)
+    if top.min() < -CONTAINMENT_TOL:
+        t = int(np.argmax(top < -CONTAINMENT_TOL))
+        raise ResampleError(f"target vertex {t} (u={grid.vertices[t]}) lies in no image cell")
     return cells[cel[best]], alpha[:, best].T
 
 

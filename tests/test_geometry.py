@@ -118,6 +118,44 @@ def test_make_grid_equals_loop_reference(dim, m):
         assert grid.corner_index(i) == index[tuple(m if j == i else 0 for j in range(dim))]
 
 
+def dense_make_grid(dim, m):
+    """Lattice, vertices, cells, orientations and s_table from full cube temporaries.
+
+    The reference for make_grid's mask build: every point of [0, m]^(d-1) and
+    every (base, permutation) Kuhn cell of [0, m - 1]^(d-1) is materialised,
+    then filtered to the ordered region.
+    """
+    D = dim - 1
+    cube = np.indices((m + 1,) * D)
+    s = np.moveaxis(cube, 0, -1)[np.all(np.diff(cube, axis=0) >= 0, axis=0)]
+    lattice = np.diff(s, axis=1, prepend=0, append=m)
+    s_table = np.full((m + 1,) * D, -1, dtype=np.intp)
+    s_table[tuple(np.cumsum(lattice[:, :-1], axis=1).T)] = np.arange(lattice.shape[0])
+    bases = np.indices((m,) * D).reshape(D, -1).T
+    bases = bases[np.all(np.diff(bases, axis=1) >= 0, axis=1)]
+    perms = np.array(list(itertools.permutations(range(D))))
+    steps = np.zeros((perms.shape[0], D + 1, D), dtype=int)
+    steps[:, 1:] = np.cumsum(np.eye(D, dtype=int)[perms], axis=1)
+    pts = (bases[:, None, None, :] + steps).reshape(-1, D + 1, D)
+    keep = np.all(np.diff(pts, axis=-1) >= 0, axis=(1, 2))
+    cells = s_table[tuple(np.moveaxis(pts[keep], -1, 0))]
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :]).sum(axis=(1, 2))
+    orient = np.tile((-1) ** (dim + 1 + inversions), bases.shape[0])[keep]
+    return lattice, lattice / float(m), cells, orient, s_table
+
+
+@pytest.mark.parametrize(
+    "dim,m", [(2, 1), (2, 7), (2, 64), (3, 1), (3, 5), (3, 24), (4, 2), (4, 4), (4, 12),
+              (5, 1), (5, 3), (5, 8), (6, 2), (6, 5)]
+)
+def test_make_grid_equals_dense_construction(dim, m):
+    grid = make_grid(dim, m)
+    for got, want in zip([grid.lattice, grid.vertices, grid.cells, grid.cell_orient, grid.s_table],
+                         dense_make_grid(dim, m)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_cell_orient_and_corners_equal_oracles(dim):
     # make_grid takes cell_orient from the parity of the Kuhn permutation, with no det

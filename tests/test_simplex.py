@@ -527,6 +527,19 @@ def test_four_species_leslie_gower_end_to_end():
     assert status == "on"
 
 
+def test_five_species_leslie_gower_pins_its_iterations():
+    # odd d above 3: the tile's orientation rule carries the factor (-1)^(d+1)
+    a = np.full((5, 5), 0.3)
+    np.fill_diagonal(a, 1.0)
+    kmap = leslie_gower(r=(1.0,) * 5, A=a.tolist())
+    grid = make_grid(5, 4)
+    res = compute_cs(kmap, grid, 1.0, 0.25, tolerance=1e-6)
+    assert (res.termination, res.iterations, res.certified_by) == ("converged", 22, "inflation")
+    assert res.monotone_ok and res.gap_monotone_ok
+    for i in range(5):
+        assert abs(res.sigma.radii[grid.corner_index(i)] - 1.0) < 1e-6
+
+
 def test_seed_independence(coupled_run):
     res = coupled_run
     grid = res.sigma.grid

@@ -25,9 +25,9 @@ from csimplex.maps import (
 from csimplex.transform import (
     CONTAINMENT_TOL,
     DEGENERATE_DET,
-    CoverageError,
     FoldError,
     PushforwardCloud,
+    ResampleError,
     TrappingError,
     graph_step,
     pushforward,
@@ -52,20 +52,22 @@ def dense_resample(cloud):
     """All-pairs solve of every target against every image cell (reference for the raster).
 
     The weights come from the tiling's own cofactor helpers, so the cell choice
-    (largest minimum weight, then lowest cell index) compares exactly. Returns
-    the resampled manifold and, per target, the chosen cell as a row of cloud
-    point indices.
+    (largest minimum weight, then lowest cell index) compares exactly. Every
+    cell is solved: a collapsed or reversed one is a fold before any target
+    is. Returns the resampled manifold and, per target, the chosen cell as a
+    row of cloud point indices.
     """
     grid = cloud.grid
     d = grid.dim
     origin, edges, adj, det = transform._cell_frames(cloud.directions, grid.cells, grid.resolution)
-    usable = np.abs(det) >= DEGENERATE_DET
-    oriented = (det * grid.cell_orient)[usable]
-    if oriented.size and oriented.min() < 0.0 < oriented.max():
-        raise FoldError("image tiling folds")
-    index = np.flatnonzero(usable)
-    cells = grid.cells[usable]
-    origin, inv = origin[:, usable], adj[:, :, usable] / det[usable]
+    oriented = (-1) ** (d + 1) * det * grid.cell_orient
+    bad = oriented < DEGENERATE_DET
+    if bad.any():
+        raise FoldError(
+            f"image tiling folds: {bad.sum()} of {bad.size} cells collapsed or reversed "
+            f"orientation (least oriented det(E) {oriented.min():.3e} grid cells)"
+        )
+    cells, inv = grid.cells, adj / det
     n_t, n_c = grid.n_vertices, cells.shape[0]
     pts = np.cumsum(grid.lattice, axis=1)[:, :-1].T
     tgt = np.repeat(np.arange(n_t), n_c)
@@ -76,12 +78,7 @@ def dense_resample(cloud):
     covered = min_alpha[np.arange(n_t), best] >= -CONTAINMENT_TOL
     if not covered.all():
         t = int(np.flatnonzero(~covered)[0])
-        c = best[t]
-        raise CoverageError(
-            f"target vertex {t} (u={grid.vertices[t]}) uncovered; nearest image cell "
-            f"{int(index[c])} (cloud rows {cells[c].tolist()}) misses by "
-            f"{float(-min_alpha[t, c]):.3e}"
-        )
+        raise ResampleError(f"target vertex {t} (u={grid.vertices[t]}) lies in no image cell")
     w = alpha[:, np.arange(n_t), best].T
     radii = 1.0 / (w / cloud.radii[cells[best]]).sum(axis=1)
     for i in range(d):
@@ -90,17 +87,15 @@ def dense_resample(cloud):
 
 
 def lapack_resample(cloud):
-    """Radii from LAPACK inverses of every usable cell in direction space.
+    """Radii from LAPACK inverses of every cell in direction space.
 
     An independent reference for the cofactor solve: the weights of a target u
     in a cell with vertex directions V are inv(V) u.
     """
     grid = cloud.grid
-    mats = np.swapaxes(cloud.directions[grid.cells], 1, 2)
-    # |det(E)| of a cell is m^D times its direction-space |det|
-    usable = grid.resolution ** (grid.dim - 1) * np.abs(np.linalg.det(mats)) >= DEGENERATE_DET
-    cells = grid.cells[usable]
-    alpha = np.einsum("cij,tj->tci", np.linalg.inv(mats[usable]), grid.vertices)
+    cells = grid.cells
+    mats = np.swapaxes(cloud.directions[cells], 1, 2)
+    alpha = np.einsum("cij,tj->tci", np.linalg.inv(mats), grid.vertices)
     best = np.argmax(alpha.min(axis=2), axis=1)
     w = alpha[np.arange(grid.n_vertices), best]
     radii = 1.0 / (w / cloud.radii[cells[best]]).sum(axis=1)
@@ -287,6 +282,30 @@ def test_resample_detects_fold():
         bisection_resample(folded)
 
 
+def mirrored_cloud(cloud, axes):
+    """The cloud with its coordinates permuted by axes: every image cell reversed if odd."""
+    return dataclasses.replace(cloud, points=cloud.points[:, axes], directions=cloud.directions[:, axes])
+
+
+@pytest.mark.parametrize("dim,m,axes", [(2, 8, [1, 0]), (3, 5, [1, 0, 2])])
+def test_resample_reversed_tiling_is_a_fold(dim, m, axes):
+    # a transposition of the coordinates reverses every image cell; the signs
+    # never mix, so a test for mixed orientations alone accepts the tiling
+    grid = make_grid(dim, m)
+    rng = np.random.default_rng(70 + dim)
+    cloud = pushforward(identity_map(dim), RadialManifold(grid, 0.6 + 0.3 * rng.random(grid.n_vertices)))
+    mirrored = mirrored_cloud(cloud, axes)
+    message = rf"{grid.cells.shape[0]} of {grid.cells.shape[0]} cells collapsed or reversed"
+    with pytest.raises(FoldError, match=message) as raster:
+        resample(mirrored)
+    with pytest.raises(FoldError) as dense:
+        dense_resample(mirrored)
+    assert str(raster.value) == str(dense.value)
+    if dim == 2:
+        with pytest.raises(FoldError):
+            bisection_resample(mirrored)
+
+
 def test_resample_detects_uncovered_target():
     grid = make_grid(2, 8)
     cloud = pushforward(identity_map(2), constant_manifold(grid, 1.0))
@@ -298,8 +317,10 @@ def test_resample_detects_uncovered_target():
         directions=shrunk,
         radii=cloud.radii,
     )
-    with pytest.raises(CoverageError):
+    # every cell keeps half its oriented volume, but the corners moved inward
+    with pytest.raises(ResampleError, match="lies in no image cell") as err:
         resample(broken)
+    assert not isinstance(err.value, FoldError)
 
 
 def test_graph_step_permutation_equivariance():
@@ -354,7 +375,7 @@ def oracle_clouds(dim, m):
     yield "perturbed coupled", perturbed_cloud(coupled, rng, 0.1 / (m * dim))
 
 
-@pytest.mark.parametrize("dim,m", [(2, 3), (2, 8), (3, 4), (3, 7), (4, 3), (4, 5)])
+@pytest.mark.parametrize("dim,m", [(2, 3), (2, 8), (3, 4), (3, 7), (4, 3), (4, 5), (5, 3), (5, 4)])
 def test_raster_matches_dense_oracle(dim, m):
     for name, cloud in oracle_clouds(dim, m):
         expected, chosen = dense_resample(cloud)
@@ -373,7 +394,7 @@ def forbid_lapack(monkeypatch):
         monkeypatch.setattr(np.linalg, name, refuse)
 
 
-@pytest.mark.parametrize("dim,m", [(2, 16), (3, 8), (4, 5)])
+@pytest.mark.parametrize("dim,m", [(2, 16), (3, 8), (4, 5), (5, 4)])
 def test_graph_step_calls_no_lapack(dim, m, monkeypatch):
     kmap = coupled_lg(dim)
     grid = make_grid(dim, m)  # the grid's own orientation det comes first
@@ -395,9 +416,9 @@ def test_raster_coverage_error_matches_dense_oracle():
         directions=shrunk,
         radii=cloud.radii,
     )
-    with pytest.raises(CoverageError) as raster:
+    with pytest.raises(ResampleError) as raster:
         resample(broken)
-    with pytest.raises(CoverageError) as dense:
+    with pytest.raises(ResampleError) as dense:
         dense_resample(broken)
     assert str(raster.value) == str(dense.value)
 
@@ -416,9 +437,9 @@ def test_resample_memory_is_output_sensitive():
     assert peak < 20e6
 
 
-def test_coverage_error_names_the_grid_cell_after_a_degenerate_one():
-    # image cell 0 collapses, so the nearest usable cell, grid cell 1, is the
-    # first usable one: the message names it by its grid index and cloud rows
+def test_collapsed_cell_error_matches_dense_oracle():
+    # image cell 0 collapses inside a shrunk tiling: a fold, named by its count
+    # and its oriented volume, before any target is located
     grid = make_grid(2, 8)
     cloud = pushforward(identity_map(2), constant_manifold(grid, 1.0))
     center = np.full(2, 0.5)
@@ -426,10 +447,10 @@ def test_coverage_error_names_the_grid_cell_after_a_degenerate_one():
     shrunk[1] = shrunk[0]
     broken = dataclasses.replace(cloud, points=shrunk * cloud.radii[:, None], directions=shrunk)
     assert grid.cells[:2].tolist() == [[0, 1], [1, 2]]
-    message = r"vertex 0 .* nearest image cell 1 \(cloud rows \[1, 2\]\) misses by 2\.000e\+00"
-    with pytest.raises(CoverageError, match=message) as raster:
+    message = r"1 of 8 cells collapsed or reversed orientation \(least oriented det\(E\) 0\.000e\+00"
+    with pytest.raises(FoldError, match=message) as raster:
         resample(broken)
-    with pytest.raises(CoverageError) as dense:
+    with pytest.raises(FoldError) as dense:
         dense_resample(broken)
     assert str(raster.value) == str(dense.value)
 
@@ -546,9 +567,10 @@ def test_graph_step_takes_one_cell_pass(dim, m, monkeypatch):
 
 
 @pytest.mark.parametrize("dim,m,p,q", [(2, 8, (4, 4), (3, 5)), (3, 4, (1, 1, 2), (1, 2, 1))])
-def test_resample_succeeds_through_a_collapsed_cell(dim, m, p, q, monkeypatch):
+def test_resample_collapsed_cell_is_a_fold(dim, m, p, q, monkeypatch):
     # interior vertex p moves onto its neighbour q: the image cells holding
-    # both collapse, and the rest of p's convex star still tiles it
+    # both collapse, and the step fails before any target is located, even
+    # though the rest of p's convex star still tiles it
     grid = make_grid(dim, m)
     p, q = grid.vertex_index(p), grid.vertex_index(q)
     rng = np.random.default_rng(60 + dim)
@@ -570,10 +592,10 @@ def test_resample_succeeds_through_a_collapsed_cell(dim, m, p, q, monkeypatch):
         return out
 
     monkeypatch.setattr(transform, "_raster_pairs", recorded)
-    radii = resample(collapsed_cloud).radii
-    assert len(candidates) == 1 and not np.isin(collapsed, candidates[0]).any()
-    expected, chosen = dense_resample(collapsed_cloud)
-    cells, _ = transform._tile(collapsed_cloud)
-    assert np.array_equal(cells, chosen)
-    np.testing.assert_allclose(radii, expected.radii, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(radii, lapack_resample(collapsed_cloud), rtol=0, atol=1e-12)
+    message = rf"{dim - 1} of {grid.cells.shape[0]} cells collapsed or reversed"
+    with pytest.raises(FoldError, match=message) as tiled:
+        resample(collapsed_cloud)
+    assert candidates == []
+    with pytest.raises(FoldError) as dense:
+        dense_resample(collapsed_cloud)
+    assert str(tiled.value) == str(dense.value)
