@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 
+NORMAL_BLOCK = 1 << 15  # cells per batched solve in facet_normals
+
+
 class GridError(ValueError):
     """Point location failed or two grids are incompatible."""
 
@@ -195,10 +198,8 @@ def make_grid(dim: int, resolution: int) -> BarycentricGrid:
     Cell vertices are base + (unit steps along perm), for every integer base of
     [0, m - 1]^(d-1) in lexicographic order and, within a base, every
     permutation in itertools order; a cell is kept when all its vertices lie in
-    the ordered region. Its base must be ordered, and a tie b_i = b_{i+1} stays
-    ordered only when axis i+1 is stepped no later than axis i, so the kept
-    cells are read off a (bases x permutations) mask with no per-cell
-    temporary beyond the cells themselves.
+    the ordered region: its base is ordered and, at each tie b_i = b_{i+1}, axis
+    i+1 is stepped no later than axis i, read off a (bases x permutations) mask.
     """
     lattice, vertices = simplex_lattice(dim, resolution)
     m, D = resolution, dim - 1
@@ -333,11 +334,16 @@ def facet_normals(manifold: RadialManifold) -> np.ndarray:
     """Normal a of each cell's flat facet a·x = 1 through its vertex points, as (cells, d).
 
     The facet holds R(v_k) v_k for the cell's vertex directions v_k, so a solves V a = 1/r
-    with V the rows v_k and r their radii: one batched solve over all cells.
+    with V the rows v_k and r their radii, batched over NORMAL_BLOCK cells at a time:
+    each cell's solve is its own, and the (cells, d, d) stack never exists whole.
     """
-    grid = manifold.grid
-    inv_r = 1.0 / manifold.radii[grid.cells]
-    return np.linalg.solve(grid.vertices[grid.cells], inv_r[..., None])[..., 0]
+    cells = manifold.grid.cells
+    a = np.empty(cells.shape)
+    for lo in range(0, cells.shape[0], NORMAL_BLOCK):
+        block = cells[lo:lo + NORMAL_BLOCK]
+        inv_r = 1.0 / manifold.radii[block]
+        a[lo:lo + NORMAL_BLOCK] = np.linalg.solve(manifold.grid.vertices[block], inv_r[..., None])[..., 0]
+    return a
 
 
 def order_check(manifold: RadialManifold, delta: float) -> tuple[int, float, float]:

@@ -30,13 +30,10 @@ in the number of cells plus the number of (target, cell) candidates, which
 for an unfolded tiling of cells about one lattice step across is a small
 multiple of the number of cells.
 
-The graph transform is defined only while the image surface is still a
-radial graph. So every image cell must keep its grid cell's orientation by
-at least DEGENERATE_DET; a collapsed or reversed cell means the map stopped
-being injective on the surface at this resolution, and raises FoldError
-rather than being patched. Faces map to faces and the corners are fixed, so
-the piecewise-linear direction map then has degree one and the image cells
-cover every target.
+The graph transform needs the image to stay a radial graph, so every image
+cell must keep its grid cell's orientation by DEGENERATE_DET; a collapsed or
+reversed cell raises FoldError. Faces map to faces and the corners are fixed,
+so the direction map then has degree one and the image cells cover every target.
 """
 from __future__ import annotations
 

@@ -639,6 +639,17 @@ def test_order_tolerance_bounds_the_inverse_vertex_matrices(dim):
 
 
 @pytest.mark.parametrize("dim,m", [(2, 64), (3, 16), (4, 8), (5, 4)])
+def test_facet_normals_do_not_depend_on_the_block_size(dim, m, monkeypatch):
+    # blocks of 7 cells, a remainder included, give the one whole-stack solve byte for byte
+    rng = np.random.default_rng(7100 + dim)
+    grid = make_grid(dim, m)
+    manifold = RadialManifold(grid, 0.5 + rng.random(grid.n_vertices))
+    whole = np.linalg.solve(grid.vertices[grid.cells], (1.0 / manifold.radii[grid.cells])[..., None])[..., 0]
+    monkeypatch.setattr(geometry, "NORMAL_BLOCK", 7)
+    assert grid.cells.shape[0] % 7 and facet_normals(manifold).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("dim,m", [(2, 64), (3, 16), (4, 8), (5, 4)])
 def test_order_tolerance_covers_a_delta_change_of_the_radii(dim, m):
     rng = np.random.default_rng(7000 + 100 * dim + m)
     grid = make_grid(dim, m)
