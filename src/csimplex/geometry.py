@@ -18,17 +18,14 @@ is 1 - min(R/R', R'/R); R/R' is a ratio of positive affine functions of the
 weights on a cell, so the vertex maximum is the exact supremum (see
 harnack_distance). The Hausdorff distance is bounded by the largest distance
 between corresponding vertex points (see hausdorff_bound). The order check
-reads the same facets as a·x = 1 (see order_check). Where every normal a is
-nonnegative, the region under the surface is a down-set, so its boundary,
-vertex and face points included, holds no strictly ordered pair, and the
-projection Lipschitz ratio of any two of its points is at most sqrt(d): one
-pass over cells, no pair search.
+reads the same facets as a·x = 1, one pass over cells (see order_check).
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -333,9 +330,8 @@ def harnack_distance(a: RadialManifold, b: RadialManifold) -> float:
 def facet_normals(manifold: RadialManifold) -> np.ndarray:
     """Normal a of each cell's flat facet a·x = 1 through its vertex points, as (cells, d).
 
-    The facet holds R(v_k) v_k for the cell's vertex directions v_k, so a solves V a = 1/r
-    with V the rows v_k and r their radii, batched over NORMAL_BLOCK cells at a time:
-    each cell's solve is its own, and the (cells, d, d) stack never exists whole.
+    The facet holds R(v_k) v_k, so a solves V a = 1/r with V the rows v_k and r their radii,
+    NORMAL_BLOCK cells per batched solve, so the (cells, d, d) stack never exists whole.
     """
     cells = manifold.grid.cells
     a = np.empty(cells.shape)
@@ -344,6 +340,17 @@ def facet_normals(manifold: RadialManifold) -> np.ndarray:
         inv_r = 1.0 / manifold.radii[block]
         a[lo:lo + NORMAL_BLOCK] = np.linalg.solve(manifold.grid.vertices[block], inv_r[..., None])[..., 0]
     return a
+
+
+def _exact_normal(manifold: RadialManifold, cell: np.ndarray) -> np.ndarray:
+    """One cell's normal: V a = 1/r solved in rationals from the float V and r, rounded once."""
+    pairs = zip(manifold.grid.vertices[cell].tolist(), manifold.radii[cell].tolist())
+    rows = [[Fraction(x) for x in v] + [1 / Fraction(r)] for v, r in pairs]
+    for c in range(cell.size):  # Gauss-Jordan; a cell's V is nonsingular
+        rows[c:] = sorted(rows[c:], key=lambda row: row[c] == 0)
+        rows = [row if i == c else [x - row[c] / rows[c][c] * y for x, y in zip(row, rows[c])]
+                for i, row in enumerate(rows)]
+    return np.array([float(row[-1] / row[i]) for i, row in enumerate(rows)])
 
 
 def order_check(manifold: RadialManifold, delta: float) -> tuple[int, float, float]:
@@ -368,12 +375,18 @@ def order_check(manifold: RadialManifold, delta: float) -> tuple[int, float, flo
     one change of b, at most 2 m |b|_inf; the path takes each of the d - 1 axes once, so
     |a_j - a_i| <= 2 (d - 1) m |b|_inf and |a_j| <= K |b|_inf. A flagged cell is thus a
     violation that no delta-perturbation of the radii explains.
+
+    A float solve errs by about K d 2^d eps |a| at most (2^d for pivot growth), so a cell whose
+    least entry is that close to zero is solved exactly and margin has the exact facets' sign.
     """
     grid = manifold.grid
     r_min = float(manifold.radii.min())
     k = 1 + 2 * (grid.dim - 1) * grid.resolution
     tol = k * delta / (r_min * (r_min - delta)) if delta < r_min else np.inf
     a = facet_normals(manifold)
+    rounding = k * grid.dim * 2.0 ** grid.dim * np.finfo(float).eps
+    for c in np.flatnonzero(np.abs(a.min(axis=1)) <= rounding * np.linalg.norm(a, axis=1)):
+        a[c] = _exact_normal(manifold, grid.cells[c])
     low = a.min(axis=1)
     margin = float((low / np.linalg.norm(a, axis=1)).min(initial=np.inf))
     return int(np.count_nonzero(low < -tol)), margin, tol

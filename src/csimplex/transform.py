@@ -22,13 +22,9 @@ from its first column, one pass per step for every d and no LAPACK call.
 Since det(E) = (-1)^(d+1) m^D det([v_0 ... v_D]), a grid cell has oriented
 determinant (-1)^(d+1) det(E) * cell_orient = 1 at every resolution.
 
-Point location is a cell-centric raster. The integer points in each cell's
-bounding box, widened by RASTER_MARGIN * m, are the only targets it is solved
-against. A target takes the candidate cell with the largest minimum
-barycentric weight, ties going to the lowest cell index. The cost is linear
-in the number of cells plus the number of (target, cell) candidates, which
-for an unfolded tiling of cells about one lattice step across is a small
-multiple of the number of cells.
+Point location is a cell-centric raster: each cell is solved only against the
+integer points in its widened bounding box (_raster_pairs), linear in the cells
+plus the candidates, a small multiple of the cells for an unfolded tiling.
 
 The graph transform needs the image to stay a radial graph, so every image
 cell must keep its grid cell's orientation by DEGENERATE_DET; a collapsed or
@@ -88,10 +84,8 @@ class FoldError(ResampleError):
 class PushforwardCloud:
     """Images of the grid vertices under the map, with radial split y = r v.
 
-    The cloud holds no per-cell data: the tiling takes each image cell's
-    determinant and adjugate from one cofactor pass in lattice coordinates
-    (see _cell_frames). An image cell that keeps less than DEGENERATE_DET of
-    its grid cell's oriented volume makes the tiling a fold (see _tile).
+    No per-cell data: _tile takes each image cell's frame from _cell_frames and
+    raises FoldError for a cell below DEGENERATE_DET of its grid cell's oriented volume.
     """
 
     grid: BarycentricGrid
@@ -164,15 +158,11 @@ def _cell_frames(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Each cell in the lattice coordinates s = m * cumsum(v)[:-1], by one cofactor pass.
 
-    dirs (P, d) holds directions and cells (C, d) rows of dirs. Returns the
-    origin s_0 (D, C) of each cell, its edge matrix E = [s_1 - s_0 ... s_D - s_0]
-    (D, D, C), the adjugate adj(E) (D, D, C) and det(E) (C,), which the
-    orientation rule reads. The matrix indices come first, so that every
-    entry is a contiguous (C,) array; minors are shared between cofactors, and
-    det(E) = sum_j E[0, j] adj(E)[j, 0] is summed in the order of a Laplace
-    expansion along the first row. An edge is summed from the differences of
-    its end directions, which are exact for close directions, so a small cell
-    keeps its relative accuracy.
+    dirs (P, d) holds directions and cells (C, d) rows of dirs. Returns each cell's origin
+    s_0 (D, C), edge matrix E = [s_1 - s_0 ... s_D - s_0] (D, D, C), adj(E) (D, D, C) and
+    det(E) (C,), matrix indices first so every entry is a contiguous (C,) array. Minors are
+    shared between cofactors; det(E) is a Laplace expansion along the first row. Edges sum
+    differences of end directions, exact for close ones, so a small cell keeps its accuracy.
     """
     d = dirs.shape[1]
     coords = np.ascontiguousarray(dirs.T)

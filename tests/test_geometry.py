@@ -438,6 +438,18 @@ def test_tilted_facets_are_flagged():
     assert margin < 0.0
 
 
+@pytest.mark.parametrize("dim,m", [(2, 16), (3, 6), (4, 3), (6, 2)])
+def test_exact_normals_round_the_float_solve(dim, m):
+    # every cell, boundary ones (zero first pivot) included: the exact normal agrees with
+    # the float solve to its rounding, far inside the bound order_check re-solves within
+    grid = make_grid(dim, m)
+    radii = np.exp(np.random.default_rng(dim).normal(0.0, 0.3, grid.n_vertices))
+    manifold = RadialManifold(grid, radii)
+    a = facet_normals(manifold)
+    exact = np.array([geometry._exact_normal(manifold, c) for c in grid.cells])
+    assert np.all(np.abs(a - exact) <= 1e-13 * np.linalg.norm(exact, axis=1)[:, None])
+
+
 def test_weakly_unordered_memory_is_linear():
     # the dense scan held an (n, n, d) array per support group: 126 MB here
     manifold = box_boundary_manifold(make_grid(3, 64), 2.0)

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import csimplex
 from csimplex.cli import build_parser, main
+from csimplex.geometry import RadialManifold, make_grid
+from csimplex.io import save_manifold_csv
 
 ALLOWED = {
     # kept API and oracles that no command calls
@@ -65,6 +67,13 @@ def run_commands(tmp_path) -> set:
     runs.append(({"map": {"name": "ricker2d"}, "grid": {"resolution": 1}}, [["check"]], 2))
     # a point where ricker1d's per-capita rate underflows to 0: the map's error helper names it
     runs.append((runs[2][0], [["simulate", "--x0", "1e4"]], 3))
+    # the exact surface 1/max(u) of a decoupled map: only rounding moves its box-face facet
+    # normals off zero, so verify's order check solves those cells exactly
+    grid = make_grid(2, 6)
+    exact = tmp_path / "decoupled-exact.csv"
+    save_manifold_csv(str(exact), RadialManifold(grid, 1.0 / grid.vertices.max(axis=1)))
+    decoupled = {"name": "leslie_gower", "params": {"r": [1.0, 1.0], "A": [[1.0, 0.0], [0.0, 1.0]]}}
+    runs.append(({**TINY, "map": decoupled, "grid": {"resolution": 6}}, [["verify", "--sigma", str(exact)]], 0))
     called = set()
     build_parser.cache_clear()  # the parser is built once per process, as a fresh CLI run builds it
 
