@@ -53,9 +53,6 @@ __all__ = [
 ]
 
 
-NORMAL_BLOCK = 1 << 15  # cells per batched solve in facet_normals
-
-
 class GridError(ValueError):
     """Point location failed or two grids are incompatible."""
 
@@ -327,30 +324,30 @@ def harnack_distance(a: RadialManifold, b: RadialManifold) -> float:
     return float(1.0 - np.minimum(a.radii / b.radii, b.radii / a.radii).min())
 
 
-def facet_normals(manifold: RadialManifold) -> np.ndarray:
-    """Normal a of each cell's flat facet a·x = 1 through its vertex points, as (cells, d).
+def facet_normals(grid: BarycentricGrid, cells: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Normal a of each cell's flat facet a·x = 1 through the points v_k / b_k, as (cells, d).
 
-    The facet holds R(v_k) v_k, so a solves V a = 1/r with V the rows v_k and r their radii,
-    NORMAL_BLOCK cells per batched solve, so the (cells, d, d) stack never exists whole.
+    Edge j of the Kuhn path steps axis l_j: delta_l = b_{j+1} - b_j, a_{d-1} = b_0 - sum_l s0_l
+    delta_l with s0 the base's cumulative coordinates, and a_i = a_{d-1} + m sum_{l >= i} delta_l.
+    b, one value per vertex, meets only +, - and *, so it may hold Fractions; no temporary
+    exceeds a column.
     """
-    cells = manifold.grid.cells
-    a = np.empty(cells.shape)
-    for lo in range(0, cells.shape[0], NORMAL_BLOCK):
-        block = cells[lo:lo + NORMAL_BLOCK]
-        inv_r = 1.0 / manifold.radii[block]
-        a[lo:lo + NORMAL_BLOCK] = np.linalg.solve(manifold.grid.vertices[block], inv_r[..., None])[..., 0]
+    m, D = grid.resolution, grid.dim - 1
+    pos = np.flatnonzero(grid.s_table.ravel() >= 0)  # flat offsets, in vertex (lexicographic) order
+    stride = (m + 1) ** np.arange(D)  # a step along axis D - 1 - up adds stride[up]
+    a, rows = np.empty(cells.shape, dtype=b.dtype), np.arange(cells.shape[0])
+    for j in range(D):
+        up = np.searchsorted(stride, pos[cells[:, j + 1]] - pos[cells[:, j]])
+        a[rows, D - 1 - up] = b[cells[:, j + 1]] - b[cells[:, j]]
+    base, last = pos[cells[:, 0]], b[cells[:, 0]]
+    for l in range(D - 1, -1, -1):
+        base, s0 = np.divmod(base, m + 1)
+        last = last - s0 * a[:, l]
+    a[:, D], tail = last, 0
+    for i in range(D - 1, -1, -1):
+        tail = tail + a[:, i]
+        a[:, i] = last + m * tail
     return a
-
-
-def _exact_normal(manifold: RadialManifold, cell: np.ndarray) -> np.ndarray:
-    """One cell's normal: V a = 1/r solved in rationals from the float V and r, rounded once."""
-    pairs = zip(manifold.grid.vertices[cell].tolist(), manifold.radii[cell].tolist())
-    rows = [[Fraction(x) for x in v] + [1 / Fraction(r)] for v, r in pairs]
-    for c in range(cell.size):  # Gauss-Jordan; a cell's V is nonsingular
-        rows[c:] = sorted(rows[c:], key=lambda row: row[c] == 0)
-        rows = [row if i == c else [x - row[c] / rows[c][c] * y for x, y in zip(row, rows[c])]
-                for i, row in enumerate(rows)]
-    return np.array([float(row[-1] / row[i]) for i, row in enumerate(rows)])
 
 
 def order_check(manifold: RadialManifold, delta: float) -> tuple[int, float, float]:
@@ -376,17 +373,19 @@ def order_check(manifold: RadialManifold, delta: float) -> tuple[int, float, flo
     |a_j - a_i| <= 2 (d - 1) m |b|_inf and |a_j| <= K |b|_inf. A flagged cell is thus a
     violation that no delta-perturbation of the radii explains.
 
-    A float solve errs by about K d 2^d eps |a| at most (2^d for pivot growth), so a cell whose
-    least entry is that close to zero is solved exactly and margin has the exact facets' sign.
+    facet_normals evaluates that path to about 2 d K eps |b|_inf; a cell whose least entry is
+    within 4 d K eps |b|_inf of zero is evaluated again on the rationals 1/r, so margin has the
+    sign of the exact facets through the points (k/m) r_k, exact lattice directions included.
     """
     grid = manifold.grid
     r_min = float(manifold.radii.min())
     k = 1 + 2 * (grid.dim - 1) * grid.resolution
     tol = k * delta / (r_min * (r_min - delta)) if delta < r_min else np.inf
-    a = facet_normals(manifold)
-    rounding = k * grid.dim * 2.0 ** grid.dim * np.finfo(float).eps
-    for c in np.flatnonzero(np.abs(a.min(axis=1)) <= rounding * np.linalg.norm(a, axis=1)):
-        a[c] = _exact_normal(manifold, grid.cells[c])
+    a = facet_normals(grid, grid.cells, 1.0 / manifold.radii)
+    near = np.flatnonzero(np.abs(a.min(axis=1)) <= 4 * grid.dim * k * np.finfo(float).eps / r_min)
+    cells, b = grid.cells[near], np.empty(grid.n_vertices, dtype=object)
+    b[cells] = 1 / np.frompyfunc(Fraction, 1, 1)(manifold.radii[cells])
+    a[near] = facet_normals(grid, cells, b).astype(float)
     low = a.min(axis=1)
     margin = float((low / np.linalg.norm(a, axis=1)).min(initial=np.inf))
     return int(np.count_nonzero(low < -tol)), margin, tol

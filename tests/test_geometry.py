@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -433,21 +434,27 @@ def test_tilted_facets_are_flagged():
     assert (grid.vertex_index((2, 1, 1)), k) in dense_weakly_unordered(manifold, 0.0)
     violations, margin, tol = order_check(manifold, 1e-6)
     around = np.flatnonzero((grid.cells == k).any(axis=1))
-    flagged = np.flatnonzero(facet_normals(manifold).min(axis=1) < -tol)
+    flagged = np.flatnonzero(facet_normals(grid, grid.cells, 1.0 / radii).min(axis=1) < -tol)
     assert violations == around.size == 6 and np.array_equal(flagged, around)
     assert margin < 0.0
 
 
-@pytest.mark.parametrize("dim,m", [(2, 16), (3, 6), (4, 3), (6, 2)])
+@pytest.mark.parametrize("dim,m", [(2, 16), (3, 6), (4, 3), (5, 3), (6, 2), (2, 64), (3, 16), (4, 8), (5, 4)])
 def test_exact_normals_round_the_float_solve(dim, m):
-    # every cell, boundary ones (zero first pivot) included: the exact normal agrees with
-    # the float solve to its rounding, far inside the bound order_check re-solves within
+    # every cell, boundary ones included, on random, box and flat surfaces: the Kuhn-path
+    # normals agree with the LAPACK solve and with the same path on the rationals 1/r,
+    # within the rounding bound under which order_check evaluates a cell again exactly
     grid = make_grid(dim, m)
-    radii = np.exp(np.random.default_rng(dim).normal(0.0, 0.3, grid.n_vertices))
-    manifold = RadialManifold(grid, radii)
-    a = facet_normals(manifold)
-    exact = np.array([geometry._exact_normal(manifold, c) for c in grid.cells])
-    assert np.all(np.abs(a - exact) <= 1e-13 * np.linalg.norm(exact, axis=1)[:, None])
+    k = 1 + 2 * (dim - 1) * m
+    for radii in (np.exp(np.random.default_rng(dim).normal(0.0, 0.3, grid.n_vertices)),
+                  1.0 / grid.vertices.max(axis=1), np.ones(grid.n_vertices)):
+        b = 1.0 / radii
+        bound = 4 * dim * k * np.finfo(float).eps * b.max()
+        a = facet_normals(grid, grid.cells, b)
+        solved = np.linalg.solve(grid.vertices[grid.cells], b[grid.cells][..., None])[..., 0]
+        exact = facet_normals(grid, grid.cells, np.array([1 / Fraction(r) for r in radii.tolist()]))
+        assert exact.dtype == object and np.abs(a - solved).max() <= bound
+        assert np.abs(a - exact.astype(float)).max() <= bound
 
 
 def test_weakly_unordered_memory_is_linear():
@@ -651,28 +658,17 @@ def test_order_tolerance_bounds_the_inverse_vertex_matrices(dim):
 
 
 @pytest.mark.parametrize("dim,m", [(2, 64), (3, 16), (4, 8), (5, 4)])
-def test_facet_normals_do_not_depend_on_the_block_size(dim, m, monkeypatch):
-    # blocks of 7 cells, a remainder included, give the one whole-stack solve byte for byte
-    rng = np.random.default_rng(7100 + dim)
-    grid = make_grid(dim, m)
-    manifold = RadialManifold(grid, 0.5 + rng.random(grid.n_vertices))
-    whole = np.linalg.solve(grid.vertices[grid.cells], (1.0 / manifold.radii[grid.cells])[..., None])[..., 0]
-    monkeypatch.setattr(geometry, "NORMAL_BLOCK", 7)
-    assert grid.cells.shape[0] % 7 and facet_normals(manifold).tobytes() == whole.tobytes()
-
-
-@pytest.mark.parametrize("dim,m", [(2, 64), (3, 16), (4, 8), (5, 4)])
 def test_order_tolerance_covers_a_delta_change_of_the_radii(dim, m):
     rng = np.random.default_rng(7000 + 100 * dim + m)
     grid = make_grid(dim, m)
     for radii in (np.ones(grid.n_vertices), 1.0 / grid.vertices.max(axis=1),
                   0.5 + rng.random(grid.n_vertices)):
-        a = facet_normals(RadialManifold(grid, radii))
+        a = facet_normals(grid, grid.cells, 1.0 / radii)
         for delta in (1e-6, 1e-3, 0.1):
             tol = order_check(RadialManifold(grid, radii), delta)[2]
             for _ in range(10):
                 moved = radii + delta * rng.choice([-1.0, 1.0], grid.n_vertices)
-                assert np.abs(facet_normals(RadialManifold(grid, moved)) - a).max() <= tol
+                assert np.abs(facet_normals(grid, grid.cells, 1.0 / moved) - a).max() <= tol
 
 
 def test_sup_gap_dominates_hausdorff():

@@ -35,8 +35,8 @@ SHAPES = {
 
 
 @settings(max_examples=200, deadline=None)
-@given(size=st.integers(2, 4).flatmap(
-           lambda d: st.tuples(st.just(d), st.integers(1, {2: 12, 3: 6, 4: 4}[d]))),
+@given(size=st.integers(2, 6).flatmap(
+           lambda d: st.tuples(st.just(d), st.integers(1, {2: 12, 3: 6, 4: 4, 5: 3, 6: 2}[d]))),
        shape=st.sampled_from(sorted(SHAPES)),
        noise=st.sampled_from([0.0, 1e-16, 1e-13, 1e-9, 1e-4, 1e-2, 0.2]),
        seed=st.integers(0, 2**32 - 1))
