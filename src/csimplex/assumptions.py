@@ -1,18 +1,19 @@
 """Numerical certification of the structural assumptions on a Kolmogorov map.
 
 The checks sample finite grids in place of the continuum quantifiers and keep
-a fixed safety margin on the spectral condition, so a passing certificate is
-robust to the sampling. The module also selects the margin kappa of the
-trapping box [0, 1+kappa]^d and the inner radius epsilon of the starting
-manifold epsilon * Delta.
+a fixed safety margin, SAFETY_MARGIN, on the spectral condition, so a passing
+certificate is robust to the sampling. The module also selects the margin
+kappa of the trapping box [0, 1+kappa]^d and the inner radius epsilon of the
+starting manifold epsilon * Delta.
 
 One scan per box grid (check_as4) evaluates Df and f once per block of
 SCAN_BLOCK points, f on all but the origin, and yields AS3 and AS4 together;
-run_assumption_checks scans the kappa boxes first and takes AS3 and AS4 from
-the box that accepted kappa, and scans the base box [0, 1]^d only when none
-does. The scan takes the exact maximum of rho(Z) without eigen-solving every
-point: Z is nonnegative, so by Perron-Frobenius each point's radius lies
-between max(min row sum, min column sum) and min(max row sum, max column sum).
+run_assumption_checks scans the kappa boxes first, each distinct box once, and
+takes AS3 and AS4 from the box that accepted kappa, and scans the base box
+[0, 1]^d only when none does and it was not among them. The scan takes the
+exact maximum of rho(Z) without eigen-solving every point: Z is nonnegative,
+so by Perron-Frobenius each point's radius lies between
+max(min row sum, min column sum) and min(max row sum, max column sum).
 Only the candidates whose upper bound reaches the block's largest lower bound,
 the best radius so far and a multi-block scan's diagonal floor can attain the
 maximum; each block solves them in one batched eigensolve, which yields each
@@ -57,7 +58,14 @@ SCAN_BLOCK = 2**15
 
 
 class AssumptionError(RuntimeError):
-    """A required assumption cannot be certified for this map."""
+    """A required assumption cannot be certified for this map.
+
+    From find_kappa, scan is the last box's (kappa, (AS3, AS4)).
+    """
+
+    def __init__(self, message: str, scan: tuple | None = None):
+        super().__init__(message)
+        self.scan = scan
 
 
 @dataclass(frozen=True)
@@ -125,13 +133,8 @@ def _feedback(kmap: KolmogorovMap, x: np.ndarray, f: np.ndarray, jac: np.ndarray
     return np.maximum(z, 0.0, out=z)
 
 
-def check_as4(
-    kmap: KolmogorovMap,
-    kappa: float,
-    resolution: int,
-    margin: float = SAFETY_MARGIN,
-) -> tuple[As3Result, As4Result]:
-    """AS3, and AS4 (radius below 1 - margin), on the grid of [0, 1+kappa]^d from one Df and one f call per block.
+def check_as4(kmap: KolmogorovMap, kappa: float, resolution: int) -> tuple[As3Result, As4Result]:
+    """AS3, and AS4 (radius below 1 - SAFETY_MARGIN), on the grid of [0, 1+kappa]^d from one Df and one f call per block.
 
     The grid goes in blocks of SCAN_BLOCK points, in scan order, so memory
     holds one block. AS3 keeps the first point of the largest Jacobian entry
@@ -161,7 +164,7 @@ def check_as4(
     value, entry, point = worst
     # strict: all negative; weak: all nonpositive with a negative diagonal
     mode = "strict" if value < 0.0 else "weak" if value <= 1e-12 and diag < 0.0 else "fail"
-    return As3Result(mode, value, entry, point), As4Result(max_rho < 1.0 - margin, max_rho, argmax)
+    return As3Result(mode, value, entry, point), As4Result(max_rho < 1.0 - SAFETY_MARGIN, max_rho, argmax)
 
 
 def _radius_bounds(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,21 +209,18 @@ def find_kappa(
     kmap: KolmogorovMap,
     resolution: int,
     kappa_max: float = 1.0,
-    margin: float = SAFETY_MARGIN,
 ) -> tuple[float, tuple[As3Result, As4Result]]:
     """Largest margin in the geometric scan {kappa_max, kappa_max/2, ...} passing the spectral check.
 
     Returns the margin with the (AS3, AS4) scan of the box that accepted it.
     Passing regions are nested in kappa, so scanning from above is sound.
+    Each distinct box is scanned once: kappa_max = 0 gives the one box [0, 1]^d.
     """
-    for j in range(KAPPA_LEVELS + 1):
-        kappa = kappa_max / 2.0**j
-        scan = check_as4(kmap, kappa, resolution, margin)
+    for kappa in dict.fromkeys(kappa_max / 2.0**j for j in range(KAPPA_LEVELS + 1)):
+        scan = check_as4(kmap, kappa, resolution)
         if scan[1].ok:
             return kappa, scan
-    raise AssumptionError(
-        f"spectral condition fails even at kappa = {kappa_max / 2.0 ** KAPPA_LEVELS:g}"
-    )
+    raise AssumptionError(f"spectral condition fails even at kappa = {kappa:g}", (kappa, scan))
 
 
 def find_epsilon(kmap: KolmogorovMap, tol: float = 0.01) -> float:
@@ -289,25 +289,25 @@ def run_assumption_checks(
     kmap: KolmogorovMap,
     resolution: int | None = None,
     kappa_max: float = 1.0,
-    margin: float = SAFETY_MARGIN,
-    eps_tol: float = 0.01,
 ) -> AssumptionReport:
     """Full certification pass: axis fixed points, Jacobian signs, spectral margin, kappa, epsilon.
 
     AS3 and AS4 are those of the box that accepted kappa. When no kappa box
-    passes, the base box [0, 1]^d is scanned as well and reported, to say why.
+    passes, the base box [0, 1]^d is reported, to say why; it is scanned
+    unless it was the last kappa box.
     """
     resolution = resolution or default_resolution(kmap.dim)
     as2 = check_as2(kmap)
     kappa: float | None = None
     epsilon: float | None = None
     try:
-        kappa, (as3, as4) = find_kappa(kmap, resolution, kappa_max, margin)
-    except AssumptionError:
-        as3, as4 = check_as4(kmap, 0.0, resolution, margin)
+        kappa, (as3, as4) = find_kappa(kmap, resolution, kappa_max)
+    except AssumptionError as exc:
+        last, scan = exc.scan
+        as3, as4 = scan if last == 0.0 else check_as4(kmap, 0.0, resolution)
     if as4.ok and as2.ok and as3.mode in ("strict", "weak"):
         try:
-            epsilon = find_epsilon(kmap, eps_tol)
+            epsilon = find_epsilon(kmap)
         except AssumptionError:
             epsilon = None
     return AssumptionReport(
@@ -326,5 +326,5 @@ def run_assumption_checks(
         kappa=kappa,
         epsilon=epsilon,
         grid_resolution=resolution,
-        safety_margin=margin,
+        safety_margin=SAFETY_MARGIN,
     )

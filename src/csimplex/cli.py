@@ -56,13 +56,7 @@ def _prologue(args) -> tuple[RunConfig, KolmogorovMap]:
 
 
 def _run_checks(kmap: KolmogorovMap, cfg: RunConfig):
-    return run_assumption_checks(
-        kmap,
-        resolution=cfg.check_resolution,
-        kappa_max=cfg.kappa_max,
-        margin=cfg.safety_margin,
-        eps_tol=cfg.eps_tol,
-    )
+    return run_assumption_checks(kmap, resolution=cfg.check_resolution, kappa_max=cfg.kappa_max)
 
 
 def _write_report(cfg: RunConfig, name: str, payload: dict) -> None:
@@ -144,22 +138,16 @@ def cmd_verify(args) -> int:
         sample_count=cfg.sample_count,
         horizon=cfg.horizon,
         seed=cfg.seed,
-        attraction_tol=cfg.attraction_tol,
         tolerance=cfg.tolerance,
     )
-    ok = result.passed(
-        fixed_point_max=cfg.fixed_point_max,
-        invariance_max=cfg.invariance_max,
-        attraction_min=cfg.attraction_min,
-    )
-    _write_report(cfg, "verification.json", {**result.to_dict(), "passed": ok})
+    _write_report(cfg, "verification.json", result.to_dict())
     print(f"invariance defect {result.invariance_defect:.3e}, "
           f"unordered violations {result.unorder_violations}, "
           f"order margin {result.order_margin}, "
           f"harnack violations {result.harnack_samples}, "
           f"retrotone violations {result.retrotone_samples}, "
           f"attraction {result.attraction_stats}")
-    return 0 if ok else 1
+    return 0 if result.passed else 1
 
 
 def cmd_simulate(args) -> int:

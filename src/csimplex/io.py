@@ -41,17 +41,11 @@ class RunConfig:
     tolerance: float = 1e-6
     max_iter: int = 10000
     kappa_max: float = 1.0
-    safety_margin: float = 0.02
-    eps_tol: float = 0.01
     check_resolution: int | None = None
     dim_cap: int = 4
     sample_count: int = 1000
     horizon: int = 200
     seed: int = 0
-    attraction_tol: float = 1e-3
-    invariance_max: float = 0.05
-    fixed_point_max: float = 1e-4
-    attraction_min: float = 0.95
     output: str = "out"
     declared_dim: int | None = None
 
@@ -75,16 +69,10 @@ SCHEMA = (
     ("solver", "tolerance", "tolerance", float, math.ulp(0.0)),  # least positive double
     ("solver", "max_iter", "max_iter", int, 1),
     ("solver", "kappa_max", "kappa_max", float, 0.0),
-    ("solver", "safety_margin", "safety_margin", float, None),
-    ("solver", "epsilon_tol", "eps_tol", float, None),
     ("solver", "check_resolution", "check_resolution", int, 2),
     ("verify", "sample_count", "sample_count", int, 0),
     ("verify", "horizon", "horizon", int, 0),
     ("verify", "seed", "seed", int, 0),
-    ("verify", "attraction_tol", "attraction_tol", float, None),
-    ("verify", "invariance_max", "invariance_max", float, None),
-    ("verify", "fixed_point_max", "fixed_point_max", float, None),
-    ("verify", "attraction_min", "attraction_min", float, None),
     ("", "dim_cap", "dim_cap", int, None),
     ("", "output", "output", str, None),
 )

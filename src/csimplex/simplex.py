@@ -276,6 +276,14 @@ def attract_trajectory(
     return traj, surface_distance(sigma, traj)
 
 
+# The fixed gates of verify_cs. An attraction seed fails at ATTRACTION_TOL or more from the
+# surface after the horizon; VerificationReport.passed needs each of the other three.
+ATTRACTION_TOL = 1e-3
+INVARIANCE_MAX = 0.05  # invariance_defect below this
+FIXED_POINT_MAX = 1e-4  # every unit-corner residual below this
+ATTRACTION_MIN = 0.95  # attraction_stats, the share of seeds that pass, at least this
+
+
 @dataclass(frozen=True, eq=False)
 class VerificationReport:
     invariance_defect: float
@@ -295,15 +303,11 @@ class VerificationReport:
     tol_order: float
     vacuous: list
 
-    def passed(
-        self,
-        fixed_point_max: float = 1e-4,
-        invariance_max: float = 0.05,
-        attraction_min: float = 0.95,
-    ) -> bool:
-        checks = [self.invariance_defect < invariance_max]
+    @property
+    def passed(self) -> bool:
+        checks = [self.invariance_defect < INVARIANCE_MAX]
         if self.fixed_point_residuals:
-            checks.append(max(self.fixed_point_residuals) < fixed_point_max)
+            checks.append(max(self.fixed_point_residuals) < FIXED_POINT_MAX)
         if self.unorder_violations is not None:
             checks.append(self.unorder_violations == 0)
         if self.harnack_samples is not None:
@@ -311,11 +315,11 @@ class VerificationReport:
         if self.retrotone_samples is not None:
             checks.append(self.retrotone_samples == 0)
         if self.attraction_stats is not None:
-            checks.append(self.attraction_stats >= attraction_min)
+            checks.append(self.attraction_stats >= ATTRACTION_MIN)
         return all(checks)
 
     def to_dict(self) -> dict:
-        return _field_dict(self)
+        return {**_field_dict(self), "passed": self.passed}
 
 
 def _ordered_pairs(rng, count: int, dim: int, box_top: float) -> np.ndarray:
@@ -439,7 +443,6 @@ def verify_cs(
     sample_count: int = 1000,
     horizon: int = 200,
     seed: int = 0,
-    attraction_tol: float = 1e-3,
     tolerance: float = 1e-6,
 ) -> VerificationReport:
     """Property battery for a computed surface.
@@ -471,7 +474,7 @@ def verify_cs(
         retro_viol, retro_tested = retrotone_battery(kmap, kappa, sample_count, seed + 1)
         retrotone_samples: int | None = retro_viol
         failures, _ = attraction_battery(
-            kmap, sigma, kappa, sample_count, horizon, attraction_tol, seed + 2
+            kmap, sigma, kappa, sample_count, horizon, ATTRACTION_TOL, seed + 2
         )
         attraction_stats: float | None = 1.0 - failures / sample_count
     else:
@@ -497,7 +500,7 @@ def verify_cs(
         sample_count=sample_count,
         horizon=horizon,
         seed=seed,
-        attraction_tol=attraction_tol,
+        attraction_tol=ATTRACTION_TOL,
         tol_order=tol_order,
         vacuous=vacuous,
     )

@@ -101,14 +101,14 @@ def dense_feedback(kmap, x) -> np.ndarray:
     return np.maximum(np.where((x == 0.0)[..., :, None], 0.0, z), 0.0)
 
 
-def dense_check_as4(kmap, kappa: float, resolution: int, margin: float = SAFETY_MARGIN) -> As4Result:
+def dense_check_as4(kmap, kappa: float, resolution: int) -> As4Result:
     """The AS4 half of check_as4 by a dense eigensolve of the feedback matrix at every grid point."""
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
     pts = box_points(1.0 + kappa, resolution, kmap.dim)
     pts = pts[pts.any(axis=1)]  # the origin carries no feedback
     worst, max_rho = dense_radius(dense_feedback(kmap, pts))
-    return As4Result(max_rho < 1.0 - margin, max_rho, [float(v) for v in pts[worst]])
+    return As4Result(max_rho < 1.0 - SAFETY_MARGIN, max_rho, [float(v) for v in pts[worst]])
 
 
 def two_box_report(kmap, resolution: int) -> dict:

@@ -248,7 +248,7 @@ def test_jury_cross_validates_grid_check():
         r, s = RNG.uniform(0.05, 0.95, 2)
         a, b = RNG.uniform(0.0, 1.5, 2)
         if jury_condition_ricker2d(r, s, a, b):
-            res = check_as4(ricker2d(r, s, a, b), 0.0, 16, margin=0.0)[1]
+            res = check_as4(ricker2d(r, s, a, b), 0.0, 16)[1]
             assert res.max_rho < 1.0
 
 
@@ -414,6 +414,18 @@ def test_a_failing_map_scans_every_kappa_box_then_the_base_box(monkeypatch):
     report = run_assumption_checks(ricker1d(1.5), resolution=64)
     assert kappas == [2.0**-j for j in range(assumptions.KAPPA_LEVELS + 1)] + [0.0]
     assert (report.kappa, report.as4_ok, report.passed) == (None, False, False)
+
+
+@pytest.mark.parametrize("kmap, kappa", [(ricker1d(1.5), None), (beverton_holt(), 0.0)])
+def test_kappa_max_zero_scans_the_base_box_once(monkeypatch, kmap, kappa):
+    # every level kappa_max / 2^j is the base box [0, 1]^d; a failing map reports that box
+    # as a search from kappa_max = 1 does
+    reference = run_assumption_checks(kmap, resolution=64).to_dict()
+    kappas = count_scans(monkeypatch)
+    report = run_assumption_checks(kmap, resolution=64, kappa_max=0.0)
+    assert kappas == [0.0] and report.kappa == kappa
+    if kappa is None:
+        assert report.to_dict() == reference
 
 
 def test_a_passing_kappa_box_outranks_a_failing_base_box():

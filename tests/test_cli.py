@@ -12,6 +12,10 @@ from csimplex.geometry import make_grid, constant_manifold
 from csimplex.io import load_manifold_csv, save_manifold_csv
 
 
+LG3 = {"name": "leslie_gower",
+       "params": {"r": [1.0, 1.0, 1.0], "A": [[1.0, 0.3, 0.3], [0.3, 1.0, 0.3], [0.3, 0.3, 1.0]]}}
+
+
 def write_config(path, **overrides):
     cfg = {
         "map": {"name": "ricker2d", "params": {"r": 0.5, "s": 0.5, "a": 0.5, "b": 0.5}},
@@ -90,7 +94,7 @@ def test_config_errors_exit_2(tmp_path):
     ("check", {"grid": {"resolution": None}}, []),
     ("check", {"solver": {"max_iter": True}}, []),
     ("check", {"solver": {"tolerance": float("inf")}}, []),
-    ("check", {"verify": {"attraction_min": float("nan")}}, []),
+    ("check", {"solver": {"kappa_max": float("nan")}}, []),
     ("check", {"map": {"name": 3, "params": {}}}, []),
     ("check", {"solvr": {"tolerance": 1e-9}}, []),
     ("check", {"solver": {"tolerence": 1e-9}}, []),
@@ -98,6 +102,10 @@ def test_config_errors_exit_2(tmp_path):
     ("compute", {}, ["--tolerance", "nan"]),
     ("compute", {}, ["--tolerance", "inf"]),
     ("simulate", {}, ["--x0", "0.2,0.1", "--steps", "-5"]),
+    # the verdicts' thresholds are constants: a config that would loosen one is refused
+    ("check", {"map": {"name": "ricker1d", "params": {"lam": 1.5}},
+               "solver": {"safety_margin": -1.0}}, []),
+    ("verify", {"map": LG3, "grid": {"resolution": 32}, "verify": {"attraction_min": -1.0}}, []),
 ])
 def test_bad_config_values_exit_2(tmp_path, capsys, command, overrides, flags):
     cfg_path = tmp_path / "cfg.json"
@@ -129,7 +137,7 @@ def named_key(overrides, flags):
     if flags:
         return {"--seed": "verify.seed", "--tolerance": "solver.tolerance",
                 "--steps": "verify.horizon"}[flags[-2]]
-    ((section, block),) = overrides.items()
+    section, block = list(overrides.items())[-1]  # the bad key is the last override
     if section not in ("map", "grid", "solver", "verify"):
         return section
     return f"{section}.{next(iter(block))}"

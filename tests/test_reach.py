@@ -67,6 +67,10 @@ def run_commands(tmp_path) -> set:
     runs.append(({"map": {"name": "ricker2d"}, "grid": {"resolution": 1}}, [["check"]], 2))
     # a point where ricker1d's per-capita rate underflows to 0: the map's error helper names it
     runs.append((runs[2][0], [["simulate", "--x0", "1e4"]], 3))
+    # a spectral check that fails in the one box kappa_max = 0 allows: the kappa search's
+    # error carries that box's scan to the report
+    runs.append(({**TINY, "map": {"name": "ricker1d", "params": {"lam": 1.5}}, "grid": {"resolution": 5},
+                  "solver": {"kappa_max": 0.0, "check_resolution": 8}}, [["check"]], 1))
     # the exact surface 1/max(u) of a decoupled map: only rounding moves its box-face facet
     # normals off zero, so verify's order check solves those cells exactly
     grid = make_grid(2, 6)

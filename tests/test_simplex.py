@@ -251,7 +251,7 @@ def test_verify_cs_coupled(coupled_run):
     assert rep.retrotone_ordered_count > 50
     assert rep.attraction_stats == 1.0
     assert rep.invariance_defect < 0.05
-    assert rep.passed()
+    assert rep.passed
 
 
 def test_verify_cs_sample_streams_are_pinned():
@@ -362,7 +362,7 @@ def test_verify_cs_flags_perturbed_sigma(coupled_run):
     # the images of the bloated points fall back toward the surface by about half the 5%
     assert rep.invariance_defect > 0.01
     assert max(rep.fixed_point_residuals) > 1e-4
-    assert not rep.passed()
+    assert not rep.passed
 
 
 def test_verify_cs_vacuous_fields():
@@ -372,12 +372,12 @@ def test_verify_cs_vacuous_fields():
     assert "harnack_samples" in rep.vacuous
     assert "attraction_stats" in rep.vacuous
     assert rep.harnack_samples is None
-    assert rep.passed()  # vacuous fields do not fail the gate
+    assert rep.passed  # vacuous fields do not fail the gate
     # one-species surfaces have no cell: the order check is vacuous
     rep2 = verify_cs(kmap, res.sigma, 1.0, sample_count=50, horizon=20, seed=0)
     assert "unorder_violations" in rep2.vacuous and "order_margin" in rep2.vacuous
     assert rep2.order_margin is None
-    assert rep2.passed()
+    assert rep2.passed
 
 
 def lg3(offdiag):
