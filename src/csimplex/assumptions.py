@@ -98,11 +98,21 @@ def check_as2(kmap: KolmogorovMap, tol: float = 1e-9) -> As2Result:
 def _box_blocks(axis: np.ndarray, dim: int):
     """The grid axis^dim in C order, origin first, in runs of at most SCAN_BLOCK points.
 
-    Each run is an (n, dim) view of (dim, n) columns.
+    Each run is an (n, dim) view of (dim, n) columns. Column k holds each
+    axis value n^(dim-1-k) times in turn, cyclically, so a run's column is a
+    slice of np.repeat over the few values it meets: no index is unravelled.
     """
-    shape, size = (len(axis),) * dim, len(axis) ** dim
+    n = len(axis)
+    size = n**dim
     for start in range(0, size, SCAN_BLOCK):
-        yield axis[np.stack(np.unravel_index(np.arange(start, min(start + SCAN_BLOCK, size)), shape))].T
+        stop = min(start + SCAN_BLOCK, size)
+        cols = np.empty((dim, stop - start))
+        for k in range(dim):
+            rep = n ** (dim - 1 - k)
+            first = start // rep  # index of the value at the run's start, before the cycle's mod n
+            values = axis[np.arange(first, (stop - 1) // rep + 1) % n]
+            cols[k] = np.repeat(values, rep)[start - first * rep : stop - first * rep]
+        yield cols.T
 
 
 def _sign_pattern(jac: np.ndarray, pts: np.ndarray) -> tuple[float, tuple, list, float]:

@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
+import math
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .assumptions import run_assumption_checks
+from .assumptions import SAFETY_MARGIN, default_resolution, run_assumption_checks
 from .geometry import GridError, RadialManifold, make_grid
 from .io import (
     SCHEMA,
@@ -57,6 +59,28 @@ def _prologue(args) -> tuple[RunConfig, KolmogorovMap]:
 
 def _run_checks(kmap: KolmogorovMap, cfg: RunConfig):
     return run_assumption_checks(kmap, resolution=cfg.check_resolution, kappa_max=cfg.kappa_max)
+
+
+def _box_kappa(kmap: KolmogorovMap, cfg: RunConfig) -> float | None:
+    """kappa from <output>/assumptions.json when it records this run's own scan, else from a scan.
+
+    The record is trusted when its map, grid_resolution, kappa_max and
+    safety_margin equal this run's and its kappa is null or a finite number >= 0.
+    """
+    try:
+        with open(os.path.join(cfg.output, "assumptions.json"), encoding="utf-8") as fh:
+            rec = json.load(fh)
+        kappa = rec["kappa"]
+        if (rec["map_name"] == kmap.name
+                and rec["map_params"] == json.loads(json.dumps(kmap.params))
+                and rec["grid_resolution"] == (cfg.check_resolution or default_resolution(kmap.dim))
+                and rec["config"]["solver"]["kappa_max"] == cfg.kappa_max
+                and rec["safety_margin"] == SAFETY_MARGIN
+                and (kappa is None or type(kappa) in (int, float) and math.isfinite(kappa) and kappa >= 0)):
+            return kappa if kappa is None else float(kappa)
+    except (OSError, ValueError, LookupError, TypeError, OverflowError):  # missing, unreadable or malformed
+        pass
+    return _run_checks(kmap, cfg).kappa
 
 
 def _write_report(cfg: RunConfig, name: str, payload: dict) -> None:
@@ -126,15 +150,15 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg, kmap = _prologue(args)
-    report = _run_checks(kmap, cfg)
-    if report.kappa is None:
+    kappa = _box_kappa(kmap, cfg)
+    if kappa is None:
         print("assumption checks failed; nothing to verify against", file=sys.stderr)
         return 1
     sigma = _load_sigma(args, cfg, kmap)
     result = verify_cs(
         kmap,
         sigma,
-        report.kappa,
+        kappa,
         sample_count=cfg.sample_count,
         horizon=cfg.horizon,
         seed=cfg.seed,

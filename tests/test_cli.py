@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from csimplex import cli
 from csimplex.cli import main
 from csimplex.geometry import make_grid, constant_manifold
 from csimplex.io import load_manifold_csv, save_manifold_csv
@@ -256,6 +257,58 @@ def test_verify_grid_mismatch_exit_2(tmp_path):
     write_config(cfg_path)
     assert main(["compute", "--config", str(cfg_path)]) == 0
     assert main(["verify", "--config", str(cfg_path), "--resolution", "20"]) == 2
+
+
+@pytest.mark.parametrize("map_cfg, other_params, code", [
+    ({"name": "ricker2d", "params": {"r": 0.5, "s": 0.5, "a": 0.5, "b": 0.5}},
+     {"r": 0.5, "s": 0.5, "a": 0.5, "b": 0.25}, 0),
+    # decoupled: verify exits 1 on its order and attraction batteries
+    ({"name": "leslie_gower", "params": {"r": [1.0] * 3, "A": np.eye(3).tolist()}},
+     {"r": [1.0] * 3, "A": (np.eye(3) * 0.7 + 0.3).tolist()}, 1),
+    # steep: the scan finds no kappa, so compute writes a null one and no surface
+    ({"name": "ricker1d", "params": {"lam": 1.5}}, {"lam": 1.25}, 1),
+])
+def test_verify_takes_kappa_from_a_matching_record(tmp_path, monkeypatch, map_cfg, other_params,
+                                                   code):
+    scans = []
+    scan = cli.run_assumption_checks
+    monkeypatch.setattr(cli, "run_assumption_checks",
+                        lambda *a, **kw: scans.append(a) or scan(*a, **kw))
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, map=map_cfg, grid={"resolution": 8},
+                 verify={"sample_count": 50, "horizon": 60, "seed": 3})
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    steep = map_cfg["name"] == "ricker1d"
+    assert main(["compute", "--config", str(cfg_path)]) == int(steep)
+    record = (out / "assumptions.json").read_text()
+
+    def verify(where, *flags):
+        """verify's exit code, verification.json's bytes (None if absent) and its scan count."""
+        (where / "verification.json").unlink(missing_ok=True)
+        scans.clear()
+        status = main(["verify", "--config", str(cfg_path), "--out", str(where), *flags])
+        report = where / "verification.json"
+        return status, report.read_bytes() if report.exists() else None, len(scans)
+
+    status, report, n = verify(out)
+    assert (status, n, report is None) == (code, 0, steep)
+    assert verify(fresh, "--sigma", str(out / "sigma.csv")) == (code, report, 1)
+    rec = json.loads(record)
+    solver = {**rec["config"]["solver"], "kappa_max": 0.5}
+    mismatched = {
+        "map_params": json.dumps({**rec, "map_params": other_params}),
+        "kappa_max": json.dumps({**rec, "config": {**rec["config"], "solver": solver}}),
+        "check_resolution": json.dumps({**rec, "grid_resolution": rec["grid_resolution"] + 1}),
+        "truncated": record[: len(record) // 2],
+        "kappa": json.dumps({**rec, "kappa": "x"}),
+        "negative kappa": json.dumps({**rec, "kappa": -0.5}),
+    }
+    for name, text in mismatched.items():
+        (out / "assumptions.json").write_text(text)
+        assert verify(out) == (code, report, 1), name
+    # a recorded null kappa ends verify as a scan that finds none does
+    (out / "assumptions.json").write_text(json.dumps({**rec, "kappa": None}))
+    assert verify(out) == (1, None, 0)
 
 
 def test_simulate_zero_stays_zero(tmp_path):

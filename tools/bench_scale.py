@@ -7,7 +7,9 @@ Usage, from the root of a checkout:
 Each configuration is coupled Leslie-Gower (r = 1, diagonal 1, off-diagonal
 0.3) at the package's default solver settings. Every run executes
 `python -m csimplex.cli check`, `compute` and `verify` in that order into a
-fresh output directory, with PYTHONPATH set to the source tree, RUNS times.
+fresh output directory, with PYTHONPATH set to the source tree, RUNS times;
+`verify` thus takes kappa from the `assumptions.json` that `compute` wrote
+there instead of scanning the box again.
 Per command the file records the wall time (min and median over runs), the
 child's peak RSS from os.wait4, the exit code, every output file's sha256,
 and, for compute, `iterations`, `certified_by` and `certified_error`.
