@@ -8,7 +8,6 @@ defining properties of the surface.
 """
 
 from .assumptions import (
-    AssumptionError,
     AssumptionReport,
     check_as2,
     check_as4,

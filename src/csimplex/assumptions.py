@@ -6,6 +6,10 @@ certificate is robust to the sampling. The module also selects the margin
 kappa of the trapping box [0, 1+kappa]^d and the inner radius epsilon of the
 starting manifold epsilon * Delta.
 
+Each check returns what AssumptionReport stores, keyed by the report's own
+field names: check_as2 the as2_ fields, check_as4 the as3_ and as4_ fields,
+find_kappa kappa or None with the scan it rests on, find_epsilon a float or None.
+
 One scan per box grid (check_as4) evaluates Df and f once per block of
 SCAN_BLOCK points, f on all but the origin, and yields AS3 and AS4 together;
 run_assumption_checks scans the kappa boxes first, each distinct box once, and
@@ -29,10 +33,6 @@ import numpy as np
 from .maps import KolmogorovMap, MapDomainError, _at, eval_df, eval_f
 
 __all__ = [
-    "AssumptionError",
-    "As2Result",
-    "As3Result",
-    "As4Result",
     "AssumptionReport",
     "check_as2",
     "check_as4",
@@ -57,42 +57,10 @@ FEEDBACK_TOL = 1e-9
 SCAN_BLOCK = 2**15
 
 
-class AssumptionError(RuntimeError):
-    """A required assumption cannot be certified for this map.
-
-    From find_kappa, scan is the last box's (kappa, (AS3, AS4)).
-    """
-
-    def __init__(self, message: str, scan: tuple | None = None):
-        super().__init__(message)
-        self.scan = scan
-
-
-@dataclass(frozen=True)
-class As2Result:
-    ok: bool
-    max_deviation: float
-
-
-@dataclass(frozen=True)
-class As3Result:
-    mode: str  # strict | weak | fail
-    worst_value: float
-    worst_entry: tuple
-    worst_point: list
-
-
-@dataclass(frozen=True)
-class As4Result:
-    ok: bool
-    max_rho: float
-    argmax_point: list
-
-
-def check_as2(kmap: KolmogorovMap, tol: float = 1e-9) -> As2Result:
-    """Each axis must carry its fixed point at the unit: f_i(e_i) = 1."""
+def check_as2(kmap: KolmogorovMap, tol: float = 1e-9) -> dict:
+    """Each axis must carry its fixed point at the unit, f_i(e_i) = 1: as2_ok and as2_max_deviation."""
     worst = float(np.abs(np.diagonal(eval_f(kmap, np.eye(kmap.dim))) - 1.0).max())
-    return As2Result(worst < tol, worst)
+    return {"as2_ok": worst < tol, "as2_max_deviation": worst}
 
 
 def _box_blocks(axis: np.ndarray, dim: int):
@@ -143,16 +111,16 @@ def _feedback(kmap: KolmogorovMap, x: np.ndarray, f: np.ndarray, jac: np.ndarray
     return np.maximum(z, 0.0, out=z)
 
 
-def check_as4(kmap: KolmogorovMap, kappa: float, resolution: int) -> tuple[As3Result, As4Result]:
+def check_as4(kmap: KolmogorovMap, kappa: float, resolution: int) -> dict:
     """AS3, and AS4 (radius below 1 - SAFETY_MARGIN), on the grid of [0, 1+kappa]^d from one Df and one f call per block.
 
-    The grid goes in blocks of SCAN_BLOCK points, in scan order, so memory
-    holds one block. AS3 keeps the first point of the largest Jacobian entry
-    and AS4 the first point of the largest radius: a later block replaces
-    either only when larger. Each block solves the feedback matrices whose
-    widened upper bound reaches the best radius so far, its own largest lower
-    bound and, in a multi-block scan, the largest lower bound on the grid's
-    diagonal.
+    Returns the report's as3_ and as4_ fields as one dict. The grid goes in
+    blocks of SCAN_BLOCK points, in scan order, so memory holds one block.
+    AS3 keeps the first point of the largest Jacobian entry and AS4 the first
+    point of the largest radius: a later block replaces either only when
+    larger. Each block solves the feedback matrices whose widened upper bound
+    reaches the best radius so far, its own largest lower bound and, in a
+    multi-block scan, the largest lower bound on the grid's diagonal.
     """
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
@@ -174,7 +142,9 @@ def check_as4(kmap: KolmogorovMap, kappa: float, resolution: int) -> tuple[As3Re
     value, entry, point = worst
     # strict: all negative; weak: all nonpositive with a negative diagonal
     mode = "strict" if value < 0.0 else "weak" if value <= 1e-12 and diag < 0.0 else "fail"
-    return As3Result(mode, value, entry, point), As4Result(max_rho < 1.0 - SAFETY_MARGIN, max_rho, argmax)
+    return {"as3_mode": mode, "as3_worst_value": value, "as3_worst_entry": entry,
+            "as3_worst_point": [float(v) for v in point],
+            "as4_ok": max_rho < 1.0 - SAFETY_MARGIN, "as4_max_rho": max_rho, "as4_argmax": argmax}
 
 
 def _radius_bounds(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -215,39 +185,34 @@ def jury_condition_ricker2d(r: float, s: float, a: float, b: float) -> bool:
     return r + s < mid < 2.0
 
 
-def find_kappa(
-    kmap: KolmogorovMap,
-    resolution: int,
-    kappa_max: float = 1.0,
-) -> tuple[float, tuple[As3Result, As4Result]]:
+def find_kappa(kmap: KolmogorovMap, resolution: int, kappa_max: float = 1.0) -> tuple[float | None, dict]:
     """Largest margin in the geometric scan {kappa_max, kappa_max/2, ...} passing the spectral check.
 
-    Returns the margin with the (AS3, AS4) scan of the box that accepted it.
-    Passing regions are nested in kappa, so scanning from above is sound.
-    Each distinct box is scanned once: kappa_max = 0 gives the one box [0, 1]^d.
+    Returns the margin with the check_as4 scan of the box that accepted it,
+    or None with the scan of the last box, kappa_max / 2^KAPPA_LEVELS, when
+    none does. Passing regions are nested in kappa, so scanning from above is
+    sound. Each distinct box is scanned once: kappa_max = 0 gives the one box [0, 1]^d.
     """
     for kappa in dict.fromkeys(kappa_max / 2.0**j for j in range(KAPPA_LEVELS + 1)):
         scan = check_as4(kmap, kappa, resolution)
-        if scan[1].ok:
+        if scan["as4_ok"]:
             return kappa, scan
-    raise AssumptionError(f"spectral condition fails even at kappa = {kappa:g}", (kappa, scan))
+    return None, scan
 
 
-def find_epsilon(kmap: KolmogorovMap, tol: float = 0.01) -> float:
-    """Largest epsilon in {1/2, 1/4, ...} with min_i f_i >= 1 + tol on epsilon * Delta.
+def find_epsilon(kmap: KolmogorovMap, tol: float = 0.01) -> float | None:
+    """Largest epsilon in {1/2, ..., 2^-EPSILON_HALVINGS} with min_i f_i >= 1 + tol on epsilon * Delta, else None.
 
     Every x in epsilon * Delta has x <= epsilon * 1, and under AS3 f does not
     increase in any coordinate, so f(x) >= f(epsilon * 1): one evaluation per
     halving bounds the whole set. The bound holds only as far as AS3 does, and
     AS3 is itself a sampled check (check_as4). All halvings go to one eval_f call.
+    None means that per-capita growth never exceeds 1 + tol near the origin:
+    the origin is not a repeller.
     """
     eps = 0.5 ** np.arange(1, EPSILON_HALVINGS + 1)
     ok = eval_f(kmap, np.repeat(eps[:, None], kmap.dim, axis=1)).min(axis=1) >= 1.0 + tol
-    if ok.any():
-        return float(eps[ok.argmax()])
-    raise AssumptionError(
-        "per-capita growth never exceeds 1 near the origin; the origin is not a repeller"
-    )
+    return float(eps[ok.argmax()]) if ok.any() else None
 
 
 def default_resolution(dim: int) -> int:
@@ -304,37 +269,15 @@ def run_assumption_checks(
 
     AS3 and AS4 are those of the box that accepted kappa. When no kappa box
     passes, the base box [0, 1]^d is reported, to say why; it is scanned
-    unless it was the last kappa box.
+    unless it was the last kappa box, as it is when kappa_max / 2^KAPPA_LEVELS
+    is 0. epsilon is searched only when AS2, AS3 and AS4 pass.
     """
     resolution = resolution or default_resolution(kmap.dim)
     as2 = check_as2(kmap)
-    kappa: float | None = None
-    epsilon: float | None = None
-    try:
-        kappa, (as3, as4) = find_kappa(kmap, resolution, kappa_max)
-    except AssumptionError as exc:
-        last, scan = exc.scan
-        as3, as4 = scan if last == 0.0 else check_as4(kmap, 0.0, resolution)
-    if as4.ok and as2.ok and as3.mode in ("strict", "weak"):
-        try:
-            epsilon = find_epsilon(kmap)
-        except AssumptionError:
-            epsilon = None
-    return AssumptionReport(
-        map_name=kmap.name,
-        map_params=dict(kmap.params),
-        dim=kmap.dim,
-        as2_ok=as2.ok,
-        as2_max_deviation=float(as2.max_deviation),
-        as3_mode=as3.mode,
-        as3_worst_value=float(as3.worst_value),
-        as3_worst_entry=as3.worst_entry,
-        as3_worst_point=[float(v) for v in as3.worst_point],
-        as4_ok=as4.ok,
-        as4_max_rho=float(as4.max_rho),
-        as4_argmax=[float(v) for v in as4.argmax_point],
-        kappa=kappa,
-        epsilon=epsilon,
-        grid_resolution=resolution,
-        safety_margin=SAFETY_MARGIN,
-    )
+    kappa, scan = find_kappa(kmap, resolution, kappa_max)
+    if kappa is None and kappa_max / 2.0**KAPPA_LEVELS != 0.0:
+        scan = check_as4(kmap, 0.0, resolution)
+    certified = as2["as2_ok"] and scan["as3_mode"] in ("strict", "weak") and scan["as4_ok"]
+    return AssumptionReport(map_name=kmap.name, map_params=dict(kmap.params), dim=kmap.dim, **as2, **scan,
+                            kappa=kappa, epsilon=find_epsilon(kmap) if certified else None,
+                            grid_resolution=resolution, safety_margin=SAFETY_MARGIN)

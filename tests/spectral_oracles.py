@@ -4,7 +4,8 @@
 `dense_check_as3` and `dense_check_as4` are the two separate scans that
 `assumptions.check_as4` fuses: the first reads the Jacobian at every grid
 point as (N, d, d) blocks, the second forms the feedback matrix the same way
-and eigen-solves it at every grid point but the origin. `two_box_report` is
+and eigen-solves it at every grid point but the origin. Each returns the
+report's as3_ or as4_ fields as a dict, as check_as4 does. `two_box_report` is
 `run_assumption_checks` in its earlier order, base box first, from those two.
 """
 import numpy as np
@@ -12,8 +13,6 @@ import numpy as np
 from csimplex.assumptions import (
     KAPPA_LEVELS,
     SAFETY_MARGIN,
-    As3Result,
-    As4Result,
     AssumptionReport,
     check_as2,
     find_epsilon,
@@ -72,7 +71,7 @@ def box_points(top: float, resolution: int, dim: int) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij", copy=False)).reshape(dim, -1).T
 
 
-def dense_check_as3(kmap, rect_top: float, resolution: int) -> As3Result:
+def dense_check_as3(kmap, rect_top: float, resolution: int) -> dict:
     """Sign pattern of the per-capita Jacobian on the rectangle [0, rect_top]^d.
 
     strict: all entries negative; weak: all nonpositive with negative
@@ -92,7 +91,8 @@ def dense_check_as3(kmap, rect_top: float, resolution: int) -> As3Result:
         mode = "weak"
     else:
         mode = "fail"
-    return As3Result(mode, worst_value, worst_entry, list(worst_point))
+    return {"as3_mode": mode, "as3_worst_value": worst_value, "as3_worst_entry": worst_entry,
+            "as3_worst_point": [float(v) for v in worst_point]}
 
 
 def dense_feedback(kmap, x) -> np.ndarray:
@@ -101,14 +101,15 @@ def dense_feedback(kmap, x) -> np.ndarray:
     return np.maximum(np.where((x == 0.0)[..., :, None], 0.0, z), 0.0)
 
 
-def dense_check_as4(kmap, kappa: float, resolution: int) -> As4Result:
+def dense_check_as4(kmap, kappa: float, resolution: int) -> dict:
     """The AS4 half of check_as4 by a dense eigensolve of the feedback matrix at every grid point."""
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
     pts = box_points(1.0 + kappa, resolution, kmap.dim)
     pts = pts[pts.any(axis=1)]  # the origin carries no feedback
     worst, max_rho = dense_radius(dense_feedback(kmap, pts))
-    return As4Result(max_rho < 1.0 - SAFETY_MARGIN, max_rho, [float(v) for v in pts[worst]])
+    return {"as4_ok": max_rho < 1.0 - SAFETY_MARGIN, "as4_max_rho": max_rho,
+            "as4_argmax": [float(v) for v in pts[worst]]}
 
 
 def two_box_report(kmap, resolution: int) -> dict:
@@ -121,16 +122,15 @@ def two_box_report(kmap, resolution: int) -> dict:
     as2 = check_as2(kmap)
     base = as4 = dense_check_as4(kmap, 0.0, resolution)
     kappa = None
-    for j in range(KAPPA_LEVELS + 1) if base.ok else ():
+    for j in range(KAPPA_LEVELS + 1) if base["as4_ok"] else ():
         scan = dense_check_as4(kmap, 1.0 / 2.0**j, resolution)
-        if scan.ok:
+        if scan["as4_ok"]:
             kappa, as4 = 1.0 / 2.0**j, scan
             break
     as3 = dense_check_as3(kmap, 1.0 + (kappa or 0.0), resolution)
-    certified = base.ok and as2.ok and as3.mode in ("strict", "weak")
+    certified = base["as4_ok"] and as2["as2_ok"] and as3["as3_mode"] in ("strict", "weak")
     return AssumptionReport(
-        kmap.name, dict(kmap.params), kmap.dim, as2.ok, as2.max_deviation, as3.mode,
-        as3.worst_value, as3.worst_entry, [float(v) for v in as3.worst_point], as4.ok,
-        as4.max_rho, as4.argmax_point, kappa, find_epsilon(kmap, 0.01) if certified else None,
-        resolution, SAFETY_MARGIN,
+        kmap.name, dict(kmap.params), kmap.dim, **as2, **as3, **as4, kappa=kappa,
+        epsilon=find_epsilon(kmap, 0.01) if certified else None, grid_resolution=resolution,
+        safety_margin=SAFETY_MARGIN,
     ).to_dict()

@@ -120,10 +120,10 @@ def test_criterion_03_jury_condition_sweep():
         r, s = rng.uniform(0.05, 1.8, 2)
         a, b = rng.uniform(0.0, 2.0, 2)
         jury = jury_condition_ricker2d(r, s, a, b)
-        res = check_as4(ricker2d(r, s, a, b), 0.0, 8)[1]
-        if jury == res.ok:
+        res = check_as4(ricker2d(r, s, a, b), 0.0, 8)
+        if jury == res["as4_ok"]:
             agree += 1
-        elif not 0.98 <= res.max_rho < 1.0:
+        elif not 0.98 <= res["as4_max_rho"] < 1.0:
             off_band += 1
     ok = agree >= 990 and off_band == 0
     record(3, ok, f"jury vs sampled spectral check: {agree}/1000 agree, "

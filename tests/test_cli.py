@@ -11,6 +11,7 @@ from csimplex import cli
 from csimplex.cli import main
 from csimplex.geometry import make_grid, constant_manifold
 from csimplex.io import load_manifold_csv, save_manifold_csv
+from csimplex.maps import REGISTRY, KolmogorovMap
 
 
 LG3 = {"name": "leslie_gower",
@@ -63,6 +64,20 @@ def test_check_rejects_steep_ricker(tmp_path):
     report = json.loads((tmp_path / "out" / "assumptions.json").read_text())
     assert report["as4_ok"] is False
     assert report["as4_argmax"][0] <= 1.0
+
+
+def test_check_non_competitive_map_exit_3(tmp_path, capsys, monkeypatch):
+    # a positive off-diagonal Df (mutualism) makes a negative feedback entry: a map domain
+    # error, exit 3, and no assumptions.json
+    def f(x):
+        return np.stack([np.exp(1.0 - x[..., 0] + 0.1 * x[..., 1]), np.exp(1.0 - x[..., 1])], axis=-1)
+
+    monkeypatch.setitem(REGISTRY, "mutualist", lambda: KolmogorovMap("mutualist", 2, {}, f))
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, map={"name": "mutualist", "params": {}})
+    assert main(["check", "--config", str(cfg_path)]) == 3
+    assert capsys.readouterr().err.startswith("map domain error: mutualist: negative feedback entry ")
+    assert not (tmp_path / "out" / "assumptions.json").exists()
 
 
 def test_config_errors_exit_2(tmp_path):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from csimplex.assumptions import run_assumption_checks
 from csimplex.geometry import (
     RadialManifold,
     box_boundary_manifold,
@@ -585,6 +586,27 @@ def test_inflated_lower_encloses_the_lockstep_limit(kmap, kappa, dim, m, toleran
     for run in (res, fallback):
         assert np.all(run.lower.radii <= reference + 1e-12)
         assert np.all(reference <= run.upper.radii + 1e-12)
+
+
+SLOW = [  # (map, dim, resolution): maps that pass check but contract slowly
+    (atkinson_allen(0.9), 1, 1),  # 273 iterations; the fifth try (k = 4) inflates
+    (leslie_gower((0.1, 0.1), [[0.1, 0.03], [0.03, 0.1]]), 2, 8),  # 151 iterations; k = 3
+]
+
+
+@pytest.mark.parametrize("kmap,dim,m", SLOW, ids=["aa0.9", "lg2-r0.1"])
+def test_slow_contraction_inflates_from_a_doubled_offset(kmap, dim, m, monkeypatch):
+    # the first offset fails G(L) >= L, so only the doublings certify the lower by inflation
+    report = run_assumption_checks(kmap)
+    assert report.passed
+    grid, tol = make_grid(dim, m), 1e-6
+    reference = lockstep_sigma(kmap, grid, report.kappa, report.epsilon, 1e-13).radii
+    res = compute_cs(kmap, grid, report.kappa, report.epsilon, tolerance=tol)
+    assert (res.termination, res.certified_by) == ("converged", "inflation")
+    assert len(res.lower_min_steps) > 1
+    assert np.abs(res.sigma.radii - reference).max() <= 0.2 * tol
+    monkeypatch.setattr(simplex, "INFLATION_TRIES", 1)
+    assert compute_cs(kmap, grid, report.kappa, report.epsilon, tolerance=tol).certified_by == "lockstep"
 
 
 def test_inflated_lower_is_held_then_steps_with_the_upper():
